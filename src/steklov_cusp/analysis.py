@@ -5,7 +5,7 @@ threshold behavior of the weighted versus unweighted problem.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -80,10 +80,8 @@ def fp_constant(mesh: Mesh, cfg: ProblemConfig, constraint: str = "weighted-boun
     outcome = _descent(mesh, cfg, u0, fem.volume_pnorm, fem.volume_pnorm_gradient,
                        precond, _eps_schedule(cfg), shift_fn=shift_fn,
                        constraint_grad_fn=constraint_grad_fn)
-    value = fem.energy(mesh, ProblemConfig(p=cfg.p, weighted=cfg.weighted,
-                                           eps_reg=0.0,
-                                           quadrature_order=cfg.quadrature_order),
-                       outcome.u) / fem.volume_pnorm(mesh, cfg, outcome.u)
+    value = fem.energy(mesh, replace(cfg, eps_reg=0.0), outcome.u) \
+        / fem.volume_pnorm(mesh, cfg, outcome.u)
     if not value > 0.0:
         raise SolveError(f"non-positive constrained quotient {value}")
     return value ** (-1.0 / cfg.p)
@@ -194,9 +192,7 @@ def alpha_sweep(cfg_base: ProblemConfig, alphas, refinements: int = 3,
                 except (SolveError, np.linalg.LinAlgError):
                     pass
             for weighted in (True, False):
-                cfg = ProblemConfig(p=cfg_base.p, weighted=weighted,
-                                    eps_reg=cfg_base.eps_reg,
-                                    quadrature_order=cfg_base.quadrature_order)
+                cfg = replace(cfg_base, weighted=weighted)
                 lam = float("nan")
                 iters = 0
                 converged = False

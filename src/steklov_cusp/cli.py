@@ -51,7 +51,6 @@ DEFAULTS = {
         "p": "2.0",
         "weighted": "true",
         "refinements": "2",
-        "eps_schedule": "auto",
         "restarts": "3",
         "seed": "0",
         "quadrature_order": "2",

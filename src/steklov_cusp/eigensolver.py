@@ -6,8 +6,10 @@ weighted orthogonality constraint), by preconditioned projected descent with
 an Armijo line search.  The constraint is maintained by shifting with a
 constant, whose value is the unique root of a strictly decreasing scalar
 function.  Because any value-driven method goes flat near sqrt(machine eps)
-eigenvector accuracy, residual-driven terminal phases finish the job; they
-are documented on the individual polish functions.  solve_p2 is the direct
+eigenvector accuracy, a stalled descent is finished by one residual-driven
+terminal phase, damped Newton on the bordered stationarity system
+(_bordered_newton).  Both it and solve_p2 eliminate the interior unknowns
+onto the boundary through _eliminate_interior.  solve_p2 is the direct
 linear path: boundary reduction of the stiffness matrix by a Schur
 complement, constraint deflation by a Householder reflector, and a dense
 generalized eigensolve; it doubles as the oracle for p = 2 and as the
@@ -17,7 +19,7 @@ initializer for the nonlinear descent.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -43,8 +45,8 @@ class EigenResult:
     with the constraint-multiplier direction removed, divided by the scale
     of its two sides.  constraint_residual is |constraint functional| in
     absolute terms.  energy_history records the accepted objective values of
-    the primary descent phase (non-increasing); the residual-driven polish
-    phases that follow only count toward iterations.
+    the descent (non-increasing); the steps of the terminal Newton phase
+    that may follow only count toward iterations.
     """
 
     eigenvalue: float
@@ -62,9 +64,7 @@ def rayleigh(mesh: Mesh, cfg: ProblemConfig, u) -> float:
     denom = fem.boundary_pnorm(mesh, cfg, u)
     if denom <= 0.0:
         raise SolveError("Rayleigh quotient is infinite: boundary p-norm vanishes")
-    cfg0 = ProblemConfig(p=cfg.p, weighted=cfg.weighted, eps_reg=0.0,
-                         quadrature_order=cfg.quadrature_order)
-    return fem.energy(mesh, cfg0, u) / denom
+    return fem.energy(mesh, replace(cfg, eps_reg=0.0), u) / denom
 
 
 def scalar_shift_root(F, lo: float, hi: float, ftol: float,
@@ -175,8 +175,7 @@ def weakform_residual(mesh: Mesh, cfg: ProblemConfig, u, lam: float) -> float:
     boundary form scaled by lam, removes the component along the constraint
     multiplier direction, and normalizes by the scale of the two sides.
     """
-    cfg0 = ProblemConfig(p=cfg.p, weighted=cfg.weighted, eps_reg=0.0,
-                         quadrature_order=cfg.quadrature_order)
+    cfg0 = replace(cfg, eps_reg=0.0)
     a = fem.energy_gradient(mesh, cfg0, u) / cfg.p
     b = fem.boundary_pnorm_gradient(mesh, cfg0, u) / cfg.p
     r = a - lam * b
@@ -193,7 +192,6 @@ def weakform_residual(mesh: Mesh, cfg: ProblemConfig, u, lam: float) -> float:
 @dataclass
 class _DescentOutcome:
     u: np.ndarray
-    value: float
     history: list
     iterations: int
     stalled: bool
@@ -233,8 +231,7 @@ def _descent(mesh, cfg, u0, denom_fn, denom_grad_fn, precond, eps_schedule,
 
     for eps in eps_schedule:
         leg_rtol = stall_rtol
-        cfg_eps = ProblemConfig(p=p, weighted=cfg.weighted, eps_reg=eps,
-                                quadrature_order=cfg.quadrature_order)
+        cfg_eps = replace(cfg, eps_reg=eps)
         value = fem.energy(mesh, cfg_eps, u)  # denominator is 1 after retract
         history.append(value)
         leg_start = len(history)
@@ -293,8 +290,8 @@ def _descent(mesh, cfg, u0, denom_fn, denom_grad_fn, precond, eps_schedule,
                 if drop < 1e-9 * max(abs(history[-1]), 1e-300):
                     stalled = True
                     break
-    return _DescentOutcome(u=u, value=history[-1], history=history,
-                           iterations=total_iters, stalled=stalled)
+    return _DescentOutcome(u=u, history=history, iterations=total_iters,
+                           stalled=stalled)
 
 
 def _eps_schedule(cfg: ProblemConfig):
@@ -308,40 +305,72 @@ def _eps_schedule(cfg: ProblemConfig):
     return [0.0]
 
 
-def _polish_common(mesh, cfg, u, step_fn, max_steps, theta0=1.0):
-    """Shared safeguard loop for residual-driven terminal phases.
+def _bordered_newton(mesh, cfg, u, max_steps: int = 40):
+    """Damped Newton on the bordered stationarity system: the terminal phase
+    that finishes a stalled descent.
 
-    step_fn(u, value) proposes a new field; steps are accepted only if the
-    weak-form residual drops and the Rayleigh value does not grow beyond fp
-    noise, with damping toward the current iterate as the safeguard.
+    Unknowns (du, dlam) solve H du - b dlam = -r, b^T du = 0 with
+    H = A(u) - lam (p-1) B_w(u) and r the weak-form residual vector; the
+    interior block of H equals A's (B_w lives on the boundary), so interior
+    elimination plus a dense bordered boundary solve handles the
+    indefiniteness directly.  Quadratic near the minimizer.
+
+    A step is accepted only if the weak-form residual drops and the Rayleigh
+    value does not grow beyond fp noise; otherwise it is damped toward the
+    current iterate by halving, and the phase ends at the first step no
+    damping makes acceptable, or after max_steps steps (40: the alpha = 2.5
+    cusp at p = 1.5 takes 40 steps from its stalled descent to the 1e-9
+    target).  Returns (u, value, steps, residual) of the last accepted field.
+
+    No soft mode of H is pinned out of the step: at p < 2 on a cusp the
+    nearly flat tip channel gives a near-null mode that carries much of the
+    residual, and excluding it stalls the phase above the residual standard.
+    A step that blows up along a symmetry valley is damped or rejected, and
+    the run is then reported with the residual it reached.
     """
-    cfg0 = ProblemConfig(p=cfg.p, weighted=cfg.weighted, eps_reg=0.0,
-                         quadrature_order=cfg.quadrature_order)
+    p = cfg.p
+    cfg_mat = replace(cfg, eps_reg=0.0 if p == 2.0 else 1e-8)
+    cfg0 = replace(cfg, eps_reg=0.0)
 
     def retract(v):
         v = orthogonalize_shift(mesh, cfg, v)
         v, _ = _normalize(mesh, cfg, v, fem.boundary_pnorm)
         return v
 
+    def newton_target(u, value):
+        a = fem.energy_gradient(mesh, cfg0, u) / p
+        b = fem.boundary_pnorm_gradient(mesh, cfg0, u) / p
+        H = fem.linearized_energy_matrix(mesh, cfg_mat, u) \
+            + fem.linearized_boundary_mass(mesh, cfg, u).scaled(-(value * (p - 1.0)))
+        gamma, interior, S, X, w, rt = _eliminate_interior(H, mesh, a - value * b)
+        ng = len(gamma)
+        bord = np.zeros((ng + 1, ng + 1))
+        bord[:ng, :ng] = S
+        bord[:ng, ng] = -b[gamma]
+        bord[ng, :ng] = b[gamma]
+        sol = np.linalg.solve(bord, np.append(-rt, 0.0))
+        du = np.zeros(mesh.num_vertices)
+        du[gamma] = sol[:ng]
+        du[interior] = -(X @ sol[:ng] + w)
+        return u + du
+
     u = np.asarray(u, dtype=float)
     value = fem.energy(mesh, cfg0, u)
     res = weakform_residual(mesh, cfg, u, value)
-    iters = 0
-    theta_warm = theta0
+    steps = 0
+    theta_warm = 1.0
     for _ in range(max_steps):
         if res <= 1e-9:
             break
         try:
-            v = step_fn(u, value)
+            v = newton_target(u, value)
         except (SolveError, np.linalg.LinAlgError):
-            break
-        if v is None:
             break
         # the residual often lives in directions that barely move the
         # Rayleigh value, so permit value growth at fp-noise level in
         # exchange for a genuine residual decrease
         accepted = False
-        theta = min(2.0 * theta_warm, theta0)
+        theta = min(2.0 * theta_warm, 1.0)
         for _ in range(12):
             try:
                 trial = retract(u + theta * (v - u))
@@ -354,394 +383,27 @@ def _polish_common(mesh, cfg, u, step_fn, max_steps, theta0=1.0):
                 accepted = True
                 break
             theta *= 0.5
-        iters += 1
+        steps += 1
         if not accepted:
             break
         theta_warm = theta
         u, value, res = trial, t_value, new_res
-    return u, value, iters, res
+    return u, value, steps, res
 
 
-def _solve_direct_partitioned(A: SparseSym, mesh: Mesh, rhs: np.ndarray) -> np.ndarray:
-    """Direct solve of A x = rhs by interior elimination and a dense boundary
-    Schur complement; robust on the badly scaled linearized operators where
-    a Jacobi-preconditioned iteration struggles."""
-    gamma = mesh.boundary_vertex_ids()
-    interior = np.setdiff1d(np.arange(A.n), gamma)
-    if len(interior) > 4000:
-        return solve_spd(A, rhs, tol=1e-11, strict=False)
-    A_gg = _submatrix_dense(A, gamma, gamma)
-    x = np.zeros(A.n)
-    if len(interior):
-        A_ii = _submatrix_dense(A, interior, interior)
-        A_ig = _submatrix_dense(A, interior, gamma)
-        Y = np.linalg.solve(A_ii, np.concatenate([A_ig, rhs[interior, None]], axis=1))
-        X, wi = Y[:, :-1], Y[:, -1]
-        S = A_gg - A_ig.T @ X
-        x[gamma] = np.linalg.solve(S, rhs[gamma] - A_ig.T @ wi)
-        x[interior] = wi - X @ x[gamma]
-    else:
-        x[gamma] = np.linalg.solve(A_gg, rhs[gamma])
-    return x
-
-
-def _inverse_iteration_polish(mesh, cfg, u, mass: SparseSym, max_steps: int = 60):
-    """Frozen-coefficient inverse iteration on the stationarity equation.
-
-    Solves A(u) v = (p-1) lambda b(u); the discrete minimizer is a fixed
-    point (by Euler's identity), and at p = 2 this is plain inverse power
-    iteration.  Value-driven descent alone cannot push the weak-form residual
-    past about sqrt(machine eps) because the Rayleigh quotient is flat there;
-    this phase contracts the residual directly.
-    """
-    p = cfg.p
-    eps_mat = 0.0 if p == 2.0 else 1e-8
-    cfg_mat = ProblemConfig(p=p, weighted=cfg.weighted, eps_reg=eps_mat,
-                            quadrature_order=cfg.quadrature_order)
-    cfg0 = ProblemConfig(p=p, weighted=cfg.weighted, eps_reg=0.0,
-                         quadrature_order=cfg.quadrature_order)
-    m_diag_sum = float(mass.diagonal().sum())
-
-    def step(u, value):
-        A = fem.linearized_energy_matrix(mesh, cfg_mat, u)
-        delta = 1e-9 * float(A.diagonal().sum()) / m_diag_sum
-        rhs = ((p - 1.0) * value / p) * fem.boundary_pnorm_gradient(mesh, cfg0, u)
-        return _solve_direct_partitioned(A + mass.scaled(delta), mesh, rhs)
-
-    # under-relaxation keeps the stiffest modes contractive for large p
-    # (their local amplification factor approaches -(p-2))
-    theta0 = min(1.0, 1.5 / (p - 1.0))
-    return _polish_common(mesh, cfg, u, step, max_steps, theta0=theta0)
-
-
-def _newton_polish(mesh, cfg, u, max_steps: int = 30):
-    """Damped Newton on the bordered stationarity system.
-
-    Unknowns (du, dlam) solve H du - b dlam = -r, b^T du = 0 with
-    H = A(u) - lam (p-1) B_w(u) and r the weak-form residual vector; the
-    interior block of H equals A's (B_w lives on the boundary), so interior
-    elimination plus a dense bordered boundary solve handles the
-    indefiniteness directly.  Quadratic near the minimizer; the shared
-    safeguard loop provides damping.
-
-    No soft mode of H is pinned out of the step: at p < 2 on a cusp the
-    nearly flat tip channel gives a near-null mode that carries much of the
-    residual, and excluding it stalls the tier above the residual standard.
-    A step that blows up along a symmetry valley is damped or rejected by
-    the safeguard loop and left to the soft-mode tier.
-    """
-    p = cfg.p
-    eps_mat = 0.0 if p == 2.0 else 1e-8
-    cfg_mat = ProblemConfig(p=p, weighted=cfg.weighted, eps_reg=eps_mat,
-                            quadrature_order=cfg.quadrature_order)
-    cfg0 = ProblemConfig(p=p, weighted=cfg.weighted, eps_reg=0.0,
-                         quadrature_order=cfg.quadrature_order)
-    gamma = mesh.boundary_vertex_ids()
-    interior = np.setdiff1d(np.arange(mesh.num_vertices), gamma)
-    if len(interior) > 4000:
-        return u, fem.energy(mesh, cfg0, u), 0, weakform_residual(
-            mesh, cfg, u, fem.energy(mesh, cfg0, u))
-
-    def step(u, value):
-        a = fem.energy_gradient(mesh, cfg0, u) / p
-        b = fem.boundary_pnorm_gradient(mesh, cfg0, u) / p
-        r = a - value * b
-        A = fem.linearized_energy_matrix(mesh, cfg_mat, u)
-        Bw = fem.linearized_boundary_mass(mesh, cfg, u)
-        H_gg = _submatrix_dense(A, gamma, gamma) \
-            - value * (p - 1.0) * _submatrix_dense(Bw, gamma, gamma)
-        b_g = b[gamma]
-        r_g = r[gamma]
-        if len(interior):
-            H_ii = _submatrix_dense(A, interior, interior)
-            H_ig = _submatrix_dense(A, interior, gamma)
-            Y = np.linalg.solve(H_ii, np.concatenate(
-                [H_ig, r[interior, None]], axis=1))
-            Xm, wi = Y[:, :-1], Y[:, -1]
-            S = H_gg - H_ig.T @ Xm
-            rt = r_g - H_ig.T @ wi
-        else:
-            Xm = wi = None
-            S = H_gg
-            rt = r_g
-        ng = len(gamma)
-        bord = np.zeros((ng + 1, ng + 1))
-        bord[:ng, :ng] = S
-        bord[:ng, ng] = -b_g
-        bord[ng, :ng] = b_g
-        sol = np.linalg.solve(bord, np.append(-rt, 0.0))
-        du = np.zeros(mesh.num_vertices)
-        du[gamma] = sol[:ng]
-        if Xm is not None:
-            du[interior] = -(Xm @ sol[:ng] + wi)
-        return u + du
-
-    return _polish_common(mesh, cfg, u, step, max_steps)
-
-
-def _local_forms(mesh: Mesh, cfg: ProblemConfig, node: int):
-    """Local evaluators a_i(u) and b_i(u) of the two weak forms tested
-    against the hat function of one node, assembled over its star only."""
-    areas, grads = mesh.tri_geometry()
-    tri_rows = np.nonzero((mesh.triangles == node).any(axis=1))[0]
-    local_tris = mesh.triangles[tri_rows]
-    local_pos = np.argmax(local_tris == node, axis=1)
-    p = cfg.p
-
-    b = mesh.boundary
-    edge_rows = np.nonzero((b.v0 == node) | (b.v1 == node))[0]
-    xi, gw, w = mesh.boundary_quadrature(cfg.quadrature_order)
-    if not cfg.weighted:
-        w = np.ones_like(w)
-
-    def a_i(u):
-        uv = u[local_tris]
-        g = np.einsum("tk,tkd->td", uv, grads[tri_rows])
-        s = np.einsum("td,td->t", g, g)
-        factor = np.zeros_like(s)
-        nz = s > 0.0
-        factor[nz] = s[nz] ** ((p - 2.0) / 2.0)
-        gi = grads[tri_rows, local_pos]
-        return float(np.sum(areas[tri_rows] * factor * np.einsum("td,td->t", g, gi)))
-
-    def b_i(u):
-        total = 0.0
-        for e in edge_rows:
-            uq = u[b.v0[e]] * (1.0 - xi) + u[b.v1[e]] * xi
-            shape = (1.0 - xi) if b.v0[e] == node else xi
-            total += float(b.length[e] * np.sum(
-                gw * w[e] * _signed_scalar_power(uq, p) * shape))
-        return total
-
-    return a_i, b_i
-
-
-def _signed_scalar_power(u, p):
-    out = np.zeros_like(u)
-    nz = u != 0.0
-    out[nz] = np.abs(u[nz]) ** (p - 2.0) * u[nz]
-    return out
-
-
-def _nodal_relaxation_polish(mesh, cfg, u, max_sweeps: int = 12):
-    """Nonlinear Gauss-Seidel on the worst-residual nodes.
-
-    At p < 2 the stationarity equations develop kink nodes (vanishing
-    gradient on the star) whose curvature no global linearization captures;
-    root-finding each such node's own scalar equation removes isolated
-    residual spikes the Newton and fixed-point tiers leave behind.
-    """
-    p = cfg.p
-    cfg0 = ProblemConfig(p=p, weighted=cfg.weighted, eps_reg=0.0,
-                         quadrature_order=cfg.quadrature_order)
-
-    def retract(v):
-        v = orthogonalize_shift(mesh, cfg, v)
-        v, _ = _normalize(mesh, cfg, v, fem.boundary_pnorm)
-        return v
-
-    u = np.asarray(u, dtype=float)
-    value = fem.energy(mesh, cfg0, u)
-    res = weakform_residual(mesh, cfg, u, value)
-    iters = 0
-    for _ in range(max_sweeps):
-        if res <= 1e-9:
-            break
-        a = fem.energy_gradient(mesh, cfg0, u) / p
-        bvec = fem.boundary_pnorm_gradient(mesh, cfg0, u) / p
-        r = a - value * bvec
-        d = fem.constraint_gradient_direction(mesh, cfg0, u)
-        dd = float(d @ d)
-        if dd > 0.0:
-            r = r - (float(r @ d) / dd) * d
-        worst = np.argsort(-np.abs(r))[:32]
-        # the sweep edits a copy, so a rejected sweep leaves u, value and
-        # res describing the last accepted (retracted) field
-        trial = u.copy()
-        for node in worst:
-            a_i, b_i = _local_forms(mesh, cfg, int(node))
-            base = trial[node]
-
-            def f(t):
-                trial[node] = base + t
-                val = a_i(trial) - value * b_i(trial)
-                trial[node] = base
-                return val
-
-            f0 = f(0.0)
-            if f0 == 0.0:
-                continue
-            # bracket the root around the current coordinate, either side
-            delta = 1e-6 * (1.0 + abs(base))
-            lo = hi = flo = None
-            for _ in range(60):
-                delta *= 4.0
-                for cand_lo, cand_hi in ((-delta, 0.0), (0.0, delta)):
-                    fl, fh = f(cand_lo), f(cand_hi)
-                    if (fl > 0.0) != (fh > 0.0):
-                        lo, hi, flo = cand_lo, cand_hi, fl
-                        break
-                if lo is not None:
-                    break
-            if lo is None:
-                continue
-            for _ in range(80):
-                mid = 0.5 * (lo + hi)
-                fm = f(mid)
-                if fm == 0.0:
-                    lo = hi = mid
-                    break
-                if (fm > 0.0) == (flo > 0.0):
-                    lo, flo = mid, fm
-                else:
-                    hi = mid
-            trial[node] = base + 0.5 * (lo + hi)
-        try:
-            new_u = retract(trial)
-        except SolveError:
-            break
-        new_value = fem.energy(mesh, cfg0, new_u)
-        new_res = weakform_residual(mesh, cfg, new_u, new_value)
-        iters += 1
-        if new_res >= res or new_value > value * (1.0 + 1e-6):
-            break
-        u, value, res = new_u, new_value, new_res
-    return u, value, iters, res
-
-
-def _soft_mode_polish(mesh, cfg, u, modes: int = 2, rounds: int = 4):
-    """1-D residual minimization along the softest Hessian modes.
-
-    Symmetric domains (and near-degenerate eigenvalues) leave an almost-null
-    direction in the constrained Hessian; Newton steps explode along it and
-    get damped into uselessness, while the residual keeps a component there.
-    This tier finds the smallest modes of the reduced Hessian explicitly and
-    walks each one with a quadratic model of the residual.
-    """
-    p = cfg.p
-    eps_mat = 0.0 if p == 2.0 else 1e-8
-    cfg_mat = ProblemConfig(p=p, weighted=cfg.weighted, eps_reg=eps_mat,
-                            quadrature_order=cfg.quadrature_order)
-    cfg0 = ProblemConfig(p=p, weighted=cfg.weighted, eps_reg=0.0,
-                         quadrature_order=cfg.quadrature_order)
-    gamma = mesh.boundary_vertex_ids()
-    interior = np.setdiff1d(np.arange(mesh.num_vertices), gamma)
-    if len(interior) > 4000:
-        value = fem.energy(mesh, cfg0, u)
-        return u, value, 0, weakform_residual(mesh, cfg, u, value)
-
-    def retract(v):
-        v = orthogonalize_shift(mesh, cfg, v)
-        v, _ = _normalize(mesh, cfg, v, fem.boundary_pnorm)
-        return v
-
-    u = np.asarray(u, dtype=float)
-    value = fem.energy(mesh, cfg0, u)
-    res = weakform_residual(mesh, cfg, u, value)
-    iters = 0
-
-    b = fem.boundary_pnorm_gradient(mesh, cfg0, u) / p
-    A = fem.linearized_energy_matrix(mesh, cfg_mat, u)
-    Bw = fem.linearized_boundary_mass(mesh, cfg, u)
-    H_gg = _submatrix_dense(A, gamma, gamma) \
-        - value * (p - 1.0) * _submatrix_dense(Bw, gamma, gamma)
-    if len(interior):
-        H_ii = _submatrix_dense(A, interior, interior)
-        H_ig = _submatrix_dense(A, interior, gamma)
-        Xm = np.linalg.solve(H_ii, H_ig)
-        S = H_gg - H_ig.T @ Xm
-    else:
-        Xm = None
-        S = H_gg
-    S = 0.5 * (S + S.T)
-    # deflate the normalization direction, then take the softest modes
-    hv, hbeta = _householder_deflate(b[gamma])
-    HS = _apply_householder(hv, hbeta, _apply_householder(hv, hbeta, S).T)
-    evals, evecs = np.linalg.eigh(HS[1:, 1:])
-    order = np.argsort(np.abs(evals))[:modes]
-
-    for j in order:
-        y = np.zeros(len(gamma))
-        y[1:] = evecs[:, j]
-        vg = _apply_householder(hv, hbeta, y)
-        v = np.zeros(mesh.num_vertices)
-        v[gamma] = vg
-        if Xm is not None:
-            v[interior] = -Xm @ vg
-        nrm = np.linalg.norm(v)
-        if nrm == 0.0:
-            continue
-        v /= nrm
-        kappa = float(evals[j]) / nrm ** 2
-
-        def res_at(s):
-            try:
-                trial = retract(u + s * v)
-            except SolveError:
-                return None, None, None
-            t_value = fem.energy(mesh, cfg0, trial)
-            return weakform_residual(mesh, cfg, trial, t_value), trial, t_value
-
-        a_vec = fem.energy_gradient(mesh, cfg0, u) / p
-        b_vec = fem.boundary_pnorm_gradient(mesh, cfg0, u) / p
-        slope = p * float((a_vec - value * b_vec) @ v)
-        for _ in range(rounds):
-            if res <= 1e-9 or slope == 0.0:
-                break
-            s_star = -slope / kappa if abs(kappa) > 1e-14 else -math.copysign(1e-4, slope)
-            s_star = float(np.clip(s_star, -0.3, 0.3))
-            best = (res, None, None)
-            for s in (s_star, 0.5 * s_star, 2.0 * s_star, -s_star):
-                cand, trial, t_value = res_at(s)
-                if cand is not None and cand < best[0] \
-                        and t_value <= value * (1.0 + 1e-6):
-                    best = (cand, trial, t_value)
-            iters += 1
-            if best[1] is None:
-                break
-            u, res, value = best[1], best[0], best[2]
-            a_vec = fem.energy_gradient(mesh, cfg0, u) / p
-            b_vec = fem.boundary_pnorm_gradient(mesh, cfg0, u) / p
-            slope = p * float((a_vec - value * b_vec) @ v)
-    return u, value, iters, res
-
-
-def _picard_eig_polish(mesh, cfg, u, max_steps: int = 4):
-    """Frozen-coefficient eigensolve: bottom constrained eigenvector of the
-    linearized pencil (A(u), B_w(u)).  The discrete minimizer is a fixed
-    point; at p = 2 one step reproduces the direct solver.  Useful when
-    inverse iteration cycles on a symmetry orbit of minimizers."""
-    p = cfg.p
-
-    def step(u, _value):
-        _, _, g2 = fem._tri_gradients(mesh, u)
-        eps_mat = 0.0 if p == 2.0 else 1e-8 * (1.0 + math.sqrt(float(g2.mean())))
-        cfg_mat = ProblemConfig(p=p, weighted=cfg.weighted, eps_reg=eps_mat,
-                                quadrature_order=cfg.quadrature_order)
-        A = fem.linearized_energy_matrix(mesh, cfg_mat, u)
-        Bw = fem.linearized_boundary_mass(mesh, cfg, u)
-        _, fields = _schur_pencil_bottom(A, Bw, mesh, k=1)
-        v = fields[:, 0]
-        if float(u @ Bw.matvec(v)) < 0.0:
-            v = -v
-        return v
-
-    return _polish_common(mesh, cfg, u, step, max_steps)
-
-
-def _finalize_run(mesh, cfg, outcome: _DescentOutcome) -> EigenResult:
-    u = outcome.u
+def _finalize_run(mesh, cfg, u, iterations, history) -> EigenResult:
     lam = rayleigh(mesh, cfg, u)
     res = weakform_residual(mesh, cfg, u, lam)
     cres = abs(fem.constraint_functional(mesh, cfg, u))
     measure = fem.boundary_weighted_measure(mesh, cfg)
-    # converged means the final state meets the stationarity standard; a
-    # capped descent that the residual phases still finished counts, a
-    # stalled descent left above tolerance does not
+    # converged means the final state meets the stationarity standard,
+    # whether the descent or the terminal Newton phase reached it; a
+    # descent stopped by the iteration cap gets no terminal phase, so it
+    # counts only if it already meets the standard
     converged = (res <= WEAKFORM_RTOL
                  and cres <= CONSTRAINT_TOL_FACTOR * measure)
-    return EigenResult(eigenvalue=lam, u=u, iterations=outcome.iterations,
-                       energy_history=outcome.history, constraint_residual=cres,
+    return EigenResult(eigenvalue=lam, u=u, iterations=iterations,
+                       energy_history=history, constraint_residual=cres,
                        weakform_residual=res, converged=converged)
 
 
@@ -750,9 +412,14 @@ def solve_p(mesh: Mesh, cfg: ProblemConfig, restarts: int = 3, seed: int = 0,
     """Minimize the Rayleigh quotient on the admissible set.
 
     The first run starts from the p = 2 eigenfunction of the same weighted
-    problem; the remaining restarts start from seeded random fields.  The
-    smallest converged eigenvalue wins; the problem is non-convex for p != 2,
-    so the result is a minimizer candidate, not a certified global minimum.
+    problem; the remaining restarts start from seeded random fields.  A run
+    whose descent stalls above 0.1 * WEAKFORM_RTOL is finished by the
+    terminal bordered-Newton phase.  iteration_cap bounds the work of each
+    run: a descent that reaches it is returned as it stands, without the
+    terminal phase, and is converged only if it already meets the residual
+    standard.  The smallest converged eigenvalue wins; the problem is
+    non-convex for p != 2, so the result is a minimizer candidate, not a
+    certified global minimum.
     """
     K, M, _ = fem.assemble_p2(mesh, weighted=False)
     precond = K + M
@@ -767,51 +434,20 @@ def solve_p(mesh: Mesh, cfg: ProblemConfig, restarts: int = 3, seed: int = 0,
     for _ in range(max(0, restarts - 1)):
         starts.append(rng.standard_normal(mesh.num_vertices))
 
-    def run_polish_tiers(outcome):
-        result = _finalize_run(mesh, cfg, outcome)
-        tiers = (lambda u: _inverse_iteration_polish(mesh, cfg, u, M),
-                 lambda u: _newton_polish(mesh, cfg, u),
-                 lambda u: _soft_mode_polish(mesh, cfg, u),
-                 lambda u: _picard_eig_polish(mesh, cfg, u),
-                 lambda u: _nodal_relaxation_polish(mesh, cfg, u))
-        for sweep in range(2):
-            before = result.weakform_residual
-            for tier in tiers:
-                if result.weakform_residual <= 0.1 * WEAKFORM_RTOL:
-                    return outcome, result
-                u, value, extra_iters, _res = tier(outcome.u)
-                outcome = _DescentOutcome(u=u, value=value, history=outcome.history,
-                                          iterations=outcome.iterations + extra_iters,
-                                          stalled=outcome.stalled)
-                result = _finalize_run(mesh, cfg, outcome)
-            if result.weakform_residual >= 0.5 * before:
-                break
-        return outcome, result
-
     best = None
     for start_idx, u_init in enumerate(starts):
         # random restarts are basin probes: they stall earlier and rely on
-        # the residual-driven tiers, which enforce the same final standard
+        # the terminal phase, which enforces the same final standard
         run_rtol = STALL_RTOL if start_idx == 0 else 1e-6
         outcome = _descent(mesh, cfg, u_init, fem.boundary_pnorm,
                            fem.boundary_pnorm_gradient, precond, schedule,
                            iteration_cap=iteration_cap, stall_rtol=run_rtol)
-        if outcome.stalled:
-            outcome, result = run_polish_tiers(outcome)
-            if not result.converged and outcome.iterations < iteration_cap:
-                # one tightened descent round, then the polish tiers again;
-                # energy_history keeps documenting the primary descent only
-                extra = _descent(mesh, cfg, outcome.u, fem.boundary_pnorm,
-                                 fem.boundary_pnorm_gradient, precond, [0.0],
-                                 iteration_cap=min(iteration_cap - outcome.iterations, 750),
-                                 stall_rtol=1e-12)
-                outcome = _DescentOutcome(u=extra.u, value=extra.value,
-                                          history=outcome.history,
-                                          iterations=outcome.iterations + extra.iterations,
-                                          stalled=extra.stalled)
-                outcome, result = run_polish_tiers(outcome)
-        else:
-            result = _finalize_run(mesh, cfg, outcome)
+        result = _finalize_run(mesh, cfg, outcome.u, outcome.iterations, outcome.history)
+        if outcome.stalled and result.weakform_residual > 0.1 * WEAKFORM_RTOL:
+            # energy_history keeps documenting the descent only
+            u, _, steps, _ = _bordered_newton(mesh, cfg, outcome.u)
+            result = _finalize_run(mesh, cfg, u, outcome.iterations + steps,
+                                   outcome.history)
         if best is None:
             best = result
         elif result.converged and not best.converged:
@@ -823,7 +459,7 @@ def solve_p(mesh: Mesh, cfg: ProblemConfig, restarts: int = 3, seed: int = 0,
     return best
 
 
-# -- the p = 2 direct path ------------------------------------------------
+# -- boundary reduction and the p = 2 direct path ------------------------
 
 
 def _submatrix_dense(A: SparseSym, rows_idx, cols_idx):
@@ -846,6 +482,32 @@ def _submatrix_sparse(A: SparseSym, idx):
     return SparseSym(len(idx), lookup[r[mask]], lookup[c[mask]], v[mask])
 
 
+def _eliminate_interior(A: SparseSym, mesh: Mesh, rhs=None):
+    """Eliminate the interior unknowns of A x = rhs onto the boundary.
+
+    Solves A_ii [X, w] = [A_ig, rhs_i], by dense factorization up to 4,000
+    interior nodes and by strict PCG at relative tolerance 1e-12 above (A_ii
+    must be SPD).  Returns (gamma, interior, S, X, w, f) with the boundary
+    Schur complement S = A_gg - A_ig^T X and the reduced right-hand side
+    f = rhs_g - A_ig^T w, so that S x_g = f and x_i = w - X x_g; w and f are
+    None without rhs.
+    """
+    gamma = mesh.boundary_vertex_ids()
+    interior = np.setdiff1d(np.arange(A.n), gamma)
+    A_ig = _submatrix_dense(A, interior, gamma)
+    cols = A_ig if rhs is None else np.concatenate([A_ig, rhs[interior, None]], axis=1)
+    if len(interior) <= 4000:
+        Y = np.linalg.solve(_submatrix_dense(A, interior, interior), cols)
+    else:
+        Y = solve_spd(_submatrix_sparse(A, interior), cols, tol=1e-12)
+    X = Y[:, :len(gamma)]
+    S = _submatrix_dense(A, gamma, gamma) - A_ig.T @ X
+    if rhs is None:
+        return gamma, interior, S, X, None, None
+    w = Y[:, -1]
+    return gamma, interior, S, X, w, rhs[gamma] - A_ig.T @ w
+
+
 def _householder_deflate(vec):
     """Reflector data (v, beta) with H = I - beta v v^T mapping vec to a
     multiple of e_0; the complement columns of H span vec-perp."""
@@ -862,37 +524,22 @@ def _apply_householder(v, beta, X):
     return X - beta * np.outer(v, v @ X)
 
 
-def _schur_pencil_bottom(A: SparseSym, Bm: SparseSym, mesh: Mesh, k: int = 1,
-                         pcg_tol: float = 1e-12):
+def _schur_pencil_bottom(A: SparseSym, Bm: SparseSym, mesh: Mesh, k: int = 1):
     """Bottom-k eigenpairs of the pencil A x = mu Bm x on the subspace
     Bm-orthogonal to constants.
 
     A must carry the constants in its kernel and Bm must be supported on the
-    boundary.  Interior unknowns are eliminated by a Schur complement (dense
-    factorization for small interiors, PCG otherwise), the constant mode is
-    deflated by a Householder reflector built from Bm @ 1, and the reduced
-    dense pencil goes to the generalized eigensolver.  Eigenpairs are cleaned
+    boundary.  Interior unknowns are eliminated by a Schur complement
+    (_eliminate_interior), the constant mode is deflated by a Householder
+    reflector built from Bm @ 1, and the reduced dense pencil goes to the
+    generalized eigensolver.  Eigenpairs are cleaned
     by reduced Rayleigh iteration until the full-pencil relative residual is
     tight.  Returns (values, fields) with Bm-orthonormal full-mesh fields.
     """
     n = mesh.num_vertices
-    gamma = mesh.boundary_vertex_ids()
-    interior = np.setdiff1d(np.arange(n), gamma)
-
-    A_gg = _submatrix_dense(A, gamma, gamma)
+    gamma, interior, S, X, _, _ = _eliminate_interior(A, mesh)
+    S = 0.5 * (S + S.T)
     B_gg = _submatrix_dense(Bm, gamma, gamma)
-    if len(interior):
-        A_ig = _submatrix_dense(A, interior, gamma)
-        if len(interior) <= 4000:
-            X = np.linalg.solve(_submatrix_dense(A, interior, interior), A_ig)
-        else:
-            A_ii = _submatrix_sparse(A, interior)
-            X = solve_spd(A_ii, A_ig, tol=pcg_tol)
-        S = A_gg - A_ig.T @ X
-        S = 0.5 * (S + S.T)
-    else:
-        X = None
-        S = A_gg
 
     b_gamma = B_gg @ np.ones(len(gamma))
     v, beta = _householder_deflate(b_gamma)
@@ -911,8 +558,7 @@ def _schur_pencil_bottom(A: SparseSym, Bm: SparseSym, mesh: Mesh, k: int = 1,
         ug = _apply_householder(v, beta, y)
         u = np.zeros(n)
         u[gamma] = ug
-        if X is not None:
-            u[interior] = -X @ ug
+        u[interior] = -X @ ug
         nrm = math.sqrt(float(u @ Bm.matvec(u)))
         return u / nrm
 
@@ -957,8 +603,7 @@ def _schur_pencil_bottom(A: SparseSym, Bm: SparseSym, mesh: Mesh, k: int = 1,
     return vals, fields
 
 
-def steklov_p2_spectrum(mesh: Mesh, weighted: bool, k: int = 1,
-                        pcg_tol: float = 1e-12):
+def steklov_p2_spectrum(mesh: Mesh, weighted: bool, k: int = 1):
     """k smallest non-trivial p=2 Steklov eigenpairs on the mesh.
 
     Returns (values, fields, (K, B)) with fields B-orthonormal full-mesh
@@ -966,7 +611,7 @@ def steklov_p2_spectrum(mesh: Mesh, weighted: bool, k: int = 1,
     B-orthogonal complement of constants.
     """
     K, _, B = fem.assemble_p2(mesh, weighted=weighted)
-    vals, fields = _schur_pencil_bottom(K, B, mesh, k=k, pcg_tol=pcg_tol)
+    vals, fields = _schur_pencil_bottom(K, B, mesh, k=k)
     return vals, fields, (K, B)
 
 

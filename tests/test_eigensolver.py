@@ -6,8 +6,8 @@ from steklov_cusp import (ProblemConfig, SolveError, boundary_pnorm,
                           orthogonalize_shift, rayleigh, refine_uniform, solve_p,
                           solve_p2, steklov_p2_spectrum, weakform_residual)
 from steklov_cusp import fem
-from steklov_cusp.eigensolver import (CONSTRAINT_TOL_FACTOR, scalar_shift_root, _descent,
-                                      _eps_schedule, _nodal_relaxation_polish)
+from steklov_cusp.eigensolver import (CONSTRAINT_TOL_FACTOR, WEAKFORM_RTOL, scalar_shift_root,
+                                      _bordered_newton, _descent, _eps_schedule)
 
 
 def test_rayleigh_scale_invariance(cusp15_mesh):
@@ -194,17 +194,23 @@ def test_weakform_residual_random_field_is_large(cusp15_mesh):
     assert weakform_residual(cusp15_mesh, cfg, u, lam) > 1e-3
 
 
-def test_nodal_relaxation_rejected_sweep_returns_accepted_field(cusp15_mesh):
-    # from the retracted p = 2 eigenfunction at p = 1.5 a later sweep raises
-    # the residual and is rejected; what comes back must be the last
-    # accepted field, on the constraint set, with its own value and residual
-    cfg = ProblemConfig(p=1.5, weighted=True)
-    u0 = orthogonalize_shift(cusp15_mesh, cfg, solve_p2(cusp15_mesh, weighted=True).u)
-    u0 = u0 / boundary_pnorm(cusp15_mesh, cfg, u0) ** (1.0 / cfg.p)
-    u, value, sweeps, res = _nodal_relaxation_polish(cusp15_mesh, cfg, u0, max_sweeps=12)
-    assert sweeps < 12 and res > 1e-9   # stopped by a rejected sweep
+@pytest.mark.parametrize("p", [1.5, 2.5, 3.0])
+def test_bordered_newton_finishes_stalled_descent(cusp15_mesh, p):
+    # the terminal phase takes the stalled descent's field to the residual
+    # standard without leaving the admissible set or raising the quotient
+    cfg = ProblemConfig(p=p, weighted=True)
+    K, M, _ = fem.assemble_p2(cusp15_mesh, weighted=False)
+    out = _descent(cusp15_mesh, cfg, solve_p2(cusp15_mesh, weighted=True).u,
+                   fem.boundary_pnorm, fem.boundary_pnorm_gradient, K + M,
+                   _eps_schedule(cfg))
+    assert out.stalled
+    lam_in = rayleigh(cusp15_mesh, cfg, out.u)
+    assert weakform_residual(cusp15_mesh, cfg, out.u, lam_in) > 0.1 * WEAKFORM_RTOL
+    u, value, steps, res = _bordered_newton(cusp15_mesh, cfg, out.u)
+    assert res <= 0.1 * WEAKFORM_RTOL
     assert res == weakform_residual(cusp15_mesh, cfg, u, value)
     assert value == pytest.approx(rayleigh(cusp15_mesh, cfg, u), rel=1e-12)
-    assert boundary_pnorm(cusp15_mesh, cfg, u) == pytest.approx(1.0, abs=1e-12)
-    measure = boundary_weighted_length(cusp15_mesh)
+    assert boundary_pnorm(cusp15_mesh, cfg, u) == pytest.approx(1.0, abs=1e-10)
+    measure = fem.boundary_weighted_measure(cusp15_mesh, cfg)
     assert abs(constraint_functional(cusp15_mesh, cfg, u)) <= CONSTRAINT_TOL_FACTOR * measure
+    assert value <= lam_in * (1.0 + 1e-6)
