@@ -25,7 +25,7 @@ import numpy as np
 
 from . import fem
 from .fem import ProblemConfig
-from .linalg import SolveError, SparseSym, generalized_eig_sym, solve_spd
+from .linalg import Factor, SolveError, SparseSym, generalized_eig_sym, solve_spd
 from .mesh import Mesh
 
 ARMIJO = 1e-4
@@ -208,9 +208,11 @@ def _descent(mesh, cfg, u0, denom_fn, denom_grad_fn, precond, eps_schedule,
     orthogonality by default); constraint_grad_fn supplies the constraint
     gradient used to project out the component a shift can absorb.
     on_accept(u) is called after every accepted step (used by tests to
-    monitor per-iterate invariants).
+    monitor per-iterate invariants).  The SPD preconditioner precond is
+    factored once per call and applied exactly at every step.
     """
     p = cfg.p
+    factor = Factor(precond)
     if shift_fn is None:
         def shift_fn(v):
             return orthogonalize_shift(mesh, cfg, v)
@@ -246,7 +248,7 @@ def _descent(mesh, cfg, u0, denom_fn, denom_grad_fn, precond, eps_schedule,
             gdir_sum = float(gdir.sum())
             if gdir_sum != 0.0:
                 g = g - (float(g.sum()) / gdir_sum) * gdir
-            d = solve_spd(precond, g, tol=1e-6, maxiter=1000, strict=False)
+            d = factor.solve(g)
             slope = float(g @ d)
             if slope <= 1e-18 * max(1.0, abs(value)):
                 stalled = True
@@ -313,7 +315,7 @@ def _bordered_newton(mesh, cfg, u, max_steps: int = 40):
     H = A(u) - lam (p-1) B_w(u) and r the weak-form residual vector; the
     interior block of H equals A's (B_w lives on the boundary), so interior
     elimination plus a dense bordered boundary solve handles the
-    indefiniteness directly.  Quadratic near the minimizer.
+    indefiniteness directly.
 
     A step is accepted only if the weak-form residual drops and the Rayleigh
     value does not grow beyond fp noise; otherwise it is damped toward the
@@ -485,10 +487,10 @@ def _submatrix_sparse(A: SparseSym, idx):
 def _eliminate_interior(A: SparseSym, mesh: Mesh, rhs=None):
     """Eliminate the interior unknowns of A x = rhs onto the boundary.
 
-    Solves A_ii [X, w] = [A_ig, rhs_i], by dense factorization up to 4,000
-    interior nodes and by strict PCG at relative tolerance 1e-12 above (A_ii
-    must be SPD).  Returns (gamma, interior, S, X, w, f) with the boundary
-    Schur complement S = A_gg - A_ig^T X and the reduced right-hand side
+    Solves A_ii [X, w] = [A_ig, rhs_i] by one sparse direct solve at every
+    mesh size (solve_spd, checked to relative residual 1e-12; A_ii must be
+    SPD).  Returns (gamma, interior, S, X, w, f) with the boundary Schur
+    complement S = A_gg - A_ig^T X and the reduced right-hand side
     f = rhs_g - A_ig^T w, so that S x_g = f and x_i = w - X x_g; w and f are
     None without rhs.
     """
@@ -496,10 +498,7 @@ def _eliminate_interior(A: SparseSym, mesh: Mesh, rhs=None):
     interior = np.setdiff1d(np.arange(A.n), gamma)
     A_ig = _submatrix_dense(A, interior, gamma)
     cols = A_ig if rhs is None else np.concatenate([A_ig, rhs[interior, None]], axis=1)
-    if len(interior) <= 4000:
-        Y = np.linalg.solve(_submatrix_dense(A, interior, interior), cols)
-    else:
-        Y = solve_spd(_submatrix_sparse(A, interior), cols, tol=1e-12)
+    Y = solve_spd(_submatrix_sparse(A, interior), cols, tol=1e-12)
     X = Y[:, :len(gamma)]
     S = _submatrix_dense(A, gamma, gamma) - A_ig.T @ X
     if rhs is None:

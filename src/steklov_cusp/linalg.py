@@ -1,24 +1,31 @@
-"""Sparse symmetric storage, a PCG solver and a dense generalized eigensolver.
+"""Sparse symmetric storage, a sparse direct solver and a dense generalized
+eigensolver, in numpy alone.
 
-Kept deliberately small: meshes stay at desk scale, so a dense reduction
-(Cholesky factor of B, then a standard symmetric eigensolve) is reliable and
-fast enough for every spectral path in the package.
+Every sparse linear solve goes through one factorization: reverse
+Cuthill-McKee ordering and a block-tridiagonal Cholesky factor (Factor),
+used as the descent preconditioner and, through solve_spd, for the
+interior elimination.  The spectral paths reduce to dense pencils (Cholesky
+factor of B, then a standard symmetric eigensolve).
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
 
 class SolveError(Exception):
-    """Iterative or factorization failure; carries the final residual/pivot."""
+    """Factorization or solve failure; carries the failing pivot or residual."""
 
 
 class SparseSym:
     """Symmetric sparse matrix; stores the lower triangle in CSR form.
 
-    A full-pattern CSR copy is cached for fast matrix-vector products via
-    np.add.reduceat.  Instances are immutable after construction.
+    Matrix-vector products use a full-pattern copy in row slots (ELLPACK:
+    one array per slot, padded to the longest row), cached on first use;
+    their cost and temporaries stay O(n) per column for a matrix right-hand
+    side.  Instances are immutable after construction.
     """
 
     def __init__(self, n, rows, cols, vals):
@@ -37,32 +44,34 @@ class SparseSym:
         keep = r >= c
         self.indptr, self.indices, self.data = _to_csr(self.n, r[keep], c[keep], v[keep])
         self._full_indptr, self._full_indices, self._full_data = _to_csr(self.n, r, c, v)
-        self._nonempty = np.flatnonzero(np.diff(self._full_indptr) > 0)
-        self._starts = self._full_indptr[self._nonempty]
 
     @property
     def nnz_lower(self) -> int:
         return len(self.data)
 
+    @functools.cached_property
+    def _slots(self):
+        # slot k of every row holds its k-th entry; short rows are padded
+        # with zeros on the diagonal.  Built on the first product, so a
+        # matrix that is only factored never holds it.
+        counts = np.diff(self._full_indptr)
+        row = np.repeat(np.arange(self.n), counts)
+        slot = np.arange(len(row)) - self._full_indptr[row]
+        cols = np.tile(np.arange(self.n), (int(counts.max(initial=0)), 1))
+        vals = np.zeros(cols.shape)
+        cols[slot, row] = self._full_indices
+        vals[slot, row] = self._full_data
+        return cols, vals
+
     def matvec(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        prod = self._full_data * x[self._full_indices] if x.ndim == 1 else \
-            self._full_data[:, None] * x[self._full_indices, :]
-        out = np.zeros((self.n,) + x.shape[1:], dtype=float)
-        if len(self._starts):
-            out[self._nonempty] = np.add.reduceat(prod, self._starts, axis=0)
-        return out
+        X = x[:, None] if x.ndim == 1 else x
+        out = np.zeros((self.n, X.shape[1]))
+        for cols, vals in zip(*self._slots):
+            out += vals[:, None] * X[cols]
+        return out[:, 0] if x.ndim == 1 else out
 
     __matmul__ = matvec
-
-    def diagonal(self) -> np.ndarray:
-        if not hasattr(self, "_diag"):
-            d = np.zeros(self.n)
-            rows, cols, vals = self._lower_coo()
-            on_diag = rows == cols
-            d[rows[on_diag]] = vals[on_diag]
-            self._diag = d
-        return self._diag
 
     def _lower_coo(self):
         counts = np.diff(self.indptr)
@@ -114,58 +123,148 @@ def _to_csr(n, rows, cols, vals):
     return indptr, c.copy(), v.copy()
 
 
-def solve_spd(A: SparseSym, b: np.ndarray, tol: float = 1e-10,
-              maxiter: int | None = None, x0: np.ndarray | None = None,
-              strict: bool = True) -> np.ndarray:
-    """Preconditioned conjugate gradients with a Jacobi preconditioner.
+def _bfs_levels(indptr, indices, degree, start):
+    """Cuthill-McKee level sets of the component holding start.
 
-    Solves A x = b for SPD A to relative residual tol.  b may be a vector or
-    a matrix of right-hand sides (all columns iterated jointly).  Raises
-    SolveError with the final residual if the iteration cap is hit, unless
-    strict=False (preconditioner-style use), which returns the best iterate.
+    Each level lists the unvisited neighbours of the previous one, grouped by
+    the position of the node that reached them first and sorted by degree
+    within a group: the order a queue-driven Cuthill-McKee sweep visits them.
+    """
+    seen = np.zeros(len(degree), dtype=bool)
+    seen[start] = True
+    levels = [np.array([start])]
+    while True:
+        front = levels[-1]
+        counts = degree[front]
+        offsets = np.repeat(indptr[front] - np.cumsum(counts) + counts, counts)
+        nbr = indices[offsets + np.arange(len(offsets))]
+        parent = np.repeat(np.arange(len(front)), counts)
+        fresh = ~seen[nbr]
+        nbr, parent = nbr[fresh], parent[fresh]
+        if len(nbr) == 0:
+            return levels
+        nbr = nbr[np.lexsort((nbr, degree[nbr], parent))]
+        _, first = np.unique(nbr, return_index=True)
+        nxt = nbr[np.sort(first)]
+        seen[nxt] = True
+        levels.append(nxt)
+
+
+def _rcm_order(A: SparseSym) -> np.ndarray:
+    """Reverse Cuthill-McKee ordering of the graph of A (Cuthill & McKee 1969).
+
+    Each connected component starts from a pseudo-peripheral node found by
+    the George-Liu search: restart from a minimum-degree node of the last
+    level while that lengthens the level structure.
+    """
+    rows, cols, _ = A._full_coo()
+    off = rows != cols
+    indices = cols[off]
+    degree = np.bincount(rows[off], minlength=A.n)
+    indptr = np.concatenate([[0], np.cumsum(degree)])
+    placed = np.zeros(A.n, dtype=bool)
+    order = []
+    while not placed.all():
+        start = int(np.argmin(np.where(placed, np.iinfo(np.int64).max, degree)))
+        levels = _bfs_levels(indptr, indices, degree, start)
+        while len(levels) > 1:
+            last = levels[-1]
+            cand = int(last[np.argmin(degree[last])])
+            trial = _bfs_levels(indptr, indices, degree, cand)
+            if len(trial) <= len(levels):
+                break
+            levels = trial
+        comp = np.concatenate(levels)
+        placed[comp] = True
+        order.append(comp)
+    return np.concatenate(order)[::-1].copy()
+
+
+class Factor:
+    """Cholesky factor of an SPD SparseSym in reverse Cuthill-McKee order.
+
+    After the RCM permutation every entry lies within the bandwidth bw of the
+    diagonal, so the matrix is block tridiagonal in blocks of size bw
+    (George & Liu 1981).  The factor keeps, per block row, the inverse of its
+    diagonal Cholesky block and its subdiagonal block: O(n bw) storage and
+    O(n bw^2) work to factor, O(n bw) per right-hand side to solve.  Raises
+    SolveError naming the pivot if A is not positive definite.
+    """
+
+    def __init__(self, A: SparseSym):
+        n = A.n
+        self.n = n
+        self.perm = _rcm_order(A)
+        inv = np.empty(n, dtype=np.int64)
+        inv[self.perm] = np.arange(n)
+        rows, cols, vals = A._full_coo()
+        pi, pj = inv[rows], inv[cols]
+        self.bandwidth = int(np.max(np.abs(pi - pj))) if len(pi) else 0
+        b = max(self.bandwidth, 1)
+        nb = max(-(-n // b), 1)
+        diag = np.zeros((nb, b, b))
+        sub = np.zeros((nb - 1, b, b))
+        bi, bj = pi // b, pj // b
+        on = bi == bj
+        diag[bi[on], pi[on] % b, pj[on] % b] = vals[on]
+        below = bi == bj + 1
+        sub[bj[below], pi[below] % b, pj[below] % b] = vals[below]
+        pad = np.arange(n, nb * b)
+        diag[-1, pad % b, pad % b] = 1.0
+        # diag becomes the inverse diagonal blocks, sub the factor's L_{k+1,k}
+        for k in range(nb):
+            block = diag[k] - sub[k - 1] @ sub[k - 1].T if k else diag[k]
+            try:
+                L = np.linalg.cholesky(block)
+            except np.linalg.LinAlgError:
+                where = _smallest_cholesky_pivot(block)
+                j, pivot = where if where is not None else (0, float("nan"))
+                raise SolveError(f"Cholesky failed at pivot {int(self.perm[k * b + j])} "
+                                 f"(value {pivot:.6e}); matrix is not positive "
+                                 "definite") from None
+            diag[k] = np.linalg.inv(L)
+            if k + 1 < nb:
+                sub[k] = sub[k] @ diag[k].T
+        self._linv, self._lsub = diag, sub
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """A^{-1} b for a vector or for each column of a matrix."""
+        b = np.asarray(b, dtype=float)
+        linv, lsub = self._linv, self._lsub
+        nb, bs = linv.shape[:2]
+        y = np.zeros((nb * bs,) + b.shape[1:])
+        y[:self.n] = b[self.perm]
+        y = y.reshape((nb, bs) + b.shape[1:])
+        for k in range(nb):
+            y[k] = linv[k] @ (y[k] - lsub[k - 1] @ y[k - 1] if k else y[k])
+        for k in range(nb - 1, -1, -1):
+            y[k] = linv[k].T @ (y[k] - lsub[k].T @ y[k + 1] if k + 1 < nb else y[k])
+        x = np.empty_like(b)
+        x[self.perm] = y.reshape((nb * bs,) + b.shape[1:])[:self.n]
+        return x
+
+
+def solve_spd(A: SparseSym, b: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+    """Direct solve of A x = b for SPD A: factor, solve, one refinement step.
+
+    b may be a vector or a matrix of right-hand sides.  The residual of the
+    refined solution is checked with A.matvec; if any column's residual
+    relative to its right-hand side exceeds tol, SolveError carries it.
     """
     b = np.asarray(b, dtype=float)
-    single = b.ndim == 1
-    B = b[:, None] if single else b
-    n, m = B.shape
-    if maxiter is None:
-        maxiter = max(20 * n, 2000)
-    d = A.diagonal()
-    if np.any(d <= 0.0):
-        raise SolveError("non-positive diagonal entry; matrix is not SPD")
-    dinv = 1.0 / d
-
-    bnorm = np.linalg.norm(B, axis=0)
-    target = tol * np.where(bnorm > 0.0, bnorm, 1.0)
-    X = np.zeros_like(B) if x0 is None else np.array(x0, dtype=float).reshape(n, m).copy()
-    R = B - A.matvec(X) if x0 is not None else B.copy()
-    Z = dinv[:, None] * R
-    P = Z.copy()
-    rz = np.einsum("ij,ij->j", R, Z)
-    rnorm = np.linalg.norm(R, axis=0)
-    for _ in range(maxiter):
-        if np.all(rnorm <= target):
-            break
-        AP = A.matvec(P)
-        pap = np.einsum("ij,ij->j", P, AP)
-        alpha = np.where(pap > 0.0, rz / np.where(pap > 0.0, pap, 1.0), 0.0)
-        X += alpha * P
-        R -= alpha * AP
-        Z = dinv[:, None] * R
-        rz_new = np.einsum("ij,ij->j", R, Z)
-        beta = np.where(rz > 0.0, rz_new / np.where(rz > 0.0, rz, 1.0), 0.0)
-        P = Z + beta * P
-        rz = rz_new
-        rnorm = np.linalg.norm(R, axis=0)
-    if strict and not np.all(rnorm <= target):
-        worst = float(np.max(rnorm / np.where(bnorm > 0.0, bnorm, 1.0)))
-        raise SolveError(f"PCG did not converge in {maxiter} iterations; "
-                         f"relative residual {worst:.3e}")
-    return X[:, 0] if single else X
+    factor = Factor(A)
+    x = factor.solve(b)
+    x += factor.solve(b - A.matvec(x))
+    bnorm = np.linalg.norm(b, axis=0)
+    rel = np.linalg.norm(b - A.matvec(x), axis=0) / np.where(bnorm > 0.0, bnorm, 1.0)
+    worst = float(np.max(rel, initial=0.0))
+    if not worst <= tol:
+        raise SolveError(f"direct solve relative residual {worst:.3e} exceeds {tol:.1e}")
+    return x
 
 
 def _smallest_cholesky_pivot(B: np.ndarray):
-    # Unblocked factorization, used only to diagnose an indefinite B.
+    # Unblocked factorization, used only to diagnose a failed Cholesky.
     n = len(B)
     L = np.zeros_like(B)
     for j in range(n):

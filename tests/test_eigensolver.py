@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from steklov_cusp import (ProblemConfig, SolveError, boundary_pnorm,
-                          boundary_weighted_length, constraint_functional,
+from steklov_cusp import (DomainSpec, ProblemConfig, SolveError, boundary_pnorm,
+                          boundary_polygon, boundary_weighted_length, constraint_functional,
                           orthogonalize_shift, rayleigh, refine_uniform, solve_p,
-                          solve_p2, steklov_p2_spectrum, weakform_residual)
+                          solve_p2, steklov_p2_spectrum, triangulate, weakform_residual)
 from steklov_cusp import fem
 from steklov_cusp.eigensolver import (CONSTRAINT_TOL_FACTOR, WEAKFORM_RTOL, scalar_shift_root,
                                       _bordered_newton, _descent, _eps_schedule)
@@ -116,6 +116,20 @@ def test_solve_p2_weighted_stable_under_refinement(cusp15_mesh):
     r0 = solve_p2(cusp15_mesh, weighted=True)
     r1 = solve_p2(refine_uniform(cusp15_mesh), weighted=True)
     assert abs(r1.eigenvalue - r0.eigenvalue) / r0.eigenvalue <= 0.05
+
+
+def test_solve_p2_above_4000_interior_nodes():
+    # the perfbench p2_cliff mesh: 4,523 vertices, more than 4,000 of them
+    # interior; the reference eigenvalue is the one perfbench/references.json
+    # records for it
+    poly = boundary_polygon(DomainSpec.cusp(2.0), n_lateral=8, n_arc=16, grading_q=2.0)
+    msh = triangulate(poly, 0.25, tip_grading=2.0)
+    for _ in range(2):
+        msh = refine_uniform(msh)
+    assert msh.num_vertices - len(msh.boundary_vertex_ids()) > 4000
+    res = solve_p2(msh, weighted=True)
+    assert res.converged
+    assert abs(res.eigenvalue - 0.7043326454154812) <= 1e-9 * 0.7043326454154812
 
 
 def test_solve_p_matches_p2_on_cusp(cusp15_mesh):

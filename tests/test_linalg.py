@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from steklov_cusp import SolveError, SparseSym, generalized_eig_sym, solve_spd
+from steklov_cusp import SolveError, SparseSym, assemble_p2, generalized_eig_sym, solve_spd
+from steklov_cusp.linalg import Factor
 
 from helpers import charpoly_eigenvalues
 
@@ -87,12 +88,48 @@ def test_cg_singular_shifted_consistent():
         assert abs((K.matvec(x) - b) @ np.ones(n)) <= 1e-8 * np.linalg.norm(b)
 
 
-def test_cg_nonconvergence_error_carries_residual():
+def test_indefinite_matrix_error_names_pivot():
+    rng = np.random.default_rng(17)
+    A, dense = _random_sparse_spd(rng, 40)
+    # one negative diagonal entry far beyond its row's off-diagonal mass
+    shift = np.zeros(40)
+    shift[9] = -2.0 * np.abs(dense[9]).sum()
+    indefinite = A + SparseSym(40, np.arange(40), np.arange(40), shift)
+    b = rng.standard_normal(40)
+    with pytest.raises(SolveError, match="pivot 9 "):
+        solve_spd(indefinite, b, tol=1e-12)
+
+
+def test_unmet_tolerance_error_carries_residual():
     rng = np.random.default_rng(17)
     A, _ = _random_sparse_spd(rng, 40)
     b = rng.standard_normal(40)
     with pytest.raises(SolveError, match="residual"):
-        solve_spd(A, b, tol=1e-14, maxiter=1)
+        solve_spd(A, b, tol=1e-30)
+
+
+def test_factor_vector_and_matrix_rhs_agree():
+    rng = np.random.default_rng(19)
+    A, _ = _random_sparse_spd(rng, 60)
+    factor = Factor(A)
+    B = rng.standard_normal((60, 5))
+    X = factor.solve(B)
+    # BLAS takes different kernels for one column and for five, so the
+    # columns agree to rounding, not bit for bit
+    for j in range(5):
+        x = factor.solve(B[:, j])
+        assert np.linalg.norm(x - X[:, j]) <= 1e-14 * np.linalg.norm(X[:, j])
+
+
+def test_factor_cusp_bandwidth_and_accuracy(cusp15_mesh):
+    K, M, _ = assemble_p2(cusp15_mesh, weighted=False)
+    A = K + M
+    factor = Factor(A)
+    assert factor.bandwidth <= A.n // 5
+    dense = A.to_dense()
+    B = np.random.default_rng(37).standard_normal((A.n, 3))
+    ref = np.linalg.solve(dense, B)
+    assert np.linalg.norm(factor.solve(B) - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 def test_eig_diagonal():
