@@ -117,6 +117,7 @@ class SweepRow:
     converged: bool
     trend: str = "undetermined"
     mesh_id: str = ""
+    error: str = ""  # why the cell failed; not written to the CSV
 
 
 @dataclass
@@ -168,8 +169,9 @@ def alpha_sweep(cfg_base: ProblemConfig, alphas, refinements: int = 3,
     """Weighted and unweighted eigenvalues plus FP constants across alpha and
     refinement level, with a per-series trend classification.
 
-    Individual cell failures are recorded in the row's converged flag and
-    never abort the sweep.
+    Individual cell failures never abort the sweep: the row keeps NaN for
+    the value that failed, converged = False for a failed solve, and the
+    caught exception in its error field.
     """
     report = SweepReport(axis="alpha", seed=seed)
     alphas = sorted(alphas)
@@ -184,30 +186,34 @@ def alpha_sweep(cfg_base: ProblemConfig, alphas, refinements: int = 3,
         rows_here = []
         for level, msh in enumerate(meshes):
             fp_val = float("nan")
+            fp_error = ""
             if with_fp:
                 try:
                     fp_val = fp_constant(msh, ProblemConfig(
                         p=cfg_base.p, weighted=True,
                         quadrature_order=cfg_base.quadrature_order))
-                except (SolveError, np.linalg.LinAlgError):
-                    pass
+                except (SolveError, np.linalg.LinAlgError) as exc:
+                    fp_error = f"fp_constant: {type(exc).__name__}: {exc}"
             for weighted in (True, False):
                 cfg = replace(cfg_base, weighted=weighted)
                 lam = float("nan")
                 iters = 0
                 converged = False
+                errors = [fp_error] if fp_error else []
                 try:
                     res = solve_p(msh, cfg, restarts=restarts,
                                   seed=_cell_seed(seed, i_alpha, level, weighted))
                     lam, iters, converged = res.eigenvalue, res.iterations, res.converged
-                except (SolveError, np.linalg.LinAlgError, geometry.GeometryError):
-                    pass
+                except (SolveError, np.linalg.LinAlgError, geometry.GeometryError) as exc:
+                    kind = "weighted" if weighted else "unweighted"
+                    errors.append(f"solve_p ({kind}): {type(exc).__name__}: {exc}")
                 series[weighted].append(lam)
                 rows_here.append(SweepRow(
                     alpha=alpha, p=cfg_base.p, weighted=weighted, level=level,
                     h_max=msh.h_max, eigenvalue=lam, fp_constant=fp_val,
                     iterations=iters, converged=converged,
-                    mesh_id=f"a{alpha:g}_L{level}_V{msh.num_vertices}"))
+                    mesh_id=f"a{alpha:g}_L{level}_V{msh.num_vertices}",
+                    error="; ".join(errors)))
         trends = {w: classify_trend(series[w]) for w in (True, False)}
         for row in rows_here:
             row.trend = trends[row.weighted]

@@ -293,6 +293,8 @@ def cmd_sweep(cp, out: Path, seed: int) -> int:
         report.to_csv(csv_path)
         manifest.add_artifact(csv_path)
         manifest.add("sweep.rows", len(report.rows))
+        for i, row in enumerate(r for r in report.rows if r.error):
+            manifest.add(f"sweep.failed.{i}", f"{row.mesh_id}: {row.error}")
         manifest.stage("write")
     except geometry.GeometryError as exc:
         manifest.write("failed", str(exc))

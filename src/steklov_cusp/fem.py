@@ -56,19 +56,24 @@ def as_field(mesh: Mesh, values) -> np.ndarray:
     return u
 
 
+# Both powers run on the whole array and then reset the zeros of u to +0.
+# numpy's array power gives an entry the same bits whatever the array's
+# shape or other entries, so this matches a power over the nonzeros alone
+# in every bit, with fewer array passes.
+
 def _signed_power(u: np.ndarray, p: float) -> np.ndarray:
     """|u|**(p-2) * u with the removable singularity at 0 set to 0."""
-    out = np.zeros_like(u)
-    nz = u != 0.0
-    out[nz] = np.abs(u[nz]) ** (p - 2.0) * u[nz]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.abs(u) ** (p - 2.0) * u
+    out[u == 0.0] = 0.0
     return out
 
 
 def _magnitude_power(u: np.ndarray, p: float) -> np.ndarray:
     """|u|**(p-2) with the value at 0 set to 0 (only used inside integrals)."""
-    out = np.zeros_like(u)
-    nz = u != 0.0
-    out[nz] = np.abs(u[nz]) ** (p - 2.0)
+    with np.errstate(divide="ignore"):
+        out = np.abs(u) ** (p - 2.0)
+    out[u == 0.0] = 0.0
     return out
 
 
@@ -102,13 +107,32 @@ def energy_gradient(mesh: Mesh, cfg: ProblemConfig, u) -> np.ndarray:
                        minlength=mesh.num_vertices)
 
 
+def _boundary_arrays(mesh: Mesh, weighted: bool, quadrature_order: int):
+    """(xi (Q,), jac (E, Q), w (E, Q)) of the boundary quadrature: the Gauss
+    abscissae, length * Gauss weight, and the boundary weight (ones when
+    unweighted).  Cached on the mesh per (weighted, quadrature_order);
+    callers multiply them in their own order, because p * jac * w and
+    p * (jac * w) differ in floating point.
+    """
+    key = ("bjw", bool(weighted), quadrature_order)
+    if key not in mesh._cache:
+        xi, gw, w = mesh.boundary_quadrature(quadrature_order)
+        if not weighted:
+            w = np.ones_like(w)
+        jac = mesh.boundary.length[:, None] * gw[None, :]
+        mesh._cache[key] = (xi, jac, w)
+    return mesh._cache[key]
+
+
 def _boundary_samples(mesh: Mesh, cfg: ProblemConfig, u: np.ndarray):
-    xi, gw, w = mesh.boundary_quadrature(cfg.quadrature_order)
+    """Quadrature data and the trace of u at the (E, Q) boundary samples.
+
+    Returns (xi, uq, w, jac): uq[e, q] = (1 - xi_q) u[v0_e] + xi_q u[v1_e];
+    xi, w and jac are the cached _boundary_arrays, not rebuilt per call.
+    """
+    xi, jac, w = _boundary_arrays(mesh, cfg.weighted, cfg.quadrature_order)
     b = mesh.boundary
     uq = u[b.v0][:, None] * (1.0 - xi)[None, :] + u[b.v1][:, None] * xi[None, :]
-    if not cfg.weighted:
-        w = np.ones_like(w)
-    jac = b.length[:, None] * gw[None, :]
     return xi, uq, w, jac
 
 
@@ -151,8 +175,64 @@ def constraint_gradient_direction(mesh: Mesh, cfg: ProblemConfig, u) -> np.ndarr
 
 
 def boundary_weighted_measure(mesh: Mesh, cfg: ProblemConfig) -> float:
-    """Total measure int w ds (or the plain perimeter in unweighted mode)."""
-    return boundary_pnorm(mesh, cfg, np.ones(mesh.num_vertices))
+    """Total measure int w ds (or the plain perimeter in unweighted mode).
+
+    Evaluated as the boundary p-norm of the constant 1 and cached on the
+    mesh per (weighted, quadrature_order, p): p stays in the key because
+    |1|^p is taken on interpolated samples.
+    """
+    key = ("measure", bool(cfg.weighted), cfg.quadrature_order, cfg.p)
+    if key not in mesh._cache:
+        mesh._cache[key] = boundary_pnorm(mesh, cfg, np.ones(mesh.num_vertices))
+    return mesh._cache[key]
+
+
+def shifted_constraint(mesh: Mesh, cfg: ProblemConfig, u):
+    """The constraint functional of u - c and its derivative in c, as
+    functions of the shift c evaluated on the boundary samples only.
+
+    Returns (F, F_many, dF): F(c) equals constraint_functional(mesh, cfg,
+    u - c) bit for bit, F_many(cs) returns [F(c) for c in cs] with the same
+    bits from one batched evaluation, and dF(c) equals -(p - 1) times the
+    sum of constraint_gradient_direction(mesh, cfg, u - c).  The trace of u
+    is gathered once, every sample expression is the one those functionals
+    evaluate, and the nodal sum in dF stays mesh-long (bincount accumulates
+    in the order of np.add.at), so a root found through them is the root
+    found through the full-field functionals.
+    """
+    u = as_field(mesh, u)
+    xi, jac, w = _boundary_arrays(mesh, cfg.weighted, cfg.quadrature_order)
+    b = mesh.boundary
+    p, n = cfg.p, mesh.num_vertices
+    # shape weights and end values spread to the (E, Q) samples, so that
+    # every evaluation runs on equal-shape contiguous arrays
+    key = ("bshape", cfg.quadrature_order)
+    if key not in mesh._cache:
+        mesh._cache[key] = (np.ascontiguousarray(np.broadcast_to(1.0 - xi, jac.shape)),
+                            np.ascontiguousarray(np.broadcast_to(xi, jac.shape)),
+                            np.concatenate([b.v0, b.v1]))
+    w0, w1, ends = mesh._cache[key]
+    u0, u1 = (np.repeat(u[v], len(xi)).reshape(jac.shape) for v in (b.v0, b.v1))
+    jw = jac * w
+
+    def trace(c):  # uq of u - c; c a scalar or a (k, 1, 1) array of shifts
+        return (u0 - c) * w0 + (u1 - c) * w1
+
+    def F(c):
+        return float(np.sum(jw * _signed_power(trace(c), p)))
+
+    def F_many(cs):
+        terms = jw * _signed_power(trace(np.array(cs, dtype=float)[:, None, None]), p)
+        # one sum per point, over the same (E, Q) block as F's
+        return [float(np.add.reduce(t, axis=None)) for t in terms]
+
+    def dF(c):
+        s = jw * _magnitude_power(trace(c), p)
+        nodal = np.concatenate([np.sum(s * w0, axis=1), np.sum(s * w1, axis=1)])
+        d = np.bincount(ends, weights=nodal, minlength=n)
+        return -(p - 1.0) * float(d.sum())
+
+    return F, F_many, dF
 
 
 def volume_pnorm(mesh: Mesh, cfg: ProblemConfig, u) -> float:
@@ -247,11 +327,8 @@ def assemble_p2(mesh: Mesh, weighted: bool, quadrature_order: int = DEFAULT_QUAD
     K = SparseSym(n, rows, cols, kloc.ravel())
     M = SparseSym(n, rows, cols, mloc.ravel())
 
-    xi, gw, w = mesh.boundary_quadrature(quadrature_order)
-    if not weighted:
-        w = np.ones_like(w)
+    xi, jac, w = _boundary_arrays(mesh, weighted, quadrature_order)
     b = mesh.boundary
-    jac = b.length[:, None] * gw[None, :]
     shapes = np.stack([1.0 - xi, xi], axis=0)  # (2, Q)
     bloc = np.einsum("eq,aq,bq->eab", jac * w, shapes, shapes)  # (E, 2, 2)
     ev = np.stack([b.v0, b.v1], axis=1)  # (E, 2)

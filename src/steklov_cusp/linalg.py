@@ -24,8 +24,9 @@ class SparseSym:
 
     Matrix-vector products use a full-pattern copy in row slots (ELLPACK:
     one array per slot, padded to the longest row), cached on first use;
-    their cost and temporaries stay O(n) per column for a matrix right-hand
-    side.  Instances are immutable after construction.
+    each slot is gathered into one reused buffer, so the cost stays O(n)
+    per column and the temporaries one n x m buffer for a matrix
+    right-hand side.  Instances are immutable after construction.
     """
 
     def __init__(self, n, rows, cols, vals):
@@ -67,8 +68,13 @@ class SparseSym:
         x = np.asarray(x, dtype=float)
         X = x[:, None] if x.ndim == 1 else x
         out = np.zeros((self.n, X.shape[1]))
+        # one gather buffer for every slot: the same products and sums as
+        # out += vals[:, None] * X[cols], without a fresh n x m temporary
+        buf = np.empty_like(out)
         for cols, vals in zip(*self._slots):
-            out += vals[:, None] * X[cols]
+            np.take(X, cols, axis=0, out=buf)
+            buf *= vals[:, None]
+            out += buf
         return out[:, 0] if x.ndim == 1 else out
 
     __matmul__ = matvec

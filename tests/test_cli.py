@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from steklov_cusp import DomainSpec, cusp_cap_intersection
+from steklov_cusp import DomainSpec, ProblemConfig, cusp_cap_intersection
 from steklov_cusp.cli import main
 
 
@@ -153,6 +153,48 @@ def test_cmd_sweep(tmp_path):
     assert trends <= {"stable", "decaying-to-zero", "undetermined"}
     # trend column is populated from >= 3 levels
     assert all(row.split(",")[-1] != "" for row in lines[1:])
+
+
+def _sweep_csv_line(r):
+    # the sweep.csv row format, pinned field by field
+    return ",".join([f"{r.alpha:.17g}", f"{r.p:.17g}", "true" if r.weighted else "false",
+                     str(r.level), f"{r.h_max:.17g}", f"{r.eigenvalue:.17g}",
+                     f"{r.fp_constant:.17g}", str(r.iterations),
+                     "true" if r.converged else "false", r.trend])
+
+
+def test_cmd_sweep_failed_cell_reason_in_manifest(tmp_path, monkeypatch):
+    from steklov_cusp import analysis
+    from steklov_cusp.linalg import SolveError
+
+    real_solve_p = analysis.solve_p
+    failing_seed = analysis._cell_seed(0, 0, 1, False)  # alpha 1.5, level 1, unweighted
+
+    def solve_p(msh, cfg, restarts, seed):
+        if seed == failing_seed:
+            raise SolveError("injected failure")
+        return real_solve_p(msh, cfg, restarts=restarts, seed=seed)
+
+    monkeypatch.setattr(analysis, "solve_p", solve_p)
+    out = tmp_path / "sweep_out"
+    cfgp = _write(tmp_path, "sweep.ini", SWEEP_CONFIG, out)
+    assert main(["sweep", "--config", cfgp]) == 0
+    manifest = (out / "manifest.txt").read_text().splitlines()
+    failed = [line for line in manifest if line.startswith("sweep.failed.")]
+    assert len(failed) == 1
+    assert failed[0].startswith("sweep.failed.0 = a1.5_L1_V")
+    assert failed[0].endswith(": solve_p (unweighted): SolveError: injected failure")
+
+    report = analysis.alpha_sweep(ProblemConfig(p=2.0), alphas=[1.5], refinements=3,
+                                  n_lateral=10, n_arc=20, grading_q=2.0, target_h=0.5,
+                                  restarts=1, seed=0, with_fp=False)
+    bad = [r for r in report.rows if r.error]
+    assert len(bad) == 1 and not bad[0].converged and math.isnan(bad[0].eigenvalue)
+    expected = "\n".join(["alpha,p,weighted,level,h_max,lambda,fp_constant,"
+                          "iterations,converged,trend"]
+                         + [_sweep_csv_line(r) for r in report.rows]) + "\n"
+    assert (out / "sweep.csv").read_bytes() == expected.encode()
+    assert ",nan," in _sweep_csv_line(bad[0]) and "injected" not in expected
 
 
 def test_csv_numbers_use_17_digits(tmp_path):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -6,8 +8,9 @@ from steklov_cusp import (DomainSpec, ProblemConfig, SolveError, boundary_pnorm,
                           orthogonalize_shift, rayleigh, refine_uniform, solve_p,
                           solve_p2, steklov_p2_spectrum, triangulate, weakform_residual)
 from steklov_cusp import fem
-from steklov_cusp.eigensolver import (CONSTRAINT_TOL_FACTOR, WEAKFORM_RTOL, scalar_shift_root,
-                                      _bordered_newton, _descent, _eps_schedule)
+from steklov_cusp.eigensolver import (CONSTRAINT_TOL_FACTOR, SHIFT_FTOL_FACTOR, WEAKFORM_RTOL,
+                                      scalar_shift_root, _bordered_newton, _descent,
+                                      _eps_schedule)
 
 
 def test_rayleigh_scale_invariance(cusp15_mesh):
@@ -40,6 +43,61 @@ def test_shift_root_two_point_toy():
     for method in ("bisection", "hybrid"):
         root = scalar_shift_root(toy, 0.0, 3.0, ftol=1e-14, method=method)
         assert root == pytest.approx(1.5, abs=1e-10)
+
+
+def _reference_shift(mesh, cfg, u, method):
+    # the full-field formulation on a copy of the mesh with an empty cache,
+    # so that no cached boundary array or measure is shared with the kernel
+    fresh = replace(mesh, _cache={})
+    bvals = u[fresh.boundary_vertex_ids()]
+    measure = fem.boundary_pnorm(fresh, cfg, np.ones(fresh.num_vertices))
+
+    def F(c):
+        return fem.constraint_functional(fresh, cfg, u - c)
+
+    def dF(c):
+        d = fem.constraint_gradient_direction(fresh, cfg, u - c)
+        return -(cfg.p - 1.0) * float(d.sum())
+
+    c = scalar_shift_root(F, float(bvals.min()), float(bvals.max()),
+                          SHIFT_FTOL_FACTOR * measure, method=method, dF=dF)
+    return u - c
+
+
+@pytest.mark.parametrize("mesh_name", ["cusp15_mesh", "disk_mesh"])
+def test_shift_bit_identical_to_full_field_formulation(mesh_name, request):
+    msh = request.getfixturevalue(mesh_name)
+    rng = np.random.default_rng(11)
+    fields = [rng.standard_normal(msh.num_vertices), msh.vertices[:, 1] ** 2]
+    combos = [(p, weighted) for p in (1.5, 2.0, 2.5, 3.0) for weighted in (True, False)]
+    # one mesh object for every combination, visited forwards and backwards,
+    # so that a cache key missing the weighting hands the kernel the other
+    # weighting's boundary arrays (the measure, keyed by p as well, comes
+    # out the same for every p here: the samples of 1 interpolate to 1)
+    for p, weighted in combos + combos[::-1]:
+        cfg = ProblemConfig(p=p, weighted=weighted)
+        for u in fields:
+            for method in ("hybrid", "bisection"):
+                got = orthogonalize_shift(msh, cfg, u, method=method)
+                assert np.array_equal(got, _reference_shift(msh, cfg, u, method)), \
+                    (p, weighted, method)
+
+
+def test_shifted_constraint_matches_full_field_functionals(cusp15_mesh):
+    # a refined mesh numbers boundary vertices among interior ones, so the
+    # slope's nodal sum must keep its full length to reproduce the bits
+    msh = refine_uniform(cusp15_mesh)
+    u = np.random.default_rng(12).standard_normal(msh.num_vertices)
+    cs = [0.0, float(u[5])] + list(np.linspace(-1.0, 1.0, 41))
+    for p in (1.5, 2.5):
+        cfg = ProblemConfig(p=p, weighted=True)
+        F, F_many, dF = fem.shifted_constraint(msh, cfg, u)
+        ref = [fem.constraint_functional(msh, cfg, u - c) for c in cs]
+        assert [F(c) for c in cs] == ref
+        assert F_many(cs) == ref
+        for c in cs:
+            d = fem.constraint_gradient_direction(msh, cfg, u - c)
+            assert dF(c) == -(cfg.p - 1.0) * float(d.sum())
 
 
 def test_shift_bisection_newton_agree(cusp15_mesh):

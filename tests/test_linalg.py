@@ -31,6 +31,23 @@ def test_sparse_roundtrip_and_matvec():
     assert np.allclose(low, np.tril(dense), atol=1e-13)
 
 
+def test_matvec_matches_slot_formula_exactly(cusp15_mesh):
+    K, M, _ = assemble_p2(cusp15_mesh, weighted=True)
+    A = K + M
+    rng = np.random.default_rng(13)
+    dense = A.to_dense()
+    for x in (rng.standard_normal(A.n), rng.standard_normal((A.n, 7))):
+        X = x[:, None] if x.ndim == 1 else x
+        ref = np.zeros((A.n, X.shape[1]))
+        for cols, vals in zip(*A._slots):
+            ref += vals[:, None] * X[cols]
+        got = A.matvec(x)
+        assert got.shape == x.shape
+        assert np.array_equal(got, ref[:, 0] if x.ndim == 1 else ref)
+        scale = np.abs(dense) @ np.abs(x)
+        assert np.all(np.abs(got - dense @ x) <= 1e-13 * scale)
+
+
 def test_sparse_add_and_scale():
     rng = np.random.default_rng(4)
     A, da = _random_sparse_spd(rng, 20)
