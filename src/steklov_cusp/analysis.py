@@ -171,7 +171,8 @@ def alpha_sweep(cfg_base: ProblemConfig, alphas, refinements: int = 3,
 
     Individual cell failures never abort the sweep: the row keeps NaN for
     the value that failed, converged = False for a failed solve, and the
-    caught exception in its error field.
+    caught exception in its error field (an fp_constant failure on the
+    mesh's weighted row only).
     """
     report = SweepReport(axis="alpha", seed=seed)
     alphas = sorted(alphas)
@@ -199,7 +200,9 @@ def alpha_sweep(cfg_base: ProblemConfig, alphas, refinements: int = 3,
                 lam = float("nan")
                 iters = 0
                 converged = False
-                errors = [fp_error] if fp_error else []
+                # the FP constant is the weighted one: its failure is
+                # recorded once per mesh, on the weighted row
+                errors = [fp_error] if fp_error and weighted else []
                 try:
                     res = solve_p(msh, cfg, restarts=restarts,
                                   seed=_cell_seed(seed, i_alpha, level, weighted))

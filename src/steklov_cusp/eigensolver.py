@@ -68,20 +68,16 @@ def rayleigh(mesh: Mesh, cfg: ProblemConfig, u) -> float:
 
 
 def scalar_shift_root(F, lo: float, hi: float, ftol: float,
-                      method: str = "hybrid", dF=None, F_many=None) -> float:
+                      method: str = "hybrid", dF=None) -> float:
     """Root of a strictly decreasing scalar function F on [lo, hi].
 
     method "bisection" runs pure bisection; "hybrid" localizes by bisection
     and then polishes with safeguarded Newton (analytic dF if given, secant
-    otherwise).  Terminates when |F| <= ftol.  F_many, if given, evaluates F
-    at a sequence of points with the same bits as F at each; it takes the
-    two bracket ends in one call, and bisection evaluates each midpoint
-    together with both candidate midpoints of the next level.  The points
-    visited and the root returned are the same as with F alone.
+    otherwise).  Terminates when |F| <= ftol.
     """
     if lo > hi:
         lo, hi = hi, lo
-    flo, fhi = F_many((lo, hi)) if F_many is not None else (F(lo), F(hi))
+    flo, fhi = F(lo), F(hi)
     width = max(hi - lo, 1.0)
     for _ in range(80):
         if flo >= 0.0:
@@ -102,17 +98,9 @@ def scalar_shift_root(F, lo: float, hi: float, ftol: float,
 
     n_bisect = 2000 if method == "bisection" else 12
     c, fc = lo, flo
-    ahead = {}
     for _ in range(n_bisect):
         c = 0.5 * (lo + hi)
-        if c in ahead:
-            fc = ahead[c]
-        elif F_many is not None:
-            nxt = (0.5 * (lo + c), 0.5 * (c + hi))
-            fc, *f_nxt = F_many((c,) + nxt)
-            ahead = dict(zip(nxt, f_nxt))
-        else:
-            fc = F(c)
+        fc = F(c)
         if abs(fc) <= ftol or hi - lo < 1e-17 * max(1.0, abs(lo) + abs(hi)):
             return c
         if fc > 0.0:
@@ -153,11 +141,10 @@ def orthogonalize_shift(mesh: Mesh, cfg: ProblemConfig, u, method: str = "hybrid
     The root is unique because the functional is strictly decreasing in the
     shift; the bracket is the range of the boundary trace.  The functional
     and its slope are evaluated on the boundary quadrature samples only
-    (fem.shifted_constraint, two bisection levels per batched call), with
-    the quadrature arrays and the measure cached on the mesh, and the root
-    is bit for bit the one scalar_shift_root finds over
-    fem.constraint_functional(mesh, cfg, u - c) and the sum of
-    fem.constraint_gradient_direction.
+    (fem.shifted_constraint), with the quadrature arrays and the measure
+    cached on the mesh, and the root is bit for bit the one
+    scalar_shift_root finds over fem.constraint_functional(mesh, cfg, u - c)
+    and the sum of fem.constraint_gradient_direction.
     """
     u = fem.as_field(mesh, u)
     bverts = mesh.boundary_vertex_ids()
@@ -167,8 +154,8 @@ def orthogonalize_shift(mesh: Mesh, cfg: ProblemConfig, u, method: str = "hybrid
         raise SolveError("no admissible shift: boundary trace is constant")
     measure = fem.boundary_weighted_measure(mesh, cfg)
     ftol = SHIFT_FTOL_FACTOR * measure
-    F, F_many, dF = fem.shifted_constraint(mesh, cfg, u)
-    c = scalar_shift_root(F, lo, hi, ftol, method=method, dF=dF, F_many=F_many)
+    F, dF = fem.shifted_constraint(mesh, cfg, u)
+    c = scalar_shift_root(F, lo, hi, ftol, method=method, dF=dF)
     return u - c
 
 

@@ -191,11 +191,10 @@ def shifted_constraint(mesh: Mesh, cfg: ProblemConfig, u):
     """The constraint functional of u - c and its derivative in c, as
     functions of the shift c evaluated on the boundary samples only.
 
-    Returns (F, F_many, dF): F(c) equals constraint_functional(mesh, cfg,
-    u - c) bit for bit, F_many(cs) returns [F(c) for c in cs] with the same
-    bits from one batched evaluation, and dF(c) equals -(p - 1) times the
-    sum of constraint_gradient_direction(mesh, cfg, u - c).  The trace of u
-    is gathered once, every sample expression is the one those functionals
+    Returns (F, dF): F(c) equals constraint_functional(mesh, cfg, u - c)
+    bit for bit, and dF(c) equals -(p - 1) times the sum of
+    constraint_gradient_direction(mesh, cfg, u - c).  The trace of u is
+    gathered once, every sample expression is the one those functionals
     evaluate, and the nodal sum in dF stays mesh-long (bincount accumulates
     in the order of np.add.at), so a root found through them is the root
     found through the full-field functionals.
@@ -203,36 +202,23 @@ def shifted_constraint(mesh: Mesh, cfg: ProblemConfig, u):
     u = as_field(mesh, u)
     xi, jac, w = _boundary_arrays(mesh, cfg.weighted, cfg.quadrature_order)
     b = mesh.boundary
-    p, n = cfg.p, mesh.num_vertices
-    # shape weights and end values spread to the (E, Q) samples, so that
-    # every evaluation runs on equal-shape contiguous arrays
-    key = ("bshape", cfg.quadrature_order)
-    if key not in mesh._cache:
-        mesh._cache[key] = (np.ascontiguousarray(np.broadcast_to(1.0 - xi, jac.shape)),
-                            np.ascontiguousarray(np.broadcast_to(xi, jac.shape)),
-                            np.concatenate([b.v0, b.v1]))
-    w0, w1, ends = mesh._cache[key]
-    u0, u1 = (np.repeat(u[v], len(xi)).reshape(jac.shape) for v in (b.v0, b.v1))
+    p = cfg.p
+    u0, u1 = u[b.v0][:, None], u[b.v1][:, None]
+    w0, w1 = (1.0 - xi)[None, :], xi[None, :]
     jw = jac * w
 
-    def trace(c):  # uq of u - c; c a scalar or a (k, 1, 1) array of shifts
-        return (u0 - c) * w0 + (u1 - c) * w1
-
     def F(c):
-        return float(np.sum(jw * _signed_power(trace(c), p)))
-
-    def F_many(cs):
-        terms = jw * _signed_power(trace(np.array(cs, dtype=float)[:, None, None]), p)
-        # one sum per point, over the same (E, Q) block as F's
-        return [float(np.add.reduce(t, axis=None)) for t in terms]
+        return float(np.sum(jw * _signed_power((u0 - c) * w0 + (u1 - c) * w1, p)))
 
     def dF(c):
-        s = jw * _magnitude_power(trace(c), p)
-        nodal = np.concatenate([np.sum(s * w0, axis=1), np.sum(s * w1, axis=1)])
-        d = np.bincount(ends, weights=nodal, minlength=n)
+        s = jw * _magnitude_power((u0 - c) * w0 + (u1 - c) * w1, p)
+        d = np.bincount(np.concatenate([b.v0, b.v1]),
+                        weights=np.concatenate([np.sum(s * w0, axis=1),
+                                                np.sum(s * w1, axis=1)]),
+                        minlength=mesh.num_vertices)
         return -(p - 1.0) * float(d.sum())
 
-    return F, F_many, dF
+    return F, dF
 
 
 def volume_pnorm(mesh: Mesh, cfg: ProblemConfig, u) -> float:

@@ -67,12 +67,17 @@ class SparseSym:
     def matvec(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         X = x[:, None] if x.ndim == 1 else x
+        if X.shape[0] != self.n:
+            raise ValueError(f"matvec: operand has {X.shape[0]} rows, matrix is {self.n} x {self.n}")
         out = np.zeros((self.n, X.shape[1]))
         # one gather buffer for every slot: the same products and sums as
-        # out += vals[:, None] * X[cols], without a fresh n x m temporary
+        # out += vals[:, None] * X[cols], without a fresh n x m temporary.
+        # mode="clip" (the slot indices are in range by construction) lets
+        # take write into buf directly; the default mode="raise" with out=
+        # gathers into a temporary first and copies it over.
         buf = np.empty_like(out)
         for cols, vals in zip(*self._slots):
-            np.take(X, cols, axis=0, out=buf)
+            np.take(X, cols, axis=0, out=buf, mode="clip")
             buf *= vals[:, None]
             out += buf
         return out[:, 0] if x.ndim == 1 else out

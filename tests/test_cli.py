@@ -197,6 +197,32 @@ def test_cmd_sweep_failed_cell_reason_in_manifest(tmp_path, monkeypatch):
     assert ",nan," in _sweep_csv_line(bad[0]) and "injected" not in expected
 
 
+def test_cmd_sweep_fp_failure_reported_once_per_mesh(tmp_path, monkeypatch):
+    from steklov_cusp import analysis
+    from steklov_cusp.linalg import SolveError
+
+    def fp_constant(msh, cfg):
+        raise SolveError(f"injected fp failure on {msh.num_vertices} vertices")
+
+    monkeypatch.setattr(analysis, "fp_constant", fp_constant)
+    out = tmp_path / "sweep_out"
+    cfgp = _write(tmp_path, "sweep.ini",
+                  SWEEP_CONFIG.replace("with_fp = false", "with_fp = true"), out)
+    assert main(["sweep", "--config", cfgp]) == 0
+    manifest = (out / "manifest.txt").read_text().splitlines()
+    failed = [line for line in manifest if line.startswith("sweep.failed.")]
+    # one line per mesh of the three refinement levels, none repeated
+    assert len(failed) == len(set(failed)) == 3
+    for i, line in enumerate(failed):
+        key, reason = line.split(" = ", 1)
+        mesh_id, text = reason.split(": ", 1)
+        assert key == f"sweep.failed.{i}" and mesh_id.startswith(f"a1.5_L{i}_V")
+        assert text == ("fp_constant: SolveError: injected fp failure on "
+                        f"{mesh_id.split('_V')[1]} vertices")
+    rows = (out / "sweep.csv").read_text().splitlines()[1:]
+    assert len(rows) == 6 and all(row.split(",")[6] == "nan" for row in rows)
+
+
 def test_csv_numbers_use_17_digits(tmp_path):
     out = tmp_path / "solve_out"
     cfgp = _write(tmp_path, "disk.ini", DISK_CONFIG, out)

@@ -46,6 +46,10 @@ def test_matvec_matches_slot_formula_exactly(cusp15_mesh):
         assert np.array_equal(got, ref[:, 0] if x.ndim == 1 else ref)
         scale = np.abs(dense) @ np.abs(x)
         assert np.all(np.abs(got - dense @ x) <= 1e-13 * scale)
+    # the gather clips indices, so a short operand must be refused up front
+    for x in (np.ones(A.n - 1), np.ones((A.n + 1, 2))):
+        with pytest.raises(ValueError, match="rows"):
+            A.matvec(x)
 
 
 def test_sparse_add_and_scale():
