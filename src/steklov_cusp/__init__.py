@@ -8,7 +8,7 @@ non-trivial eigenvalue, and the supporting numerical experiments
 
 from .analysis import SweepReport, SweepRow, alpha_sweep, fp_constant, trace_spectrum
 from .eigensolver import (EigenResult, orthogonalize_shift, rayleigh, solve_p,
-                          solve_p2, steklov_p2_spectrum, weakform_residual)
+                          solve_p2, weakform_residual)
 from .fem import (ProblemConfig, assemble_p2, boundary_pnorm, constraint_functional,
                   energy, energy_gradient, volume_pnorm)
 from .geometry import (BoundaryArc, BoundaryPolygon, BoundaryTag, DomainSpec,
@@ -21,7 +21,7 @@ from .mesh import Mesh, boundary_weighted_length, mesh_area, refine_uniform, tri
 __all__ = [
     "SweepReport", "SweepRow", "alpha_sweep", "fp_constant", "trace_spectrum",
     "EigenResult", "orthogonalize_shift", "rayleigh", "solve_p", "solve_p2",
-    "steklov_p2_spectrum", "weakform_residual",
+    "weakform_residual",
     "ProblemConfig", "assemble_p2", "boundary_pnorm", "constraint_functional",
     "energy", "energy_gradient", "volume_pnorm",
     "BoundaryArc", "BoundaryPolygon", "BoundaryTag", "DomainSpec",

@@ -10,20 +10,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import fem, geometry
-from .eigensolver import (_descent, _eps_schedule, _householder_deflate,
-                          _apply_householder, solve_p)
+from .eigensolver import _descent, _eps_schedule, solve_p
 from .fem import ProblemConfig
-from .linalg import SolveError, generalized_eig_sym
+from .linalg import Complement, SolveError, generalized_eig_sym
 from .mesh import Mesh, refine_uniform, triangulate
-
-
-def _deflated_pencil_min(A_dense, B_dense, direction):
-    """Smallest eigenvalue of the dense pencil restricted to direction-perp."""
-    v, beta = _householder_deflate(direction)
-    HA = _apply_householder(v, beta, _apply_householder(v, beta, A_dense).T)
-    HB = _apply_householder(v, beta, _apply_householder(v, beta, B_dense).T)
-    vals, _ = generalized_eig_sym(HA[1:, 1:], HB[1:, 1:], 1)
-    return float(vals[0])
 
 
 def fp_constant(mesh: Mesh, cfg: ProblemConfig, constraint: str = "weighted-boundary",
@@ -32,9 +22,10 @@ def fp_constant(mesh: Mesh, cfg: ProblemConfig, constraint: str = "weighted-boun
     ||u||_p <= C ||grad u||_p over the constrained set.
 
     Computed as m^(-1/p) where m minimizes energy over the volume p-norm.
-    At p = 2 the minimum comes from the dense (stiffness, mass) pencil on
-    the constraint subspace; otherwise the same descent machinery as the
-    eigenvalue solver runs with the volume p-norm in the denominator.
+    At p = 2 the minimum comes from the dense (stiffness, mass) pencil
+    restricted to the complement of the constraint direction (Complement);
+    otherwise the same descent machinery as the eigenvalue solver runs with
+    the volume p-norm in the denominator.
     constraint "weighted-boundary" is the problem's own condition; "zero-mean"
     is the validation mode whose square-domain constant is known.
     """
@@ -53,7 +44,12 @@ def fp_constant(mesh: Mesh, cfg: ProblemConfig, constraint: str = "weighted-boun
             direction = B.matvec(np.ones(mesh.num_vertices))
         else:
             direction = M.matvec(np.ones(mesh.num_vertices))
-        mu = _deflated_pencil_min(K.to_dense(), M.to_dense(), direction)
+        comp = Complement(direction)
+        # restricted one at a time, so no full dense matrix outlives its
+        # restriction into the eigensolve
+        vals, _ = generalized_eig_sym(comp.restrict(K.to_dense()),
+                                      comp.restrict(M.to_dense()), 1)
+        mu = float(vals[0])
         if not mu > 0.0:
             raise SolveError(f"non-positive constrained pencil minimum {mu}")
         return mu ** -0.5

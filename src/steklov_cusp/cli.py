@@ -360,7 +360,10 @@ def run_validation(inject_failure: bool = False) -> list[dict]:
     def toy(cshift):
         return (3.0 - cshift) * abs(3.0 - cshift) - cshift * abs(cshift)
 
-    root = scalar_shift_root(toy, 0.0, 3.0, ftol=1e-14)
+    def toy_slope(cshift):
+        return -2.0 * (abs(3.0 - cshift) + abs(cshift))
+
+    root = scalar_shift_root(toy, toy_slope, 0.0, 3.0, ftol=1e-14)
     record("shift_root_two_point", 1.5, float(root), 1e-10)
 
     # unit square zero-mean FP constant: 1/pi

@@ -11,9 +11,10 @@ terminal phase, damped Newton on the bordered stationarity system
 (_bordered_newton).  Both it and solve_p2 eliminate the interior unknowns
 onto the boundary through _eliminate_interior.  solve_p2 is the direct
 linear path: boundary reduction of the stiffness matrix by a Schur
-complement, constraint deflation by a Householder reflector, and a dense
-generalized eigensolve; it doubles as the oracle for p = 2 and as the
-initializer for the nonlinear descent.
+complement, restriction to the complement of the constraint direction
+(linalg.Complement), and a dense generalized eigensolve; it doubles as the
+oracle for p = 2 and as the initializer for the nonlinear descent.  Both
+paths report their residual through one formula, _relative_residual.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 
 from . import fem
 from .fem import ProblemConfig
-from .linalg import Factor, SolveError, SparseSym, generalized_eig_sym, solve_spd
+from .linalg import Complement, Factor, SolveError, SparseSym, generalized_eig_sym, solve_spd
 from .mesh import Mesh
 
 ARMIJO = 1e-4
@@ -67,55 +68,35 @@ def rayleigh(mesh: Mesh, cfg: ProblemConfig, u) -> float:
     return fem.energy(mesh, replace(cfg, eps_reg=0.0), u) / denom
 
 
-def scalar_shift_root(F, lo: float, hi: float, ftol: float,
-                      method: str = "hybrid", dF=None) -> float:
-    """Root of a strictly decreasing scalar function F on [lo, hi].
+def scalar_shift_root(F, dF, lo: float, hi: float, ftol: float,
+                      method: str = "hybrid") -> float:
+    """Root of a strictly decreasing scalar function F with derivative dF,
+    bracketed by F(lo) >= 0 >= F(hi).
 
     method "bisection" runs pure bisection; "hybrid" localizes by bisection
-    and then polishes with safeguarded Newton (analytic dF if given, secant
-    otherwise).  Terminates when |F| <= ftol.
+    and then polishes with safeguarded Newton.  Terminates when |F| <= ftol.
+    Raises SolveError if [lo, hi] does not bracket the root.
     """
-    if lo > hi:
-        lo, hi = hi, lo
-    flo, fhi = F(lo), F(hi)
-    width = max(hi - lo, 1.0)
-    for _ in range(80):
-        if flo >= 0.0:
-            break
-        lo -= width
-        flo = F(lo)
-    for _ in range(80):
-        if fhi <= 0.0:
-            break
-        hi += width
-        fhi = F(hi)
-    if flo < 0.0 or fhi > 0.0:
-        raise SolveError("shift root bracketing failed")
-    if abs(flo) <= ftol:
-        return lo
-    if abs(fhi) <= ftol:
-        return hi
+    if method not in ("bisection", "hybrid"):
+        raise ValueError(f"unknown method {method!r}")
+    if F(lo) < 0.0 or F(hi) > 0.0:
+        raise SolveError(f"shift root is not bracketed by [{lo!r}, {hi!r}]")
 
     n_bisect = 2000 if method == "bisection" else 12
-    c, fc = lo, flo
     for _ in range(n_bisect):
         c = 0.5 * (lo + hi)
         fc = F(c)
         if abs(fc) <= ftol or hi - lo < 1e-17 * max(1.0, abs(lo) + abs(hi)):
             return c
         if fc > 0.0:
-            lo, flo = c, fc
+            lo = c
         else:
-            hi, fhi = c, fc
+            hi = c
     if method == "bisection":
         return c
 
     for _ in range(100):
-        if dF is not None:
-            slope = dF(c)
-        else:
-            h = 1e-7 * max(1.0, abs(c))
-            slope = (F(c + h) - F(c - h)) / (2.0 * h)
+        slope = dF(c)
         step_ok = np.isfinite(slope) and slope < 0.0
         if step_ok:
             c_new = c - fc / slope
@@ -155,7 +136,7 @@ def orthogonalize_shift(mesh: Mesh, cfg: ProblemConfig, u, method: str = "hybrid
     measure = fem.boundary_weighted_measure(mesh, cfg)
     ftol = SHIFT_FTOL_FACTOR * measure
     F, dF = fem.shifted_constraint(mesh, cfg, u)
-    c = scalar_shift_root(F, lo, hi, ftol, method=method, dF=dF)
+    c = scalar_shift_root(F, dF, lo, hi, ftol, method=method)
     return u - c
 
 
@@ -174,10 +155,15 @@ def weakform_residual(mesh: Mesh, cfg: ProblemConfig, u, lam: float) -> float:
     multiplier direction, and normalizes by the scale of the two sides.
     """
     cfg0 = replace(cfg, eps_reg=0.0)
-    a = fem.energy_gradient(mesh, cfg0, u) / cfg.p
-    b = fem.boundary_pnorm_gradient(mesh, cfg0, u) / cfg.p
+    return _relative_residual(fem.energy_gradient(mesh, cfg0, u) / cfg.p,
+                              fem.boundary_pnorm_gradient(mesh, cfg0, u) / cfg.p, lam,
+                              fem.constraint_gradient_direction(mesh, cfg0, u))
+
+
+def _relative_residual(a, b, lam: float, d) -> float:
+    """|a - lam b| with the component along d removed, relative to
+    |a| + |lam| |b|: the residual of every pair this module reports."""
     r = a - lam * b
-    d = fem.constraint_gradient_direction(mesh, cfg0, u)
     dd = float(d @ d)
     if dd > 0.0:
         r = r - (float(r @ d) / dd) * d
@@ -462,24 +448,22 @@ def solve_p(mesh: Mesh, cfg: ProblemConfig, restarts: int = 3, seed: int = 0,
 # -- boundary reduction and the p = 2 direct path ------------------------
 
 
-def _submatrix_dense(A: SparseSym, rows_idx, cols_idx):
+def _submatrix(A: SparseSym, rows_idx, cols_idx):
+    """COO triplets of the block A[rows_idx, cols_idx], renumbered locally."""
     lookup_r = -np.ones(A.n, dtype=np.int64)
     lookup_r[rows_idx] = np.arange(len(rows_idx))
     lookup_c = -np.ones(A.n, dtype=np.int64)
     lookup_c[cols_idx] = np.arange(len(cols_idx))
-    r, c, v = A._full_coo()
+    r, c, v = A.coo()
     mask = (lookup_r[r] >= 0) & (lookup_c[c] >= 0)
+    return lookup_r[r[mask]], lookup_c[c[mask]], v[mask]
+
+
+def _submatrix_dense(A: SparseSym, rows_idx, cols_idx):
     out = np.zeros((len(rows_idx), len(cols_idx)))
-    out[lookup_r[r[mask]], lookup_c[c[mask]]] = v[mask]
+    i, j, v = _submatrix(A, rows_idx, cols_idx)
+    out[i, j] = v
     return out
-
-
-def _submatrix_sparse(A: SparseSym, idx):
-    lookup = -np.ones(A.n, dtype=np.int64)
-    lookup[idx] = np.arange(len(idx))
-    r, c, v = A._full_coo()
-    mask = (lookup[r] >= 0) & (lookup[c] >= 0)
-    return SparseSym(len(idx), lookup[r[mask]], lookup[c[mask]], v[mask])
 
 
 def _eliminate_interior(A: SparseSym, mesh: Mesh, rhs=None):
@@ -496,7 +480,8 @@ def _eliminate_interior(A: SparseSym, mesh: Mesh, rhs=None):
     interior = np.setdiff1d(np.arange(A.n), gamma)
     A_ig = _submatrix_dense(A, interior, gamma)
     cols = A_ig if rhs is None else np.concatenate([A_ig, rhs[interior, None]], axis=1)
-    Y = solve_spd(_submatrix_sparse(A, interior), cols, tol=1e-12)
+    Y = solve_spd(SparseSym(len(interior), *_submatrix(A, interior, interior)), cols,
+                  tol=1e-12)
     X = Y[:, :len(gamma)]
     S = _submatrix_dense(A, gamma, gamma) - A_ig.T @ X
     if rhs is None:
@@ -505,54 +490,33 @@ def _eliminate_interior(A: SparseSym, mesh: Mesh, rhs=None):
     return gamma, interior, S, X, w, rhs[gamma] - A_ig.T @ w
 
 
-def _householder_deflate(vec):
-    """Reflector data (v, beta) with H = I - beta v v^T mapping vec to a
-    multiple of e_0; the complement columns of H span vec-perp."""
-    x = vec / np.linalg.norm(vec)
-    v = x.copy()
-    v[0] += math.copysign(1.0, x[0] if x[0] != 0.0 else 1.0)
-    beta = 2.0 / float(v @ v)
-    return v, beta
-
-
-def _apply_householder(v, beta, X):
-    if X.ndim == 1:
-        return X - (beta * float(v @ X)) * v
-    return X - beta * np.outer(v, v @ X)
-
-
 def _schur_pencil_bottom(A: SparseSym, Bm: SparseSym, mesh: Mesh, k: int = 1):
     """Bottom-k eigenpairs of the pencil A x = mu Bm x on the subspace
     Bm-orthogonal to constants.
 
     A must carry the constants in its kernel and Bm must be supported on the
     boundary.  Interior unknowns are eliminated by a Schur complement
-    (_eliminate_interior), the constant mode is deflated by a Householder
-    reflector built from Bm @ 1, and the reduced dense pencil goes to the
-    generalized eigensolver.  Eigenpairs are cleaned
-    by reduced Rayleigh iteration until the full-pencil relative residual is
-    tight.  Returns (values, fields) with Bm-orthonormal full-mesh fields.
+    (_eliminate_interior), the reduced pencil is restricted to the
+    complement of Bm @ 1 on the boundary (Complement), and the restricted
+    dense pencil goes to the generalized eigensolver.  Eigenpairs are
+    cleaned by reduced Rayleigh iteration until the full-pencil relative
+    residual is tight.  Returns (values, fields, residuals) with
+    Bm-orthonormal full-mesh fields and each pair's _relative_residual.
     """
     n = mesh.num_vertices
     gamma, interior, S, X, _, _ = _eliminate_interior(A, mesh)
     S = 0.5 * (S + S.T)
     B_gg = _submatrix_dense(Bm, gamma, gamma)
 
-    b_gamma = B_gg @ np.ones(len(gamma))
-    v, beta = _householder_deflate(b_gamma)
-    HS = _apply_householder(v, beta, _apply_householder(v, beta, S).T)
-    HB = _apply_householder(v, beta, _apply_householder(v, beta, B_gg).T)
-    St, Bt = HS[1:, 1:], HB[1:, 1:]
+    comp = Complement(B_gg @ np.ones(len(gamma)))
+    St, Bt = comp.restrict(S), comp.restrict(B_gg)
     vals, Y = generalized_eig_sym(St, Bt, k)
     vals = np.array(vals, dtype=float)
 
     bdir = Bm.matvec(np.ones(n))
-    bnrm2 = float(bdir @ bdir)
 
     def full_field(y_reduced):
-        y = np.zeros(len(gamma))
-        y[1:] = y_reduced
-        ug = _apply_householder(v, beta, y)
+        ug = comp.lift(y_reduced)
         u = np.zeros(n)
         u[gamma] = ug
         u[interior] = -X @ ug
@@ -560,13 +524,10 @@ def _schur_pencil_bottom(A: SparseSym, Bm: SparseSym, mesh: Mesh, k: int = 1):
         return u / nrm
 
     def rel_residual(u, mu):
-        r = A.matvec(u) - mu * Bm.matvec(u)
-        if bnrm2 > 0.0:
-            r = r - (float(r @ bdir) / bnrm2) * bdir
-        scale = np.linalg.norm(A.matvec(u)) + abs(mu) * np.linalg.norm(Bm.matvec(u))
-        return float(np.linalg.norm(r) / scale) if scale > 0.0 else float(np.linalg.norm(r))
+        return _relative_residual(A.matvec(u), Bm.matvec(u), mu, bdir)
 
     fields = np.zeros((n, len(vals)))
+    residuals = np.zeros(len(vals))
     for j in range(len(vals)):
         y = Y[:, j].copy()
         mu = float(vals[j])
@@ -597,38 +558,25 @@ def _schur_pencil_bottom(A: SparseSym, Bm: SparseSym, mesh: Mesh, k: int = 1):
             u = -u
         vals[j] = mu
         fields[:, j] = u
-    return vals, fields
-
-
-def steklov_p2_spectrum(mesh: Mesh, weighted: bool, k: int = 1):
-    """k smallest non-trivial p=2 Steklov eigenpairs on the mesh.
-
-    Returns (values, fields, (K, B)) with fields B-orthonormal full-mesh
-    eigenvectors of the stiffness/boundary-mass pencil restricted to the
-    B-orthogonal complement of constants.
-    """
-    K, _, B = fem.assemble_p2(mesh, weighted=weighted)
-    vals, fields = _schur_pencil_bottom(K, B, mesh, k=k)
-    return vals, fields, (K, B)
+        residuals[j] = res
+    return vals, fields, residuals
 
 
 def solve_p2(mesh: Mesh, weighted: bool, k: int = 1) -> EigenResult:
-    """Smallest non-trivial p=2 eigenpair via the direct linear path."""
-    vals, fields, (K, B) = steklov_p2_spectrum(mesh, weighted, k=max(1, k))
+    """Smallest non-trivial p=2 eigenpair via the direct linear path.
+
+    p2_spectrum holds the max(1, k) smallest non-trivial eigenvalues of the
+    stiffness/boundary-mass pencil on the complement of the constraint.
+    """
+    K, _, B = fem.assemble_p2(mesh, weighted=weighted)
+    vals, fields, residuals = _schur_pencil_bottom(K, B, mesh, k=max(1, k))
     lam = float(vals[0])
     u = fields[:, 0]
-    r = K.matvec(u) - lam * B.matvec(u)
-    bdir = B.matvec(np.ones(mesh.num_vertices))
-    bnrm = float(bdir @ bdir)
-    if bnrm > 0.0:
-        r = r - (float(r @ bdir) / bnrm) * bdir
-    scale = np.linalg.norm(K.matvec(u)) + abs(lam) * np.linalg.norm(B.matvec(u))
-    res = float(np.linalg.norm(r) / scale) if scale > 0.0 else float(np.linalg.norm(r))
     cfg = ProblemConfig(p=2.0, weighted=weighted)
     cres = abs(fem.constraint_functional(mesh, cfg, u))
     if not lam > 0.0:
         raise SolveError(f"non-positive p=2 eigenvalue {lam}")
     return EigenResult(eigenvalue=lam, u=u, iterations=0,
                        energy_history=[lam], constraint_residual=cres,
-                       weakform_residual=res, converged=True,
-                       p2_spectrum=np.asarray(vals, dtype=float))
+                       weakform_residual=float(residuals[0]), converged=True,
+                       p2_spectrum=vals)

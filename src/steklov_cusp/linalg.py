@@ -1,16 +1,19 @@
-"""Sparse symmetric storage, a sparse direct solver and a dense generalized
-eigensolver, in numpy alone.
+"""Sparse symmetric storage, a sparse direct solver, the complement of one
+constraint direction and a dense generalized eigensolver, in numpy alone.
 
 Every sparse linear solve goes through one factorization: reverse
 Cuthill-McKee ordering and a block-tridiagonal Cholesky factor (Factor),
 used as the descent preconditioner and, through solve_spd, for the
-interior elimination.  The spectral paths reduce to dense pencils (Cholesky
-factor of B, then a standard symmetric eigensolve).
+interior elimination.  The spectral paths restrict a pencil to the
+complement of their constraint direction (Complement, a Householder
+reflector) and reduce it to a dense eigensolve (Cholesky factor of B, then
+a standard symmetric eigensolve).
 """
 
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
@@ -20,10 +23,10 @@ class SolveError(Exception):
 
 
 class SparseSym:
-    """Symmetric sparse matrix; stores the lower triangle in CSR form.
+    """Symmetric sparse matrix; stores the full pattern once, in CSR form.
 
-    Matrix-vector products use a full-pattern copy in row slots (ELLPACK:
-    one array per slot, padded to the longest row), cached on first use;
+    Matrix-vector products use a copy in row slots (ELLPACK: one array per
+    slot, padded to the longest row), cached on first use;
     each slot is gathered into one reused buffer, so the cost stays O(n)
     per column and the temporaries one n x m buffer for a matrix
     right-hand side.  Instances are immutable after construction.
@@ -41,27 +44,21 @@ class SparseSym:
         if not np.all(np.isfinite(vals)):
             raise ValueError("non-finite entries in sparse assembly")
         self.n = int(n)
-        r, c, v = _coalesce(self.n, rows, cols, vals)
-        keep = r >= c
-        self.indptr, self.indices, self.data = _to_csr(self.n, r[keep], c[keep], v[keep])
-        self._full_indptr, self._full_indices, self._full_data = _to_csr(self.n, r, c, v)
-
-    @property
-    def nnz_lower(self) -> int:
-        return len(self.data)
+        r, self.indices, self.data = _coalesce(self.n, rows, cols, vals)
+        self.indptr = np.concatenate([[0], np.cumsum(np.bincount(r, minlength=self.n))])
 
     @functools.cached_property
     def _slots(self):
         # slot k of every row holds its k-th entry; short rows are padded
         # with zeros on the diagonal.  Built on the first product, so a
         # matrix that is only factored never holds it.
-        counts = np.diff(self._full_indptr)
+        counts = np.diff(self.indptr)
         row = np.repeat(np.arange(self.n), counts)
-        slot = np.arange(len(row)) - self._full_indptr[row]
+        slot = np.arange(len(row)) - self.indptr[row]
         cols = np.tile(np.arange(self.n), (int(counts.max(initial=0)), 1))
         vals = np.zeros(cols.shape)
-        cols[slot, row] = self._full_indices
-        vals[slot, row] = self._full_data
+        cols[slot, row] = self.indices
+        vals[slot, row] = self.data
         return cols, vals
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
@@ -84,32 +81,27 @@ class SparseSym:
 
     __matmul__ = matvec
 
-    def _lower_coo(self):
-        counts = np.diff(self.indptr)
-        rows = np.repeat(np.arange(self.n), counts)
+    def coo(self):
+        """(rows, cols, vals) of every stored entry, sorted by row, then column."""
+        rows = np.repeat(np.arange(self.n), np.diff(self.indptr))
         return rows, self.indices, self.data
-
-    def _full_coo(self):
-        counts = np.diff(self._full_indptr)
-        rows = np.repeat(np.arange(self.n), counts)
-        return rows, self._full_indices, self._full_data
 
     def to_dense(self) -> np.ndarray:
         a = np.zeros((self.n, self.n))
-        rows, cols, vals = self._full_coo()
+        rows, cols, vals = self.coo()
         a[rows, cols] = vals
         return a
 
     def __add__(self, other: "SparseSym") -> "SparseSym":
         if self.n != other.n:
             raise ValueError("dimension mismatch")
-        r1, c1, v1 = self._full_coo()
-        r2, c2, v2 = other._full_coo()
+        r1, c1, v1 = self.coo()
+        r2, c2, v2 = other.coo()
         return SparseSym(self.n, np.concatenate([r1, r2]),
                          np.concatenate([c1, c2]), np.concatenate([v1, v2]))
 
     def scaled(self, s: float) -> "SparseSym":
-        r, c, v = self._full_coo()
+        r, c, v = self.coo()
         return SparseSym(self.n, r, c, s * v)
 
 
@@ -123,15 +115,6 @@ def _coalesce(n, rows, cols, vals):
     starts = np.flatnonzero(first)
     summed = np.add.reduceat(v, starts)
     return r[starts], c[starts], summed
-
-
-def _to_csr(n, rows, cols, vals):
-    order = np.lexsort((cols, rows))
-    r, c, v = rows[order], cols[order], vals[order]
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(indptr, r + 1, 1)
-    np.cumsum(indptr, out=indptr)
-    return indptr, c.copy(), v.copy()
 
 
 def _bfs_levels(indptr, indices, degree, start):
@@ -168,7 +151,7 @@ def _rcm_order(A: SparseSym) -> np.ndarray:
     the George-Liu search: restart from a minimum-degree node of the last
     level while that lengthens the level structure.
     """
-    rows, cols, _ = A._full_coo()
+    rows, cols, _ = A.coo()
     off = rows != cols
     indices = cols[off]
     degree = np.bincount(rows[off], minlength=A.n)
@@ -208,7 +191,7 @@ class Factor:
         self.perm = _rcm_order(A)
         inv = np.empty(n, dtype=np.int64)
         inv[self.perm] = np.arange(n)
-        rows, cols, vals = A._full_coo()
+        rows, cols, vals = A.coo()
         pi, pj = inv[rows], inv[cols]
         self.bandwidth = int(np.max(np.abs(pi - pj))) if len(pi) else 0
         b = max(self.bandwidth, 1)
@@ -272,6 +255,34 @@ def solve_spd(A: SparseSym, b: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     if not worst <= tol:
         raise SolveError(f"direct solve relative residual {worst:.3e} exceeds {tol:.1e}")
     return x
+
+
+class Complement:
+    """Orthonormal basis of the complement of one direction d.
+
+    The basis is the trailing n - 1 columns of the Householder reflector
+    H = I - beta v v^T that maps d to a multiple of e_0.  restrict(A) is the
+    trailing block of H A H, the matrix A on d-perp in that basis; lift(y)
+    maps reduced coordinates to the vector H [0, y] of d-perp.
+    """
+
+    def __init__(self, d):
+        v = d / np.linalg.norm(d)
+        v[0] += math.copysign(1.0, v[0] if v[0] != 0.0 else 1.0)
+        self._v, self._beta = v, 2.0 / float(v @ v)
+
+    def _reflect(self, X):
+        if X.ndim == 1:
+            return X - (self._beta * float(self._v @ X)) * self._v
+        return X - self._beta * np.outer(self._v, self._v @ X)
+
+    def restrict(self, A: np.ndarray) -> np.ndarray:
+        return self._reflect(self._reflect(A).T)[1:, 1:]
+
+    def lift(self, y: np.ndarray) -> np.ndarray:
+        z = np.zeros(len(y) + 1)
+        z[1:] = y
+        return self._reflect(z)
 
 
 def _smallest_cholesky_pivot(B: np.ndarray):

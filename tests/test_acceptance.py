@@ -12,11 +12,11 @@ from steklov_cusp import (DomainSpec, ProblemConfig, boundary_polygon,
                           constraint_functional, energy, energy_gradient,
                           fp_constant, orthogonalize_shift, polygon_from_points,
                           rayleigh, refine_uniform, solve_p, solve_p2,
-                          steklov_p2_spectrum, triangulate)
+                          triangulate)
 from steklov_cusp import fem
 from steklov_cusp.analysis import alpha_sweep
 from steklov_cusp.cli import main as cli_main
-from steklov_cusp.eigensolver import _descent, _eps_schedule, scalar_shift_root
+from steklov_cusp.eigensolver import _descent, _eps_schedule
 
 
 def _report(num, name, detail):
@@ -50,8 +50,7 @@ def test_criterion_1_disk_oracle():
     msh = triangulate(poly, 0.25)
     spectra = []
     for _ in range(3):
-        vals, _, _ = steklov_p2_spectrum(msh, weighted=False, k=5)
-        spectra.append(vals)
+        spectra.append(solve_p2(msh, weighted=False, k=5).p2_spectrum)
         msh = refine_uniform(msh)
     seq = [s[0] for s in spectra]
     rate = np.log2((seq[0] - seq[1]) / (seq[1] - seq[2]))

@@ -24,3 +24,22 @@ def test_package_imports_only_stdlib_and_numpy():
             foreign += [f"{path.name}:{node.lineno} {name}" for name in names
                         if name.split(".")[0] not in allowed]
     assert foreign == []
+
+
+# private names one package module may import from another: the descent and
+# its regularization ladder are shared by the eigenvalue and FP-constant
+# solvers and are not part of the public API
+PRIVATE_IMPORTS_ALLOWED = {("analysis", "eigensolver", "_descent"),
+                           ("analysis", "eigensolver", "_eps_schedule")}
+
+
+def test_no_private_names_imported_across_modules():
+    files = sorted(SRC.glob("*.py"))
+    assert files
+    found = set()
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+                found |= {(path.stem, node.module, alias.name) for alias in node.names
+                          if alias.name.startswith("_")}
+    assert found - PRIVATE_IMPORTS_ALLOWED == set()

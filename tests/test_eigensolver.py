@@ -6,7 +6,7 @@ import pytest
 from steklov_cusp import (DomainSpec, ProblemConfig, SolveError, boundary_pnorm,
                           boundary_polygon, boundary_weighted_length, constraint_functional,
                           orthogonalize_shift, rayleigh, refine_uniform, solve_p,
-                          solve_p2, steklov_p2_spectrum, triangulate, weakform_residual)
+                          solve_p2, triangulate, weakform_residual)
 from steklov_cusp import fem
 from steklov_cusp.eigensolver import (CONSTRAINT_TOL_FACTOR, SHIFT_FTOL_FACTOR, WEAKFORM_RTOL,
                                       scalar_shift_root, _bordered_newton, _descent,
@@ -35,14 +35,31 @@ def test_rayleigh_zero_boundary_error(square_mesh):
         rayleigh(square_mesh, cfg, u)
 
 
-def test_shift_root_two_point_toy():
+def _toy(c):
     # trace 3 on unit measure against 0 on unit measure at p = 3
-    def toy(c):
-        return (3.0 - c) * abs(3.0 - c) - c * abs(c)
+    return (3.0 - c) * abs(3.0 - c) - c * abs(c)
 
+
+def _toy_slope(c):
+    return -2.0 * (abs(3.0 - c) + abs(c))
+
+
+def test_shift_root_two_point_toy():
     for method in ("bisection", "hybrid"):
-        root = scalar_shift_root(toy, 0.0, 3.0, ftol=1e-14, method=method)
+        root = scalar_shift_root(_toy, _toy_slope, 0.0, 3.0, ftol=1e-14, method=method)
         assert root == pytest.approx(1.5, abs=1e-10)
+
+
+def test_shift_root_unbracketed_interval_error():
+    # the root 1.5 lies outside [2, 3] and [0, 1]: no bracket is searched for
+    for lo, hi in ((2.0, 3.0), (0.0, 1.0)):
+        with pytest.raises(SolveError, match="not bracketed"):
+            scalar_shift_root(_toy, _toy_slope, lo, hi, ftol=1e-14)
+
+
+def test_shift_root_unknown_method_error():
+    with pytest.raises(ValueError, match="unknown method"):
+        scalar_shift_root(_toy, _toy_slope, 0.0, 3.0, ftol=1e-14, method="secant")
 
 
 def _reference_shift(mesh, cfg, u, method):
@@ -59,8 +76,8 @@ def _reference_shift(mesh, cfg, u, method):
         d = fem.constraint_gradient_direction(fresh, cfg, u - c)
         return -(cfg.p - 1.0) * float(d.sum())
 
-    c = scalar_shift_root(F, float(bvals.min()), float(bvals.max()),
-                          SHIFT_FTOL_FACTOR * measure, method=method, dF=dF)
+    c = scalar_shift_root(F, dF, float(bvals.min()), float(bvals.max()),
+                          SHIFT_FTOL_FACTOR * measure, method=method)
     return u - c
 
 
@@ -145,8 +162,7 @@ def test_shift_enforces_constraint(cusp15_mesh):
 def test_p2_disk_spectrum(disk_mesh_chain):
     lams = []
     for msh in disk_mesh_chain:
-        vals, _, _ = steklov_p2_spectrum(msh, weighted=False, k=5)
-        lams.append(vals)
+        lams.append(solve_p2(msh, weighted=False, k=5).p2_spectrum)
     finest = lams[-1]
     assert finest[0] == pytest.approx(1.0, abs=0.01)
     assert finest[1] == pytest.approx(finest[0], rel=0.01)  # multiplicity two
@@ -167,6 +183,19 @@ def test_solve_p2_result_contract(cusp15_mesh):
     measure = boundary_weighted_length(cusp15_mesh)
     assert res.constraint_residual <= 1e-8 * measure
     assert res.weakform_residual <= 1e-8
+
+
+def test_solve_p2_reports_residual_of_returned_pair(cusp15_mesh):
+    # the reported residual is the projected pencil residual of the pair
+    # that is returned, recomputed here from K, B, lambda and u
+    res = solve_p2(cusp15_mesh, weighted=True)
+    K, _, B = fem.assemble_p2(cusp15_mesh, weighted=True)
+    ku, bu = K.matvec(res.u), B.matvec(res.u)
+    d = B.matvec(np.ones(cusp15_mesh.num_vertices))
+    r = ku - res.eigenvalue * bu
+    r = r - (float(r @ d) / float(d @ d)) * d
+    expected = np.linalg.norm(r) / (np.linalg.norm(ku) + res.eigenvalue * np.linalg.norm(bu))
+    assert res.weakform_residual == float(expected)
 
 
 def test_solve_p2_weighted_stable_under_refinement(cusp15_mesh):

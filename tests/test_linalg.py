@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from steklov_cusp import SolveError, SparseSym, assemble_p2, generalized_eig_sym, solve_spd
-from steklov_cusp.linalg import Factor
+from steklov_cusp.linalg import Complement, Factor
 
 from helpers import charpoly_eigenvalues
 
@@ -23,12 +23,6 @@ def test_sparse_roundtrip_and_matvec():
     assert np.allclose(A.matvec(x), dense @ x, atol=1e-12)
     X = rng.standard_normal((30, 4))
     assert np.allclose(A.matvec(X), dense @ X, atol=1e-12)
-    # lower-triangle storage holds exactly the i >= j entries
-    rows, cols, vals = A._lower_coo()
-    assert np.all(rows >= cols)
-    low = np.zeros((30, 30))
-    low[rows, cols] = vals
-    assert np.allclose(low, np.tril(dense), atol=1e-13)
 
 
 def test_matvec_matches_slot_formula_exactly(cusp15_mesh):
@@ -210,3 +204,23 @@ def test_eig_cholesky_failure_names_pivot():
     B = np.diag([1.0, -2.0, 1.0])
     with pytest.raises(SolveError, match="pivot"):
         generalized_eig_sym(A, B, 1)
+
+
+@pytest.mark.parametrize("lead", [0.7, -0.7, 0.0])
+def test_complement_restrict_and_lift(lead):
+    # the lifted unit vectors are an orthonormal basis of d-perp, and
+    # restrict is A in that basis; lead covers both reflector signs and the
+    # zero first entry
+    rng = np.random.default_rng(17)
+    n = 9
+    d = rng.standard_normal(n)
+    d[0] = lead
+    comp = Complement(d)
+    Q = np.column_stack([comp.lift(e) for e in np.eye(n - 1)])
+    assert np.allclose(Q.T @ Q, np.eye(n - 1), atol=1e-14)
+    assert np.all(np.abs(d @ Q) <= 1e-14 * np.linalg.norm(d))
+    y = rng.standard_normal(n - 1)
+    assert abs(d @ comp.lift(y)) <= 1e-14 * np.linalg.norm(d) * np.linalg.norm(y)
+    A = rng.standard_normal((n, n))
+    A = A + A.T
+    assert np.allclose(comp.restrict(A), Q.T @ A @ Q, atol=1e-13)
