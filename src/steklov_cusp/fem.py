@@ -136,6 +136,31 @@ def _boundary_samples(mesh: Mesh, cfg: ProblemConfig, u: np.ndarray):
     return xi, uq, w, jac
 
 
+def _boundary_scatter(mesh: Mesh, xi: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Nodal vector sum_(e, q) s[e, q] phi_i(x_eq) of the (E, Q) samples s."""
+    b = mesh.boundary
+    return np.bincount(np.concatenate([b.v0, b.v1]),
+                       weights=np.concatenate([np.sum(s * (1.0 - xi)[None, :], axis=1),
+                                               np.sum(s * xi[None, :], axis=1)]),
+                       minlength=mesh.num_vertices)
+
+
+def _element_blocks(n: int, cells: np.ndarray, loc: np.ndarray) -> SparseSym:
+    """SparseSym summing the (m, k, k) local blocks loc over the (m, k) cells."""
+    k = cells.shape[1]
+    return SparseSym(n, np.repeat(cells, k, axis=1).ravel(), np.tile(cells, (1, k)).ravel(),
+                     loc.ravel())
+
+
+def _boundary_mass(mesh: Mesh, xi: np.ndarray, dens: np.ndarray) -> SparseSym:
+    """int dens phi_i phi_j ds from the (E, Q) samples dens (length and
+    Gauss weight included): one 2 x 2 block per boundary edge."""
+    shapes = np.stack([1.0 - xi, xi], axis=0)  # (2, Q)
+    loc = np.einsum("eq,aq,bq->eab", dens, shapes, shapes)
+    b = mesh.boundary
+    return _element_blocks(mesh.num_vertices, np.stack([b.v0, b.v1], axis=1), loc)
+
+
 def boundary_pnorm(mesh: Mesh, cfg: ProblemConfig, u) -> float:
     """Integral of |u|^p w over the boundary (w = 1 in unweighted mode)."""
     u = as_field(mesh, u)
@@ -147,12 +172,7 @@ def boundary_pnorm_gradient(mesh: Mesh, cfg: ProblemConfig, u) -> np.ndarray:
     """Derivative of boundary_pnorm: p * int |u|^(p-2) u phi_i w ds."""
     u = as_field(mesh, u)
     xi, uq, w, jac = _boundary_samples(mesh, cfg, u)
-    s = cfg.p * jac * w * _signed_power(uq, cfg.p)
-    b = mesh.boundary
-    g = np.zeros(mesh.num_vertices)
-    np.add.at(g, b.v0, np.sum(s * (1.0 - xi)[None, :], axis=1))
-    np.add.at(g, b.v1, np.sum(s * xi[None, :], axis=1))
-    return g
+    return _boundary_scatter(mesh, xi, cfg.p * jac * w * _signed_power(uq, cfg.p))
 
 
 def constraint_functional(mesh: Mesh, cfg: ProblemConfig, u) -> float:
@@ -166,12 +186,7 @@ def constraint_gradient_direction(mesh: Mesh, cfg: ProblemConfig, u) -> np.ndarr
     """Nodal vector int |u|^(p-2) phi_i w ds, the constraint multiplier direction."""
     u = as_field(mesh, u)
     xi, uq, w, jac = _boundary_samples(mesh, cfg, u)
-    s = jac * w * _magnitude_power(uq, cfg.p)
-    b = mesh.boundary
-    g = np.zeros(mesh.num_vertices)
-    np.add.at(g, b.v0, np.sum(s * (1.0 - xi)[None, :], axis=1))
-    np.add.at(g, b.v1, np.sum(s * xi[None, :], axis=1))
-    return g
+    return _boundary_scatter(mesh, xi, jac * w * _magnitude_power(uq, cfg.p))
 
 
 def boundary_weighted_measure(mesh: Mesh, cfg: ProblemConfig) -> float:
@@ -195,9 +210,9 @@ def shifted_constraint(mesh: Mesh, cfg: ProblemConfig, u):
     bit for bit, and dF(c) equals -(p - 1) times the sum of
     constraint_gradient_direction(mesh, cfg, u - c).  The trace of u is
     gathered once, every sample expression is the one those functionals
-    evaluate, and the nodal sum in dF stays mesh-long (bincount accumulates
-    in the order of np.add.at), so a root found through them is the root
-    found through the full-field functionals.
+    evaluate, and dF sums the same mesh-long nodal vector (_boundary_scatter),
+    so a root found through them is the root found through the full-field
+    functionals.
     """
     u = as_field(mesh, u)
     xi, jac, w = _boundary_arrays(mesh, cfg.weighted, cfg.quadrature_order)
@@ -212,11 +227,7 @@ def shifted_constraint(mesh: Mesh, cfg: ProblemConfig, u):
 
     def dF(c):
         s = jw * _magnitude_power((u0 - c) * w0 + (u1 - c) * w1, p)
-        d = np.bincount(np.concatenate([b.v0, b.v1]),
-                        weights=np.concatenate([np.sum(s * w0, axis=1),
-                                                np.sum(s * w1, axis=1)]),
-                        minlength=mesh.num_vertices)
-        return -(p - 1.0) * float(d.sum())
+        return -(p - 1.0) * float(_boundary_scatter(mesh, xi, s).sum())
 
     return F, dF
 
@@ -264,10 +275,7 @@ def linearized_energy_matrix(mesh: Mesh, cfg: ProblemConfig, u) -> SparseSym:
     gdot = np.einsum("td,tkd->tk", g, grads)  # (T, 3)
     loc = (f1 * areas)[:, None, None] * gdot[:, :, None] * gdot[:, None, :] \
         + (f2 * areas)[:, None, None] * np.einsum("tid,tjd->tij", grads, grads)
-    tris = mesh.triangles
-    rows = np.repeat(tris, 3, axis=1).ravel()
-    cols = np.tile(tris, (1, 3)).ravel()
-    return SparseSym(mesh.num_vertices, rows, cols, loc.ravel())
+    return _element_blocks(mesh.num_vertices, mesh.triangles, loc)
 
 
 def linearized_boundary_mass(mesh: Mesh, cfg: ProblemConfig, u) -> SparseSym:
@@ -278,14 +286,7 @@ def linearized_boundary_mass(mesh: Mesh, cfg: ProblemConfig, u) -> SparseSym:
     """
     u = as_field(mesh, u)
     xi, uq, w, jac = _boundary_samples(mesh, cfg, u)
-    dens = jac * w * _magnitude_power(uq, cfg.p)  # (E, Q)
-    shapes = np.stack([1.0 - xi, xi], axis=0)  # (2, Q)
-    loc = np.einsum("eq,aq,bq->eab", dens, shapes, shapes)
-    b = mesh.boundary
-    ev = np.stack([b.v0, b.v1], axis=1)
-    rows = np.repeat(ev, 2, axis=1).ravel()
-    cols = np.tile(ev, (1, 2)).ravel()
-    return SparseSym(mesh.num_vertices, rows, cols, loc.ravel())
+    return _boundary_mass(mesh, xi, jac * w * _magnitude_power(uq, cfg.p))
 
 
 def volume_mean_direction(mesh: Mesh) -> np.ndarray:
@@ -308,17 +309,6 @@ def assemble_p2(mesh: Mesh, weighted: bool, quadrature_order: int = DEFAULT_QUAD
 
     kloc = np.einsum("tid,tjd->tij", grads, grads) * areas[:, None, None]
     mloc = (np.ones((3, 3)) + np.eye(3))[None, :, :] * (areas / 12.0)[:, None, None]
-    rows = np.repeat(tris, 3, axis=1).ravel()
-    cols = np.tile(tris, (1, 3)).ravel()
-    K = SparseSym(n, rows, cols, kloc.ravel())
-    M = SparseSym(n, rows, cols, mloc.ravel())
-
     xi, jac, w = _boundary_arrays(mesh, weighted, quadrature_order)
-    b = mesh.boundary
-    shapes = np.stack([1.0 - xi, xi], axis=0)  # (2, Q)
-    bloc = np.einsum("eq,aq,bq->eab", jac * w, shapes, shapes)  # (E, 2, 2)
-    ev = np.stack([b.v0, b.v1], axis=1)  # (E, 2)
-    brows = np.repeat(ev, 2, axis=1).ravel()
-    bcols = np.tile(ev, (1, 2)).ravel()
-    B = SparseSym(n, brows, bcols, bloc.ravel())
-    return K, M, B
+    return (_element_blocks(n, tris, kloc), _element_blocks(n, tris, mloc),
+            _boundary_mass(mesh, xi, jac * w))

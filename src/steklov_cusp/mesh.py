@@ -88,9 +88,7 @@ class Mesh:
         """
         if "tri_geom" not in self._cache:
             v = self.vertices[self.triangles]  # (T, 3, 2)
-            d1 = v[:, 1] - v[:, 0]
-            d2 = v[:, 2] - v[:, 0]
-            det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
+            det = _doubled_areas(v)
             areas = 0.5 * det
             grads = np.empty((len(det), 3, 2))
             # rotate opposite edge by 90 degrees, divide by twice the area
@@ -128,44 +126,51 @@ class Mesh:
         return self._cache["bverts"]
 
 
-def _edge_owner_table(vertices, triangles, segs):
-    """Owning triangle for each directed boundary segment (u, v)."""
-    t = len(triangles)
-    edges = np.concatenate([triangles[:, [0, 1]], triangles[:, [1, 2]],
-                            triangles[:, [2, 0]]])
-    tri_of = np.concatenate([np.arange(t)] * 3)
-    key = np.minimum(edges[:, 0], edges[:, 1]) * (len(vertices) + 1) \
-        + np.maximum(edges[:, 0], edges[:, 1])
-    order = np.argsort(key, kind="stable")
-    sorted_key = key[order]
-    owners = []
-    for (u, v, *_rest) in segs:
-        k = min(u, v) * (len(vertices) + 1) + max(u, v)
-        lo = np.searchsorted(sorted_key, k, side="left")
-        hi = np.searchsorted(sorted_key, k, side="right")
-        if hi - lo != 1:
-            raise GeometryError("boundary edge not owned by exactly one triangle")
-        owners.append(int(tri_of[order[lo]]))
-    return np.array(owners, dtype=np.int64)
+def _doubled_areas(corners):
+    """Twice the signed area of each triangle from its (T, 3, 2) corners."""
+    d1 = corners[:, 1] - corners[:, 0]
+    d2 = corners[:, 2] - corners[:, 0]
+    return d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
+
+
+def _pair_keys(u, v, n):
+    """One int64 key per undirected vertex pair of an n-vertex mesh; np.divmod
+    by n + 1 gives the pair back with the smaller index first."""
+    return np.minimum(u, v) * np.int64(n + 1) + np.maximum(u, v)
+
+
+def _edge_keys(triangles, n):
+    """Keys of the 3T triangle edges: edge (0, 1) of every triangle, then
+    (1, 2), then (2, 0), so entry i is an edge of triangle i % T."""
+    return _pair_keys(triangles.T.ravel(), triangles[:, [1, 2, 0]].T.ravel(), n)
 
 
 def _build_mesh(vertices, triangles, segs, spec, t_star) -> Mesh:
+    """Mesh from vertices, CCW triangles and directed boundary segments
+    (v0, v1, tag, p0, p1), each the edge of exactly one triangle."""
     vertices = np.asarray(vertices, dtype=float)
     triangles = np.asarray(triangles, dtype=np.int64)
+    n = len(vertices)
 
     v = vertices[triangles]
-    det = ((v[:, 1, 0] - v[:, 0, 0]) * (v[:, 2, 1] - v[:, 0, 1])
-           - (v[:, 1, 1] - v[:, 0, 1]) * (v[:, 2, 0] - v[:, 0, 0]))
+    det = _doubled_areas(v)
     if np.any(det <= 0.0):
         bad = int(np.argmin(det))
         raise GeometryError(f"triangle {bad} has non-positive area {0.5 * det[bad]:.3e}")
 
-    owners = _edge_owner_table(vertices, triangles, segs)
     v0 = np.array([s[0] for s in segs], dtype=np.int64)
     v1 = np.array([s[1] for s in segs], dtype=np.int64)
     tags = [s[2] for s in segs]
     p0 = np.array([s[3] for s in segs], dtype=float)
     p1 = np.array([s[4] for s in segs], dtype=float)
+
+    keys, first, counts = np.unique(_edge_keys(triangles, n), return_index=True,
+                                    return_counts=True)
+    bkey = _pair_keys(v0, v1, n)
+    pos = np.minimum(np.searchsorted(keys, bkey), len(keys) - 1)
+    if not np.array_equal(keys[pos], bkey) or np.any(counts[pos] != 1):
+        raise GeometryError("boundary edge not owned by exactly one triangle")
+    owners = first[pos] % len(triangles)
 
     d = vertices[v1] - vertices[v0]
     length = np.hypot(d[:, 0], d[:, 1])
@@ -178,13 +183,7 @@ def _build_mesh(vertices, triangles, segs, spec, t_star) -> Mesh:
     if np.any(inward >= 0.0):
         raise GeometryError("boundary normal points into the domain")
 
-    edges_all = np.concatenate([triangles[:, [0, 1]], triangles[:, [1, 2]],
-                                triangles[:, [2, 0]]])
-    ekey = np.minimum(edges_all[:, 0], edges_all[:, 1]) * (len(vertices) + 1) \
-        + np.maximum(edges_all[:, 0], edges_all[:, 1])
-    uniq = np.unique(ekey)
-    eu = uniq // (len(vertices) + 1)
-    ev = uniq % (len(vertices) + 1)
+    eu, ev = np.divmod(keys, n + 1)
     elen = np.hypot(*(vertices[ev] - vertices[eu]).T)
 
     boundary = BoundaryEdges(v0=v0, v1=v1, tag=tags, p0=p0, p1=p1,
@@ -201,6 +200,10 @@ def triangulate(polygon: BoundaryPolygon, target_h: float,
     All polygon edges appear as mesh edges.  Away from the cusp tip the
     minimum angle is at least 20 degrees and edge lengths stay below target_h;
     near the tip the polygon grading takes over (see triangulation module).
+    Raises GeometryError if two polygon vertices coincide, or if a polygon
+    edge is not an edge of the Delaunay triangulation of the polygon
+    vertices ("polygon edge (i, j) is not an edge ...", i and j indexing
+    polygon.points); there is no edge recovery.
     """
     pts, tris, segs = triangulate_polygon(polygon, target_h, tip_grading, budget)
     t_star = polygon.t_star if polygon.spec is not None and polygon.spec.kind == "cusp" else None
@@ -218,19 +221,14 @@ def refine_uniform(mesh: Mesh) -> Mesh:
     tris = mesh.triangles
     n = len(verts)
 
-    edges_all = np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]])
-    ekey = np.minimum(edges_all[:, 0], edges_all[:, 1]) * np.int64(n + 1) \
-        + np.maximum(edges_all[:, 0], edges_all[:, 1])
-    uniq, inverse = np.unique(ekey, return_inverse=True)
-    eu = (uniq // (n + 1)).astype(np.int64)
-    ev = (uniq % (n + 1)).astype(np.int64)
+    uniq, inverse = np.unique(_edge_keys(tris, n), return_inverse=True)
+    eu, ev = np.divmod(uniq, n + 1)
     mid_ids = n + np.arange(len(uniq))
     mid_pts = 0.5 * (verts[eu] + verts[ev])
 
     # project boundary midpoints onto their exact curve
     b = mesh.boundary
-    bkey = np.minimum(b.v0, b.v1) * np.int64(n + 1) + np.maximum(b.v0, b.v1)
-    bpos = np.searchsorted(uniq, bkey)
+    bpos = np.searchsorted(uniq, _pair_keys(b.v0, b.v1, n))
     chord_mid = mid_pts[bpos].copy()
     new_segs = []
     for e in range(len(b)):
@@ -240,8 +238,8 @@ def refine_uniform(mesh: Mesh) -> Mesh:
         if tag is not BoundaryTag.SEGMENT:
             mid_pts[pos] = geometry.curve_point(mesh.spec, tag, pm)
         m = int(mid_ids[pos])
-        new_segs.append((int(b.v0[e]), m, tag, float(b.p0[e]), pm, -1))
-        new_segs.append((m, int(b.v1[e]), tag, pm, float(b.p1[e]), -1))
+        new_segs.append((int(b.v0[e]), m, tag, float(b.p0[e]), pm))
+        new_segs.append((m, int(b.v1[e]), tag, pm, float(b.p1[e])))
 
     m01 = mid_ids[inverse[:len(tris)]]
     m12 = mid_ids[inverse[len(tris):2 * len(tris)]]
@@ -260,10 +258,7 @@ def refine_uniform(mesh: Mesh) -> Mesh:
     # exact through the stored curve parameters)
     new_verts = np.vstack([verts, mid_pts])
     for _ in range(20):
-        w = new_verts[new_tris]
-        det = ((w[:, 1, 0] - w[:, 0, 0]) * (w[:, 2, 1] - w[:, 0, 1])
-               - (w[:, 1, 1] - w[:, 0, 1]) * (w[:, 2, 0] - w[:, 0, 0]))
-        bad = det <= 0.0
+        bad = _doubled_areas(new_verts[new_tris]) <= 0.0
         if not bad.any():
             break
         bad_verts = np.unique(new_tris[bad])
@@ -284,17 +279,13 @@ def validate(mesh: Mesh) -> None:
     """Structural invariants: conformity, Euler relation, area consistency."""
     n = mesh.num_vertices
     tris = mesh.triangles
-    edges_all = np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]])
-    ekey = np.minimum(edges_all[:, 0], edges_all[:, 1]) * np.int64(n + 1) \
-        + np.maximum(edges_all[:, 0], edges_all[:, 1])
-    uniq, counts = np.unique(ekey, return_counts=True)
+    uniq, counts = np.unique(_edge_keys(tris, n), return_counts=True)
     if np.any(counts > 2):
         raise GeometryError("non-conforming mesh: edge shared by more than 2 triangles")
     n_edges = len(uniq)
     if n - n_edges + len(tris) != 1:
         raise GeometryError("Euler relation violated")
-    bkey = np.minimum(mesh.boundary.v0, mesh.boundary.v1) * np.int64(n + 1) \
-        + np.maximum(mesh.boundary.v0, mesh.boundary.v1)
+    bkey = _pair_keys(mesh.boundary.v0, mesh.boundary.v1, n)
     once = uniq[counts == 1]
     if sorted(bkey.tolist()) != sorted(once.tolist()):
         raise GeometryError("boundary edges do not match the mesh boundary")

@@ -1,10 +1,15 @@
 """Constrained Delaunay triangulation with Ruppert-style refinement.
 
-Incremental Bowyer-Watson insertion into a super-triangle, Sloan edge
-recovery by flipping, exterior removal, then refinement driven by a local
-size law and a minimum-angle bound.  Predicates are floating point with an
-exact rational fallback, so near-degenerate slivers inside the cusp channel
-are handled consistently.
+Incremental Bowyer-Watson insertion into a super-triangle, exterior
+removal, then refinement driven by a local size law and a minimum-angle
+bound.  Predicates are floating point with an exact rational fallback, so
+near-degenerate slivers inside the cusp channel are handled consistently.
+
+There is no edge recovery: each polygon edge must already be an edge of
+the Delaunay triangulation of the polygon vertices, and one that is not
+raises GeometryError.  The cusp and disk polygons of boundary_polygon meet
+this (tests/test_mesh.py meshes those of the shipped configs), and so do
+the convex validation and test polygons.
 
 Inside a neighborhood of the cusp tip no quality or encroachment splitting
 is attempted: a 20 degree bound is unattainable inside a power cusp and
@@ -265,92 +270,6 @@ class _CDT:
                                                      pm if v < pid else seg.pv)
         return pid
 
-    # -- constrained edge recovery -----------------------------------------
-
-    def _crossing_edges(self, a, b):
-        pa, pb = self.pts[a], self.pts[b]
-        start = None
-        for tid in sorted(self.vert_tris[a]):
-            tri = self.tris[tid]
-            i = tri.index(a)
-            u, v = tri[(i + 1) % 3], tri[(i + 2) % 3]
-            if u == b or v == b:
-                return []
-            su = orient2d(*pa, *pb, *self.pts[u])
-            sv = orient2d(*pa, *pb, *self.pts[v])
-            # segment leaves through (u, v): u strictly left, v strictly right,
-            # and the edge lies ahead of a
-            if su > 0 > sv and orient2d(*self.pts[u], *self.pts[v], *pa) > 0:
-                start = (tid, u, v)
-                break
-        if start is None:
-            raise GeometryError(f"edge recovery failed to start at vertex {a}")
-        crossings = []
-        tid, left, right = start
-        while True:
-            crossings.append(_key(left, right))
-            nb = self._neighbor(tid, left, right)
-            if nb is None:
-                raise GeometryError("edge recovery walked out of the triangulation")
-            w = next(x for x in self.tris[nb] if x not in (left, right))
-            if w == b:
-                return crossings
-            sw = orient2d(*pa, *pb, *self.pts[w])
-            if sw == 0.0:
-                raise GeometryError(
-                    f"vertex {w} lies exactly on constrained segment ({a},{b})")
-            tid = nb
-            if sw > 0:
-                left = w
-            else:
-                right = w
-
-    def _flip(self, u, v):
-        """Replace diagonal (u, v) of a convex quad by the cross diagonal."""
-        t1, t2 = self.edge_map[_key(u, v)]
-        x = next(w for w in self.tris[t1] if w not in (u, v))
-        y = next(w for w in self.tris[t2] if w not in (u, v))
-        # flippable only if quad x-u-y-v is strictly convex
-        if orient2d(*self.pts[x], *self.pts[u], *self.pts[y]) <= 0:
-            return None
-        if orient2d(*self.pts[y], *self.pts[v], *self.pts[x]) <= 0:
-            return None
-        self._remove_tri(t1)
-        self._remove_tri(t2)
-        self._add_tri(x, u, y)
-        self._add_tri(y, v, x)
-        return (x, y)
-
-    def recover_segment(self, a, b, seg: Segment):
-        if _key(a, b) not in self.edge_map:
-            queue = deque(self._crossing_edges(a, b))
-            stall = 0
-            while queue:
-                u, v = queue.popleft()
-                if _key(u, v) not in self.edge_map:
-                    continue
-                res = self._flip(u, v)
-                if res is None:
-                    queue.append((u, v))
-                    stall += 1
-                    if stall > 4 * (len(queue) + 1) ** 2 + 64:
-                        raise GeometryError(
-                            f"edge recovery stalled for segment ({a},{b})")
-                    continue
-                stall = 0
-                x, y = res
-                pa, pb = self.pts[a], self.pts[b]
-                sx = orient2d(*pa, *pb, *self.pts[x])
-                sy = orient2d(*pa, *pb, *self.pts[y])
-                if sx > 0 > sy or sy > 0 > sx:
-                    # new diagonal still crosses ab unless it IS ab
-                    if _key(x, y) != _key(a, b) and _segments_cross(
-                            pa, pb, self.pts[x], self.pts[y]):
-                        queue.append((x, y))
-            if _key(a, b) not in self.edge_map:
-                raise GeometryError(f"failed to recover segment ({a},{b})")
-        self.constrained[_key(a, b)] = seg
-
     # -- exterior removal ---------------------------------------------------
 
     def remove_exterior(self):
@@ -473,8 +392,8 @@ class _CDT:
                     self._given_up.add(self.tris[tid])
                     continue
                 # a circumcenter that encroaches a constrained segment splits
-                # that segment instead
-                for k in self._nearby_segments(cc):
+                # that segment instead (the first one in sorted order)
+                for k in sorted(self.constrained):
                     (u, v) = k
                     pu, pv = self.pts[u], self.pts[v]
                     mx, my = 0.5 * (pu[0] + pv[0]), 0.5 * (pu[1] + pv[1])
@@ -510,10 +429,6 @@ class _CDT:
             if not changed:
                 break
 
-    def _nearby_segments(self, p):
-        # all constrained segments, sorted; desk-scale meshes keep this cheap
-        return sorted(self.constrained)
-
     # -- extraction ----------------------------------------------------------
 
     def extract(self):
@@ -522,7 +437,6 @@ class _CDT:
         pts = np.array([self.pts[v] for v in used], dtype=float)
         tris = np.array([[remap[v] for v in self.tris[t]] for t in sorted(self.tris)],
                         dtype=np.int64)
-        tid_order = {t: i for i, t in enumerate(sorted(self.tris))}
         segs = []
         for k in sorted(self.constrained):
             seg = self.constrained[k]
@@ -538,16 +452,8 @@ class _CDT:
                 du, dv, pu, pv = u, v, seg.pu, seg.pv
             else:
                 du, dv, pu, pv = v, u, seg.pv, seg.pu
-            segs.append((remap[du], remap[dv], seg.tag, pu, pv, tid_order[tid]))
+            segs.append((remap[du], remap[dv], seg.tag, pu, pv))
         return pts, tris, segs
-
-
-def _segments_cross(p, q, r, s):
-    d1 = orient2d(*r, *s, *p)
-    d2 = orient2d(*r, *s, *q)
-    d3 = orient2d(*p, *q, *r)
-    d4 = orient2d(*p, *q, *s)
-    return ((d1 > 0 > d2) or (d1 < 0 < d2)) and ((d3 > 0 > d4) or (d3 < 0 < d4))
 
 
 def triangulate_polygon(polygon: BoundaryPolygon, target_h: float,
@@ -555,9 +461,11 @@ def triangulate_polygon(polygon: BoundaryPolygon, target_h: float,
                         budget: int = 200_000):
     """CDT plus graded Ruppert refinement of a boundary polygon.
 
-    Returns (points, triangles, segments) where segments carry the arc tag,
-    curve parameters at both endpoints, and the owning triangle, directed so
-    the domain lies on the left.
+    Returns (points, triangles, segments) where segments carry the arc tag
+    and the curve parameters at both endpoints, directed so the domain lies
+    on the left.  Every polygon edge must already be an edge of the Delaunay
+    triangulation of the polygon vertices; a polygon edge that is not raises
+    GeometryError.
     """
     if target_h <= 0.0:
         raise ValueError("target_h must be positive")
@@ -571,10 +479,13 @@ def triangulate_polygon(polygon: BoundaryPolygon, target_h: float,
     if len(set(ids)) != len(polygon.points):
         raise GeometryError("duplicate vertices in the boundary polygon")
     for e in polygon.edges:
-        cdt.recover_segment(ids[e.i], ids[e.j], Segment(
-            e.tag,
-            e.p0 if ids[e.i] < ids[e.j] else e.p1,
-            e.p1 if ids[e.i] < ids[e.j] else e.p0))
+        a, b = ids[e.i], ids[e.j]
+        if _key(a, b) not in cdt.edge_map:
+            raise GeometryError(
+                f"polygon edge ({e.i}, {e.j}) is not an edge of the Delaunay "
+                "triangulation of the polygon vertices")
+        cdt.constrained[_key(a, b)] = Segment(e.tag, e.p0 if a < b else e.p1,
+                                              e.p1 if a < b else e.p0)
     cdt.remove_exterior()
 
     has_tip = polygon.spec is not None and polygon.spec.kind == "cusp"

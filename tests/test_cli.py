@@ -113,6 +113,21 @@ def test_invalid_value_exits_1(tmp_path, capsys):
     assert "alpha" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["mesh", "solve"])
+def test_geometry_error_exits_2(tmp_path, capsys, command):
+    # 128 tip-graded lateral samples at q = 3 put the two samples next to
+    # the tip on the same point
+    out = tmp_path / "out"
+    text = (CUSP_CONFIG.replace("n_lateral = 12", "n_lateral = 128")
+            .replace("n_arc = 24", "n_arc = 16").replace("grading_q = 2.0", "grading_q = 3.0"))
+    cfgp = _write(tmp_path, "tip.ini", text, out)
+    assert main([command, "--config", cfgp]) == 2
+    manifest = (out / "manifest.txt").read_text().splitlines()
+    assert "status = failed" in manifest
+    assert "error = duplicate vertices in the boundary polygon" in manifest
+    assert "geometry error" in capsys.readouterr().err
+
+
 def test_cmd_solve_disk_lambda_near_one(tmp_path):
     out = tmp_path / "solve_out"
     cfgp = _write(tmp_path, "disk.ini", DISK_CONFIG, out)

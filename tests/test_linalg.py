@@ -54,14 +54,14 @@ def test_sparse_add_and_scale():
     assert np.allclose(A.scaled(-2.5).to_dense(), -2.5 * da, atol=1e-12)
 
 
-def test_cg_identity():
+def test_solve_spd_identity():
     n = 12
     eye = SparseSym(n, np.arange(n), np.arange(n), np.ones(n))
     b = np.linspace(-3, 5, n)
     assert np.allclose(solve_spd(eye, b, tol=1e-14), b, atol=1e-14)
 
 
-def test_cg_random_spd_residual():
+def test_solve_spd_random_spd_residual():
     rng = np.random.default_rng(7)
     A, dense = _random_sparse_spd(rng, 50)
     b = rng.standard_normal(50)
@@ -69,7 +69,7 @@ def test_cg_random_spd_residual():
     assert np.linalg.norm(dense @ x - b) <= 1e-11 * np.linalg.norm(b)
 
 
-def test_cg_matches_dense_cholesky():
+def test_solve_spd_matches_dense_cholesky():
     rng = np.random.default_rng(11)
     A, dense = _random_sparse_spd(rng, 200)
     b = rng.standard_normal(200)
@@ -79,7 +79,7 @@ def test_cg_matches_dense_cholesky():
     assert np.linalg.norm(x - x_ref) <= 1e-8 * np.linalg.norm(x_ref)
 
 
-def test_cg_singular_shifted_consistent():
+def test_solve_spd_singular_shifted_consistent():
     # graph Laplacian of a path: kernel = constants; shift by identity and
     # solve against a kernel-orthogonal right-hand side
     n = 25

@@ -1,11 +1,13 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from steklov_cusp import (BoundaryTag, DomainSpec, boundary_polygon,
+from steklov_cusp import (BoundaryTag, DomainSpec, GeometryError, boundary_polygon,
                           boundary_weighted_length, mesh_area, polygon_from_points,
                           refine_uniform, triangulate)
+from steklov_cusp import cli
 from steklov_cusp import mesh as meshmod
 
 from helpers import exact_weighted_boundary_length, shoelace, tri_min_angle
@@ -124,6 +126,32 @@ def test_fine_weighted_length_matches_quadrature_oracle():
         w = weight_on_arc(spec, e.tag, params)
         total += length * float(np.sum(gw * w))
     assert total == pytest.approx(exact, abs=1e-6)
+
+
+def test_polygon_edge_missing_from_delaunay_rejected():
+    # the slit's edge (6, 7) is crossed by the Delaunay edges of its vertices
+    slit = [(0, 0), (2, 0), (2, 3), (1.05, 3), (1.05, 1.75), (1.05, 0.5),
+            (1, 0.5), (1, 3), (0, 3)]
+    with pytest.raises(GeometryError, match=r"polygon edge \(6, 7\)"):
+        triangulate(polygon_from_points(slit), 0.3)
+
+
+def test_shipped_config_base_meshes_validate():
+    # every base polygon the shipped configs mesh has each of its edges in
+    # the Delaunay triangulation of its vertices, which triangulate needs
+    configs = Path(__file__).resolve().parent.parent / "configs"
+    paths = sorted(configs.glob("*.ini"))
+    assert paths
+    for path in paths:
+        cp = cli.load_config(path)
+        meshmod.validate(cli.build_base_mesh(cp, cli.build_domain(cp)))
+    cp = cli.load_config(configs / "sweep.ini")
+    grading = cp.getfloat("domain", "grading_q")
+    for alpha in cp.get("sweep", "alphas").split(","):
+        poly = boundary_polygon(DomainSpec.cusp(float(alpha)), cp.getint("sweep", "n_lateral"),
+                                cp.getint("sweep", "n_arc"), grading)
+        meshmod.validate(triangulate(poly, cp.getfloat("sweep", "target_h"),
+                                     tip_grading=grading))
 
 
 def test_nonpositive_target_h_rejected(disk_polygon):
