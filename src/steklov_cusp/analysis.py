@@ -39,7 +39,8 @@ def fp_constant(mesh: Mesh, cfg: ProblemConfig, constraint: str = "weighted-boun
     if method == "pencil":
         if cfg.p != 2.0:
             raise ValueError("the pencil path is a p = 2 method")
-        K, M, B = fem.assemble_p2(mesh, weighted=cfg.weighted)
+        K, M, B = fem.assemble_p2(mesh, weighted=cfg.weighted,
+                                  quadrature_order=cfg.quadrature_order)
         if constraint == "weighted-boundary":
             direction = B.matvec(np.ones(mesh.num_vertices))
         else:

@@ -3,9 +3,15 @@
 Configuration is flat key = value text with sections (INI).  Outputs are
 deterministic for a fixed config and seed: CSV tables, legacy VTK files and
 a flat key = value run manifest listing every artifact with its SHA-256.
+main is the one runner: once the config is read and the output directory is
+known, it writes the manifest, which echoes the resolved config (validate's
+defaults included), for every run, ending in status = ok or in status =
+failed and error = <reason>.
 
-Exit codes: 0 ok, 1 config error, 2 geometry error, 3 solver
-non-convergence, 4 validation failure.
+Exit codes: 0 ok; 1 config error, including a value out of range (n_lateral
+>= 8, n_arc >= 16, grading_q >= 1, target_h > 0 in [domain] and [sweep],
+alpha > 1); 2 geometry error; 3 solver error or non-convergence; 4
+validation failure.  Any other exception is a bug and is raised.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ import numpy as np
 from . import analysis, fem, geometry, mesh as meshmod
 from .eigensolver import EigenResult, scalar_shift_root, solve_p, solve_p2
 from .linalg import SolveError
+from .triangulation import check_target_h
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -70,9 +77,12 @@ DEFAULTS = {
 }
 
 
-def load_config(path) -> configparser.ConfigParser:
+def load_config(path=None) -> configparser.ConfigParser:
+    """DEFAULTS overlaid with the INI file at path (DEFAULTS alone for None)."""
     cp = configparser.ConfigParser()
     cp.read_dict(DEFAULTS)
+    if path is None:
+        return cp
     try:
         with open(path) as fh:
             cp.read_file(fh)
@@ -94,55 +104,69 @@ def _get(cp, section, key, conv):
                 return True
             if raw.lower() in ("false", "0", "no", "off"):
                 return False
-            raise ValueError(raw)
+            raise ValueError("not a boolean")
         return conv(raw)
-    except ValueError:
-        raise ConfigError(f"invalid value {raw!r} for config key [{section}] {key}") from None
+    except ValueError as exc:
+        raise ConfigError(
+            f"invalid value {raw!r} for config key [{section}] {key}: {exc}") from None
+
+
+def _checked(sections: dict, check, *args, **kwargs):
+    """check(...) with its range ValueError, whose message starts with the
+    argument's name (= its config key), as a ConfigError naming sections[key]."""
+    try:
+        return check(*args, **kwargs)
+    except ValueError as exc:
+        key = str(exc).split()[0]
+        raise ConfigError(
+            f"invalid value for config key [{sections[key]}] {key}: {exc}") from None
 
 
 def build_domain(cp) -> geometry.DomainSpec:
     kind = _get(cp, "domain", "domain", str).strip().lower()
     if kind == "cusp":
-        alpha = _get(cp, "domain", "alpha", float)  # no default: must be explicit
-        try:
-            return geometry.DomainSpec.cusp(alpha)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        return _get(cp, "domain", "alpha",  # no default: must be explicit
+                    lambda raw: geometry.DomainSpec.cusp(float(raw)))
     if kind == "disk":
-        try:
-            return geometry.DomainSpec.disk(_get(cp, "domain", "disk_radius", float))
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        return _get(cp, "domain", "disk_radius",
+                    lambda raw: geometry.DomainSpec.disk(float(raw)))
     raise ConfigError(f"invalid value {kind!r} for config key [domain] domain")
 
 
+def _mesh_values(cp, section):
+    """(n_lateral, n_arc, grading_q, target_h) of the meshes built from
+    [section]; grading_q is [domain]'s for every command.  The ranges are
+    geometry.check_sampling's and triangulation.check_target_h's."""
+    n_lateral = _get(cp, section, "n_lateral", int)
+    n_arc = _get(cp, section, "n_arc", int)
+    grading_q = _get(cp, "domain", "grading_q", float)
+    target_h = _get(cp, section, "target_h", float)
+    sections = {"n_lateral": section, "n_arc": section, "grading_q": "domain",
+                "target_h": section}
+    _checked(sections, geometry.check_sampling, n_lateral, n_arc, grading_q)
+    _checked(sections, check_target_h, target_h)
+    return n_lateral, n_arc, grading_q, target_h
+
+
 def build_base_mesh(cp, spec: geometry.DomainSpec) -> meshmod.Mesh:
-    grading = _get(cp, "domain", "grading_q", float)
-    poly = geometry.boundary_polygon(
-        spec,
-        n_lateral=_get(cp, "domain", "n_lateral", int),
-        n_arc=_get(cp, "domain", "n_arc", int),
-        grading_q=grading)
-    return meshmod.triangulate(poly, _get(cp, "domain", "target_h", float),
-                               tip_grading=grading)
+    n_lateral, n_arc, grading_q, target_h = _mesh_values(cp, "domain")
+    poly = geometry.boundary_polygon(spec, n_lateral, n_arc, grading_q)
+    return meshmod.triangulate(poly, target_h, tip_grading=grading_q)
 
 
 def solver_config(cp) -> fem.ProblemConfig:
-    try:
-        return fem.ProblemConfig(
-            p=_get(cp, "solver", "p", float),
-            weighted=_get(cp, "solver", "weighted", bool),
-            quadrature_order=_get(cp, "solver", "quadrature_order", int))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    return _checked({"p": "solver", "quadrature_order": "solver"}, fem.ProblemConfig,
+                    p=_get(cp, "solver", "p", float),
+                    weighted=_get(cp, "solver", "weighted", bool),
+                    quadrature_order=_get(cp, "solver", "quadrature_order", int))
 
 
 class Manifest:
     """Flat key = value run record, written even on partial failure."""
 
-    def __init__(self, out_dir: Path, command: str, seed: int):
+    def __init__(self, out_dir: Path, command: str):
         self.out = out_dir
-        self.entries: list[tuple[str, str]] = [("command", command), ("seed", str(seed))]
+        self.entries: list[tuple[str, str]] = [("command", command)]
         self.t0 = time.time()
 
     def add(self, key: str, value):
@@ -177,33 +201,25 @@ class Manifest:
         (self.out / "manifest.txt").write_text("\n".join(lines) + "\n")
 
 
-def cmd_mesh(cp, out: Path, seed: int) -> int:
-    manifest = Manifest(out, "mesh", seed)
-    manifest.add_config(cp)
-    try:
-        spec = build_domain(cp)
-        msh = build_base_mesh(cp, spec)
-        meshmod.validate(msh)
-        manifest.add_mesh(msh)
-        if spec.kind == "cusp":
-            manifest.add("geometry.t_star", _fmt(geometry.cusp_cap_intersection(spec)))
-        manifest.stage("mesh")
-        files = {
-            "mesh.vtk": lambda p: meshmod.write_vtk(msh, p, title="steklov-cusp mesh"),
-            "vertices.csv": lambda p: meshmod.write_vertices_csv(msh, p),
-            "triangles.csv": lambda p: meshmod.write_triangles_csv(msh, p),
-            "boundary_edges.csv": lambda p: meshmod.write_boundary_csv(msh, p),
-        }
-        for name, writer in files.items():
-            writer(out / name)
-            manifest.add_artifact(out / name)
-        manifest.stage("write")
-    except geometry.GeometryError as exc:
-        manifest.write("failed", str(exc))
-        print(f"geometry error: {exc}", file=sys.stderr)
-        return EXIT_GEOMETRY
-    manifest.write()
-    return EXIT_OK
+def cmd_mesh(cp, manifest: Manifest, seed: int):
+    spec = build_domain(cp)
+    msh = build_base_mesh(cp, spec)
+    meshmod.validate(msh)
+    manifest.add_mesh(msh)
+    if spec.kind == "cusp":
+        manifest.add("geometry.t_star", _fmt(geometry.cusp_cap_intersection(spec)))
+    manifest.stage("mesh")
+    files = {
+        "mesh.vtk": lambda p: meshmod.write_vtk(msh, p, title="steklov-cusp mesh"),
+        "vertices.csv": lambda p: meshmod.write_vertices_csv(msh, p),
+        "triangles.csv": lambda p: meshmod.write_triangles_csv(msh, p),
+        "boundary_edges.csv": lambda p: meshmod.write_boundary_csv(msh, p),
+    }
+    for name, writer in files.items():
+        writer(manifest.out / name)
+        manifest.add_artifact(manifest.out / name)
+    manifest.stage("write")
+    return EXIT_OK, ""
 
 
 RESULTS_HEADER = ("alpha,p,weighted,h_max,lambda,iterations,"
@@ -218,96 +234,67 @@ def _result_row(alpha, cfg, msh, res: EigenResult) -> str:
         _fmt(res.weakform_residual), "true" if res.converged else "false"])
 
 
-def cmd_solve(cp, out: Path, seed: int) -> int:
-    manifest = Manifest(out, "solve", seed)
-    manifest.add_config(cp)
-    try:
-        spec = build_domain(cp)
-        cfg = solver_config(cp)
-        msh = build_base_mesh(cp, spec)
-        for _ in range(_get(cp, "solver", "refinements", int) - 1):
-            msh = meshmod.refine_uniform(msh)
-        manifest.add_mesh(msh)
-        manifest.stage("mesh")
+def cmd_solve(cp, manifest: Manifest, seed: int):
+    spec = build_domain(cp)
+    cfg = solver_config(cp)
+    msh = build_base_mesh(cp, spec)
+    for _ in range(_get(cp, "solver", "refinements", int) - 1):
+        msh = meshmod.refine_uniform(msh)
+    manifest.add_mesh(msh)
+    manifest.stage("mesh")
 
-        alpha = spec.alpha if spec.kind == "cusp" else None
-        restarts = _get(cp, "solver", "restarts", int)
-        results = [solve_p(msh, cfg, restarts=restarts, seed=seed)]
-        if cfg.p == 2.0:
-            results.append(solve_p2(msh, weighted=cfg.weighted))
-        manifest.stage("solve")
+    alpha = spec.alpha if spec.kind == "cusp" else None
+    restarts = _get(cp, "solver", "restarts", int)
+    results = [solve_p(msh, cfg, restarts=restarts, seed=seed)]
+    if cfg.p == 2.0:
+        results.append(solve_p2(msh, weighted=cfg.weighted,
+                                quadrature_order=cfg.quadrature_order))
+    manifest.stage("solve")
 
-        csv_path = out / "results.csv"
-        with open(csv_path, "w") as fh:
-            fh.write(RESULTS_HEADER + "\n")
-            for res in results:
-                fh.write(_result_row(alpha, cfg, msh, res) + "\n")
-        manifest.add_artifact(csv_path)
-        vtk_path = out / "eigenfunction.vtk"
-        meshmod.write_vtk(msh, vtk_path, point_data={"u": results[0].u},
-                          title="steklov-cusp eigenfunction")
-        manifest.add_artifact(vtk_path)
-        manifest.add("lambda", _fmt(results[0].eigenvalue))
-        manifest.stage("write")
-
-        if not all(r.converged for r in results):
-            manifest.write("failed", "solver did not converge")
-            print("solver did not converge", file=sys.stderr)
-            return EXIT_SOLVER
-    except geometry.GeometryError as exc:
-        manifest.write("failed", str(exc))
-        print(f"geometry error: {exc}", file=sys.stderr)
-        return EXIT_GEOMETRY
-    except SolveError as exc:
-        manifest.write("failed", str(exc))
-        print(f"solver error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
-    manifest.write()
-    return EXIT_OK
+    csv_path = manifest.out / "results.csv"
+    with open(csv_path, "w") as fh:
+        fh.write(RESULTS_HEADER + "\n")
+        for res in results:
+            fh.write(_result_row(alpha, cfg, msh, res) + "\n")
+    manifest.add_artifact(csv_path)
+    vtk_path = manifest.out / "eigenfunction.vtk"
+    meshmod.write_vtk(msh, vtk_path, point_data={"u": results[0].u},
+                      title="steklov-cusp eigenfunction")
+    manifest.add_artifact(vtk_path)
+    manifest.add("lambda", _fmt(results[0].eigenvalue))
+    manifest.stage("write")
+    if not all(r.converged for r in results):
+        return EXIT_SOLVER, "solver did not converge"
+    return EXIT_OK, ""
 
 
-def cmd_sweep(cp, out: Path, seed: int) -> int:
-    manifest = Manifest(out, "sweep", seed)
-    manifest.add_config(cp)
-    try:
-        raw = _get(cp, "sweep", "alphas", str)
-        try:
-            alphas = [float(tok) for tok in raw.split(",") if tok.strip()]
-        except ValueError:
-            raise ConfigError(f"invalid value {raw!r} for config key [sweep] alphas") from None
-        if not all(a > 1.0 for a in alphas):
-            raise ConfigError("all sweep alphas must exceed 1")
-        cfg = solver_config(cp)
-        report = analysis.alpha_sweep(
-            cfg, alphas,
-            refinements=_get(cp, "sweep", "refinements", int),
-            n_lateral=_get(cp, "sweep", "n_lateral", int),
-            n_arc=_get(cp, "sweep", "n_arc", int),
-            grading_q=_get(cp, "domain", "grading_q", float),
-            target_h=_get(cp, "sweep", "target_h", float),
-            restarts=_get(cp, "sweep", "restarts", int),
-            seed=seed,
-            with_fp=_get(cp, "sweep", "with_fp", bool))
-        manifest.stage("sweep")
-        csv_path = out / "sweep.csv"
-        report.to_csv(csv_path)
-        manifest.add_artifact(csv_path)
-        manifest.add("sweep.rows", len(report.rows))
-        for i, row in enumerate(r for r in report.rows if r.error):
-            manifest.add(f"sweep.failed.{i}", f"{row.mesh_id}: {row.error}")
-        manifest.stage("write")
-    except geometry.GeometryError as exc:
-        manifest.write("failed", str(exc))
-        print(f"geometry error: {exc}", file=sys.stderr)
-        return EXIT_GEOMETRY
-    manifest.write()
-    return EXIT_OK
+def cmd_sweep(cp, manifest: Manifest, seed: int):
+    # DomainSpec.cusp rejects an alpha that does not exceed 1
+    alphas = _get(cp, "sweep", "alphas", lambda raw: [
+        geometry.DomainSpec.cusp(float(tok)).alpha for tok in raw.split(",") if tok.strip()])
+    n_lateral, n_arc, grading_q, target_h = _mesh_values(cp, "sweep")
+    report = analysis.alpha_sweep(
+        solver_config(cp), alphas,
+        refinements=_get(cp, "sweep", "refinements", int),
+        n_lateral=n_lateral, n_arc=n_arc, grading_q=grading_q, target_h=target_h,
+        restarts=_get(cp, "sweep", "restarts", int),
+        seed=seed,
+        with_fp=_get(cp, "sweep", "with_fp", bool))
+    manifest.stage("sweep")
+    csv_path = manifest.out / "sweep.csv"
+    report.to_csv(csv_path)
+    manifest.add_artifact(csv_path)
+    manifest.add("sweep.rows", len(report.rows))
+    for i, row in enumerate(r for r in report.rows if r.error):
+        manifest.add(f"sweep.failed.{i}", f"{row.mesh_id}: {row.error}")
+    manifest.stage("write")
+    return EXIT_OK, ""
 
 
 # -- built-in oracle suite -------------------------------------------------
 
 
-def run_validation(inject_failure: bool = False) -> list[dict]:
+def run_validation() -> list[dict]:
     """Fast self-checks against independent oracles; see cmd_validate."""
     checks = []
 
@@ -373,15 +360,12 @@ def run_validation(inject_failure: bool = False) -> list[dict]:
                              constraint="zero-mean")
     record("square_fp_constant", 1.0 / np.pi, float(C), 0.01 / np.pi)
 
-    if inject_failure:
-        record("injected_failure", 0.0, 1.0, 1e-12)
     return checks
 
 
-def cmd_validate(out: Path, seed: int, inject_failure: bool = False) -> int:
-    manifest = Manifest(out, "validate", seed)
-    checks = run_validation(inject_failure=inject_failure)
-    csv_path = out / "validation.csv"
+def cmd_validate(cp, manifest: Manifest, seed: int):
+    checks = run_validation()
+    csv_path = manifest.out / "validation.csv"
     with open(csv_path, "w") as fh:
         fh.write("check,expected,actual,tolerance,passed\n")
         for c in checks:
@@ -396,48 +380,51 @@ def cmd_validate(out: Path, seed: int, inject_failure: bool = False) -> int:
         print(f"{status:4s} {c['name']}: actual {c['actual']:.6g} vs "
               f"expected {c['expected']:.6g} (tol {c['tolerance']:.2g})")
     if n_failed:
-        manifest.write("failed", f"{n_failed} checks failed")
-        return EXIT_VALIDATION
-    manifest.write()
-    return EXIT_OK
+        return EXIT_VALIDATION, f"{n_failed} checks failed"
+    return EXIT_OK, ""
+
+
+# each command works into manifest.out and returns (EXIT_OK, "") or the exit
+# code and reason of a soft failure: non-convergence, failed checks
+COMMANDS = {"mesh": cmd_mesh, "solve": cmd_solve, "sweep": cmd_sweep, "validate": cmd_validate}
 
 
 def main(argv=None) -> int:
+    """Run one command; the one place where failures become exit codes."""
     parser = argparse.ArgumentParser(
         prog="steklov-cusp",
         description="Weighted Steklov p-eigenvalues on outward cuspidal domains")
-    parser.add_argument("command", choices=["mesh", "solve", "sweep", "validate"])
+    parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--config", help="path to the INI config file")
     parser.add_argument("--seed", type=int, default=None,
                         help="override the seed from the config")
     parser.add_argument("--out", default=None, help="override the output directory")
-    parser.add_argument("--inject-failure", action="store_true",
-                        help=argparse.SUPPRESS)  # test hook for exit code 4
     args = parser.parse_args(argv)
 
+    manifest = None
+    kind = ""
     try:
-        if args.command == "validate":
-            cp = load_config(args.config) if args.config else \
-                configparser.ConfigParser()
-            if not args.config:
-                cp.read_dict(DEFAULTS)
-        else:
-            if not args.config:
-                raise ConfigError("--config is required for this command")
-            cp = load_config(args.config)
-        seed = args.seed if args.seed is not None else _get(cp, "solver", "seed", int)
+        if args.config is None and args.command != "validate":
+            raise ConfigError("--config is required for this command")
+        cp = load_config(args.config)
         out = Path(args.out) if args.out else Path(_get(cp, "output", "output_dir", str))
         out.mkdir(parents=True, exist_ok=True)
-        if args.command == "mesh":
-            return cmd_mesh(cp, out, seed)
-        if args.command == "solve":
-            return cmd_solve(cp, out, seed)
-        if args.command == "sweep":
-            return cmd_sweep(cp, out, seed)
-        return cmd_validate(out, seed, inject_failure=args.inject_failure)
+        manifest = Manifest(out, args.command)
+        seed = args.seed if args.seed is not None else _get(cp, "solver", "seed", int)
+        manifest.add("seed", seed)
+        manifest.add_config(cp)
+        code, reason = COMMANDS[args.command](cp, manifest, seed)
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        code, kind, reason = EXIT_CONFIG, "config", str(exc)
+    except geometry.GeometryError as exc:
+        code, kind, reason = EXIT_GEOMETRY, "geometry", str(exc)
+    except (SolveError, np.linalg.LinAlgError) as exc:
+        code, kind, reason = EXIT_SOLVER, "solver", str(exc)
+    if code != EXIT_OK:
+        print(f"{kind} error: {reason}" if kind else reason, file=sys.stderr)
+    if manifest is not None:
+        manifest.write("ok" if code == EXIT_OK else "failed", reason)
+    return code
 
 
 if __name__ == "__main__":

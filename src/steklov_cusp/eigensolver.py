@@ -27,12 +27,13 @@ import numpy as np
 from . import fem
 from .fem import ProblemConfig
 from .linalg import Complement, Factor, SolveError, SparseSym, generalized_eig_sym, solve_spd
-from .mesh import Mesh
+from .mesh import DEFAULT_QUAD_ORDER, Mesh
 
 ARMIJO = 1e-4
 STALL_WINDOW = 5
 STALL_RTOL = 1e-10
 ITERATION_CAP = 5000
+NEWTON_STEP_CAP = 40  # the alpha = 2.5 cusp at p = 1.5 needs 40 from its stall to 1e-9
 SHIFT_FTOL_FACTOR = 1e-12
 CONSTRAINT_TOL_FACTOR = 1e-8
 WEAKFORM_RTOL = 1e-6
@@ -291,7 +292,7 @@ def _eps_schedule(cfg: ProblemConfig):
     return [0.0]
 
 
-def _bordered_newton(mesh, cfg, u, max_steps: int = 40):
+def _bordered_newton(mesh, cfg, u):
     """Damped Newton on the bordered stationarity system: the terminal phase
     that finishes a stalled descent.
 
@@ -304,9 +305,8 @@ def _bordered_newton(mesh, cfg, u, max_steps: int = 40):
     A step is accepted only if the weak-form residual drops and the Rayleigh
     value does not grow beyond fp noise; otherwise it is damped toward the
     current iterate by halving, and the phase ends at the first step no
-    damping makes acceptable, or after max_steps steps (40: the alpha = 2.5
-    cusp at p = 1.5 takes 40 steps from its stalled descent to the 1e-9
-    target).  Returns (u, value, steps, residual) of the last accepted field.
+    damping makes acceptable, or after NEWTON_STEP_CAP steps.  Returns
+    (u, value, steps, residual) of the last accepted field.
 
     No soft mode of H is pinned out of the step: at p < 2 on a cusp the
     nearly flat tip channel gives a near-null mode that carries much of the
@@ -345,7 +345,7 @@ def _bordered_newton(mesh, cfg, u, max_steps: int = 40):
     res = weakform_residual(mesh, cfg, u, value)
     steps = 0
     theta_warm = 1.0
-    for _ in range(max_steps):
+    for _ in range(NEWTON_STEP_CAP):
         if res <= 1e-9:
             break
         try:
@@ -414,7 +414,7 @@ def solve_p(mesh: Mesh, cfg: ProblemConfig, restarts: int = 3, seed: int = 0,
     if u0 is not None:
         starts.append(np.asarray(u0, dtype=float))
     else:
-        p2 = solve_p2(mesh, weighted=cfg.weighted)
+        p2 = solve_p2(mesh, weighted=cfg.weighted, quadrature_order=cfg.quadrature_order)
         starts.append(p2.u)
     rng = np.random.default_rng(seed)
     for _ in range(max(0, restarts - 1)):
@@ -562,17 +562,19 @@ def _schur_pencil_bottom(A: SparseSym, Bm: SparseSym, mesh: Mesh, k: int = 1):
     return vals, fields, residuals
 
 
-def solve_p2(mesh: Mesh, weighted: bool, k: int = 1) -> EigenResult:
+def solve_p2(mesh: Mesh, weighted: bool, k: int = 1,
+             quadrature_order: int = DEFAULT_QUAD_ORDER) -> EigenResult:
     """Smallest non-trivial p=2 eigenpair via the direct linear path.
 
     p2_spectrum holds the max(1, k) smallest non-trivial eigenvalues of the
     stiffness/boundary-mass pencil on the complement of the constraint.
+    quadrature_order is the boundary Gauss rule, as in ProblemConfig.
     """
-    K, _, B = fem.assemble_p2(mesh, weighted=weighted)
+    K, _, B = fem.assemble_p2(mesh, weighted=weighted, quadrature_order=quadrature_order)
     vals, fields, residuals = _schur_pencil_bottom(K, B, mesh, k=max(1, k))
     lam = float(vals[0])
     u = fields[:, 0]
-    cfg = ProblemConfig(p=2.0, weighted=weighted)
+    cfg = ProblemConfig(p=2.0, weighted=weighted, quadrature_order=quadrature_order)
     cres = abs(fem.constraint_functional(mesh, cfg, u))
     if not lam > 0.0:
         raise SolveError(f"non-positive p=2 eigenvalue {lam}")

@@ -11,7 +11,7 @@ origin is supported as a second domain kind.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -260,13 +260,6 @@ class BoundaryPolygon:
     edges: list[PolygonEdge]
     spec: DomainSpec | None = None
     t_star: float | None = None
-    _area: float | None = field(default=None, repr=False)
-
-    @property
-    def area(self) -> float:
-        if self._area is None:
-            self._area = polygon_area(self.points)
-        return self._area
 
 
 def polygon_area(points: np.ndarray) -> float:
@@ -329,6 +322,17 @@ def check_simple(points: np.ndarray) -> None:
                     f"polygon self-intersection between segments {a} and {b}")
 
 
+def check_sampling(n_lateral: int, n_arc: int, grading_q: float):
+    """Raise ValueError if boundary_polygon's sampling is out of range; the
+    message starts with the name of the offending argument."""
+    if n_lateral < 8:
+        raise ValueError("n_lateral must be at least 8")
+    if n_arc < 16:
+        raise ValueError("n_arc must be at least 16")
+    if grading_q < 1.0:
+        raise ValueError("grading_q must be at least 1")
+
+
 def boundary_polygon(spec: DomainSpec, n_lateral: int = 32, n_arc: int = 64,
                      grading_q: float = 2.0) -> BoundaryPolygon:
     """Sample the resolved boundary into a counterclockwise simple polygon.
@@ -339,13 +343,7 @@ def boundary_polygon(spec: DomainSpec, n_lateral: int = 32, n_arc: int = 64,
     The tip (0, 0) is always a polygon vertex.  For the validation disk the
     result is the regular n_arc-gon inscribed in the circle.
     """
-    if n_lateral < 8:
-        raise ValueError("n_lateral must be at least 8")
-    if n_arc < 16:
-        raise ValueError("n_arc must be at least 16")
-    if grading_q < 1.0:
-        raise ValueError("grading_q must be at least 1")
-
+    check_sampling(n_lateral, n_arc, grading_q)
     if spec.kind == "disk":
         ang = 2.0 * math.pi * np.arange(n_arc) / n_arc
         pts = spec.disk_radius * np.stack([np.cos(ang), np.sin(ang)], axis=1)

@@ -194,7 +194,7 @@ def _build_mesh(vertices, triangles, segs, spec, t_star) -> Mesh:
 
 
 def triangulate(polygon: BoundaryPolygon, target_h: float,
-                tip_grading: float = 2.0, budget: int = 200_000) -> Mesh:
+                tip_grading: float = 2.0) -> Mesh:
     """Constrained Delaunay mesh of the polygon interior with graded refinement.
 
     All polygon edges appear as mesh edges.  Away from the cusp tip the
@@ -205,7 +205,7 @@ def triangulate(polygon: BoundaryPolygon, target_h: float,
     vertices ("polygon edge (i, j) is not an edge ...", i and j indexing
     polygon.points); there is no edge recovery.
     """
-    pts, tris, segs = triangulate_polygon(polygon, target_h, tip_grading, budget)
+    pts, tris, segs = triangulate_polygon(polygon, target_h, tip_grading)
     t_star = polygon.t_star if polygon.spec is not None and polygon.spec.kind == "cusp" else None
     return _build_mesh(pts, tris, segs, polygon.spec, t_star)
 

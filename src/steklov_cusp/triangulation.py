@@ -29,6 +29,7 @@ import numpy as np
 from .geometry import BoundaryPolygon, BoundaryTag, GeometryError
 
 _MIN_ANGLE_DEG = 20.0
+ELEMENT_BUDGET = 200_000  # vertices; refinement past it raises GeometryError
 
 
 def orient2d(ax, ay, bx, by, cx, cy):
@@ -322,7 +323,7 @@ class _CDT:
             raise GeometryError(f"segment ({u},{v}) too short to split")
         return pid
 
-    def refine(self, size_fn, exempt_fn, budget):
+    def refine(self, size_fn, exempt_fn):
         """Ruppert loop: split encroached segments, then fix undersized or
         skinny triangles by circumcenter insertion (or by splitting the
         segment that blocks the circumcenter)."""
@@ -373,9 +374,9 @@ class _CDT:
                 if length > size_fn(mid) or self._seg_encroached(k):
                     self._split_segment(k)
                     changed = True
-                    if len(self.pts) > budget:
-                        raise GeometryError(
-                            f"refinement exceeded the element budget ({budget} vertices)")
+                    if len(self.pts) > ELEMENT_BUDGET:
+                        raise GeometryError(f"refinement exceeded the element "
+                                            f"budget ({ELEMENT_BUDGET} vertices)")
             # then triangles
             for tid in sorted(self.tris):
                 if tid not in self.tris:
@@ -423,9 +424,9 @@ class _CDT:
                         self._given_up.add(self.tris.get(tid, (a, b, c)))
                         continue
                 changed = True
-                if len(self.pts) > budget:
-                    raise GeometryError(
-                        f"refinement exceeded the element budget ({budget} vertices)")
+                if len(self.pts) > ELEMENT_BUDGET:
+                    raise GeometryError(f"refinement exceeded the element "
+                                        f"budget ({ELEMENT_BUDGET} vertices)")
             if not changed:
                 break
 
@@ -456,9 +457,14 @@ class _CDT:
         return pts, tris, segs
 
 
+def check_target_h(target_h: float):
+    """Raise ValueError("target_h must be positive") unless target_h > 0."""
+    if not target_h > 0.0:
+        raise ValueError("target_h must be positive")
+
+
 def triangulate_polygon(polygon: BoundaryPolygon, target_h: float,
-                        tip_grading: float = 2.0,
-                        budget: int = 200_000):
+                        tip_grading: float = 2.0):
     """CDT plus graded Ruppert refinement of a boundary polygon.
 
     Returns (points, triangles, segments) where segments carry the arc tag
@@ -467,8 +473,7 @@ def triangulate_polygon(polygon: BoundaryPolygon, target_h: float,
     triangulation of the polygon vertices; a polygon edge that is not raises
     GeometryError.
     """
-    if target_h <= 0.0:
-        raise ValueError("target_h must be positive")
+    check_target_h(target_h)
     if tip_grading < 1.0:
         raise ValueError("tip_grading must be at least 1")
 
@@ -507,5 +512,5 @@ def triangulate_polygon(polygon: BoundaryPolygon, target_h: float,
         def exempt_fn(p):
             return False
 
-    cdt.refine(size_fn, exempt_fn, budget)
+    cdt.refine(size_fn, exempt_fn)
     return cdt.extract()

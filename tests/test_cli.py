@@ -98,12 +98,68 @@ def test_cmd_mesh_cusp_records_junction(tmp_path):
     assert abs(t_star - cusp_cap_intersection(DomainSpec.cusp(2.0))) <= 1e-12
 
 
+def _manifest_lines(out):
+    return (out / "manifest.txt").read_text().splitlines()
+
+
 def test_missing_alpha_exits_1(tmp_path, capsys):
     path = tmp_path / "bad.ini"
     path.write_text("[domain]\ndomain = cusp\n")
     assert main(["mesh", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert "alpha" in err
+    manifest = _manifest_lines(tmp_path / "o")
+    assert "status = failed" in manifest
+    assert "error = missing config key [domain] alpha" in manifest
+
+
+OUT_OF_RANGE = [
+    ("mesh", CUSP_CONFIG, "n_lateral = 12", "n_lateral = 4", "[domain] n_lateral"),
+    ("mesh", CUSP_CONFIG, "n_arc = 24", "n_arc = 8", "[domain] n_arc"),
+    ("solve", CUSP_CONFIG, "target_h = 0.4", "target_h = 0", "[domain] target_h"),
+    ("solve", DISK_CONFIG, "n_arc = 64", "n_arc = 15", "[domain] n_arc"),
+    ("sweep", SWEEP_CONFIG, "n_lateral = 10", "n_lateral = 4", "[sweep] n_lateral"),
+    ("sweep", SWEEP_CONFIG, "target_h = 0.5", "target_h = -1", "[sweep] target_h"),
+    ("sweep", SWEEP_CONFIG, "grading_q = 2.0", "grading_q = 0.5", "[domain] grading_q"),
+    ("sweep", SWEEP_CONFIG, "alphas = 1.5", "alphas = 1.5,1.0", "[sweep] alphas"),
+]
+
+
+@pytest.mark.parametrize("command, config, old, new, key", OUT_OF_RANGE,
+                         ids=[f"{case[0]}-{case[3].replace(' ', '')}" for case in OUT_OF_RANGE])
+def test_out_of_range_value_exits_1(tmp_path, capsys, command, config, old, new, key):
+    assert old in config
+    out = tmp_path / "out"
+    cfgp = _write(tmp_path, "bad.ini", config.replace(old, new), out)
+    assert main([command, "--config", cfgp]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and key in err and "Traceback" not in err
+    manifest = _manifest_lines(out)
+    assert manifest[-2] == "status = failed"
+    assert manifest[-1].startswith("error = ") and key in manifest[-1]
+    assert f"command = {command}" in manifest
+
+
+def test_cli_module_config_error_has_no_traceback(tmp_path):
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import steklov_cusp
+
+    out = tmp_path / "out"
+    cfgp = _write(tmp_path, "bad.ini", CUSP_CONFIG.replace("n_lateral = 12", "n_lateral = 4"),
+                  out)
+    src = str(Path(steklov_cusp.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-m", "steklov_cusp.cli", "mesh", "--config", cfgp],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 1
+    assert "config error: " in proc.stderr and "[domain] n_lateral" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "status = failed" in _manifest_lines(out)
 
 
 def test_invalid_value_exits_1(tmp_path, capsys):
@@ -252,20 +308,77 @@ def test_validate_injected_failure_exits_4(tmp_path, monkeypatch):
     # keep the run fast: stub the expensive checks through the public hook
     from steklov_cusp import cli
 
-    def fake_checks(inject_failure=False):
-        checks = [{"name": "stub", "expected": 1.0, "actual": 1.0,
-                   "tolerance": 1e-12, "passed": True}]
-        if inject_failure:
-            checks.append({"name": "injected_failure", "expected": 0.0,
-                           "actual": 1.0, "tolerance": 1e-12, "passed": False})
-        return checks
-
-    monkeypatch.setattr(cli, "run_validation", fake_checks)
+    passing = {"name": "stub", "expected": 1.0, "actual": 1.0,
+               "tolerance": 1e-12, "passed": True}
+    failing = {"name": "injected_failure", "expected": 0.0, "actual": 1.0,
+               "tolerance": 1e-12, "passed": False}
+    monkeypatch.setattr(cli, "run_validation", lambda: [passing])
     assert main(["validate", "--out", str(tmp_path / "v1")]) == 0
-    assert main(["validate", "--out", str(tmp_path / "v2"), "--inject-failure"]) == 4
+    manifest = _manifest_lines(tmp_path / "v1")
+    assert manifest[-1] == "status = ok"
+    # validate echoes the configuration it ran with, the defaults here
+    assert "config.solver.seed = 0" in manifest and "seed = 0" in manifest
+
+    monkeypatch.setattr(cli, "run_validation", lambda: [passing, failing])
+    assert main(["validate", "--out", str(tmp_path / "v2")]) == 4
     lines = (tmp_path / "v2" / "validation.csv").read_text().splitlines()
     assert lines[0] == "check,expected,actual,tolerance,passed"
     assert len(lines) == 3  # one row per check
+    assert _manifest_lines(tmp_path / "v2")[-2:] == ["status = failed",
+                                                     "error = 1 checks failed"]
+
+
+def test_validate_has_no_hidden_options(capsys):
+    with pytest.raises(SystemExit):
+        main(["validate", "--inject-failure"])
+    assert "unrecognized arguments: --inject-failure" in capsys.readouterr().err
+
+
+def test_solver_error_exits_3(tmp_path, capsys, monkeypatch):
+    from steklov_cusp import cli
+    from steklov_cusp.linalg import SolveError
+
+    def solve_p(*args, **kwargs):
+        raise SolveError("injected solve failure")
+
+    monkeypatch.setattr(cli, "solve_p", solve_p)
+    out = tmp_path / "out"
+    assert main(["solve", "--config", _write(tmp_path, "disk.ini", DISK_CONFIG, out)]) == 3
+    assert capsys.readouterr().err == "solver error: injected solve failure\n"
+    manifest = _manifest_lines(out)
+    assert manifest[-2:] == ["status = failed", "error = injected solve failure"]
+    assert any(line.startswith("stage.mesh.seconds") for line in manifest)
+
+
+def test_unconverged_solve_exits_3_and_keeps_results(tmp_path, capsys, monkeypatch):
+    from dataclasses import replace
+
+    from steklov_cusp import cli
+
+    real_solve_p = cli.solve_p
+    monkeypatch.setattr(cli, "solve_p", lambda *args, **kwargs: replace(
+        real_solve_p(*args, **kwargs), converged=False))
+    out = tmp_path / "out"
+    assert main(["solve", "--config", _write(tmp_path, "disk.ini", DISK_CONFIG, out)]) == 3
+    assert capsys.readouterr().err == "solver did not converge\n"
+    manifest = _manifest_lines(out)
+    assert manifest[-2:] == ["status = failed", "error = solver did not converge"]
+    rows = (out / "results.csv").read_text().splitlines()
+    assert len(rows) == 3 and rows[1].endswith(",false") and rows[2].endswith(",true")
+    assert any(line.startswith("artifact.results.csv = ") for line in manifest)
+
+
+def test_value_error_inside_a_solve_surfaces(tmp_path, monkeypatch):
+    # a ValueError from inside a solve is a bug, not a config error
+    from steklov_cusp import cli
+
+    def solve_p(*args, **kwargs):
+        raise ValueError("injected bug")
+
+    monkeypatch.setattr(cli, "solve_p", solve_p)
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match="injected bug"):
+        main(["solve", "--config", _write(tmp_path, "disk.ini", DISK_CONFIG, out)])
 
 
 def test_validate_full_suite_passes(tmp_path):
