@@ -12,7 +12,7 @@ import numpy as np
 from . import fem, geometry
 from .eigensolver import _descent, _eps_schedule, solve_p
 from .fem import ProblemConfig
-from .linalg import Complement, SolveError, generalized_eig_sym
+from .linalg import Complement, SolveError, generalized_eig_sym, inverse_block
 from .mesh import Mesh, refine_uniform, triangulate
 
 
@@ -85,19 +85,32 @@ def fp_constant(mesh: Mesh, cfg: ProblemConfig, constraint: str = "weighted-boun
 
 
 def trace_spectrum(mesh: Mesh, weighted: bool, k: int = 10) -> np.ndarray:
-    """Top-k eigenvalues of the pencil B x = sigma (K + M) x, descending.
+    """Top-k eigenvalues of the pencil B x = sigma (K + M) x, descending:
+    min(k, n) values, exact zeros beyond the |Gamma| non-zero ones.
 
     These are the squared singular values of the discrete trace map from the
     H1 inner product into the (weighted) boundary L2 space; stability of the
     leading values under refinement is the compactness diagnostic, and tail
     accumulation signals the loss of compactness.  p = 2 only.
+
+    B lives on the boundary vertices Gamma, so B = E B_gg E^T with E the
+    identity columns of Gamma, and the non-zero spectrum of
+    (K + M)^-1 B is that of G B_gg with G = ((K + M)^-1)_gg: the
+    |Gamma| x |Gamma| pencil (G B_gg G, G).  G comes from the same
+    equilibrated dense Cholesky of K + M as the full n x n pencil
+    (linalg.inverse_block).  The cheaper sparse factor and the Schur
+    complement route move the unweighted values by 6.5e-9 and 2.5e-8,
+    outside the 1e-9 tolerance the recorded values are checked to.
     """
     K, M, B = fem.assemble_p2(mesh, weighted=weighted)
-    P = (K + M).to_dense()
-    vals, _ = generalized_eig_sym(B.to_dense(), P, None)
-    sigma = np.maximum(vals, 0.0)[::-1][:k]
-    if not np.all(np.isfinite(sigma)):
+    gamma = mesh.boundary_vertex_ids()
+    G = inverse_block(K + M, gamma)
+    vals, _ = generalized_eig_sym(G @ B.dense_block(gamma, gamma) @ G, G)
+    top = np.maximum(vals, 0.0)[::-1][:k]
+    if not np.all(np.isfinite(top)):
         raise SolveError("trace spectrum produced non-finite values")
+    sigma = np.zeros(min(k, mesh.num_vertices))
+    sigma[:len(top)] = top
     return sigma
 
 

@@ -10,7 +10,8 @@ failed and error = <reason>.
 
 Exit codes: 0 ok; 1 config error, including a value out of range (n_lateral
 >= 8, n_arc >= 16, grading_q >= 1, target_h > 0 in [domain] and [sweep],
-alpha > 1); 2 geometry error; 3 solver error or non-convergence; 4
+refinements >= 1 and restarts >= 1 in [solver] and [sweep], alpha > 1); 2
+geometry error; 3 solver error or non-convergence; 4
 validation failure.  Any other exception is a bug and is raised.
 """
 
@@ -148,6 +149,19 @@ def _mesh_values(cp, section):
     return n_lateral, n_arc, grading_q, target_h
 
 
+def _check_counts(**counts):
+    for key, value in counts.items():
+        if value < 1:
+            raise ValueError(f"{key} must be at least 1")
+
+
+def _counts(cp, section):
+    """([section] refinements, [section] restarts), each at least 1."""
+    counts = {key: _get(cp, section, key, int) for key in ("refinements", "restarts")}
+    _checked(dict.fromkeys(counts, section), _check_counts, **counts)
+    return counts["refinements"], counts["restarts"]
+
+
 def build_base_mesh(cp, spec: geometry.DomainSpec) -> meshmod.Mesh:
     n_lateral, n_arc, grading_q, target_h = _mesh_values(cp, "domain")
     poly = geometry.boundary_polygon(spec, n_lateral, n_arc, grading_q)
@@ -237,14 +251,14 @@ def _result_row(alpha, cfg, msh, res: EigenResult) -> str:
 def cmd_solve(cp, manifest: Manifest, seed: int):
     spec = build_domain(cp)
     cfg = solver_config(cp)
+    refinements, restarts = _counts(cp, "solver")
     msh = build_base_mesh(cp, spec)
-    for _ in range(_get(cp, "solver", "refinements", int) - 1):
+    for _ in range(refinements - 1):
         msh = meshmod.refine_uniform(msh)
     manifest.add_mesh(msh)
     manifest.stage("mesh")
 
     alpha = spec.alpha if spec.kind == "cusp" else None
-    restarts = _get(cp, "solver", "restarts", int)
     results = [solve_p(msh, cfg, restarts=restarts, seed=seed)]
     if cfg.p == 2.0:
         results.append(solve_p2(msh, weighted=cfg.weighted,
@@ -273,12 +287,11 @@ def cmd_sweep(cp, manifest: Manifest, seed: int):
     alphas = _get(cp, "sweep", "alphas", lambda raw: [
         geometry.DomainSpec.cusp(float(tok)).alpha for tok in raw.split(",") if tok.strip()])
     n_lateral, n_arc, grading_q, target_h = _mesh_values(cp, "sweep")
+    refinements, restarts = _counts(cp, "sweep")
     report = analysis.alpha_sweep(
-        solver_config(cp), alphas,
-        refinements=_get(cp, "sweep", "refinements", int),
+        solver_config(cp), alphas, refinements=refinements,
         n_lateral=n_lateral, n_arc=n_arc, grading_q=grading_q, target_h=target_h,
-        restarts=_get(cp, "sweep", "restarts", int),
-        seed=seed,
+        restarts=restarts, seed=seed,
         with_fp=_get(cp, "sweep", "with_fp", bool))
     manifest.stage("sweep")
     csv_path = manifest.out / "sweep.csv"

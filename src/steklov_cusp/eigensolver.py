@@ -448,24 +448,6 @@ def solve_p(mesh: Mesh, cfg: ProblemConfig, restarts: int = 3, seed: int = 0,
 # -- boundary reduction and the p = 2 direct path ------------------------
 
 
-def _submatrix(A: SparseSym, rows_idx, cols_idx):
-    """COO triplets of the block A[rows_idx, cols_idx], renumbered locally."""
-    lookup_r = -np.ones(A.n, dtype=np.int64)
-    lookup_r[rows_idx] = np.arange(len(rows_idx))
-    lookup_c = -np.ones(A.n, dtype=np.int64)
-    lookup_c[cols_idx] = np.arange(len(cols_idx))
-    r, c, v = A.coo()
-    mask = (lookup_r[r] >= 0) & (lookup_c[c] >= 0)
-    return lookup_r[r[mask]], lookup_c[c[mask]], v[mask]
-
-
-def _submatrix_dense(A: SparseSym, rows_idx, cols_idx):
-    out = np.zeros((len(rows_idx), len(cols_idx)))
-    i, j, v = _submatrix(A, rows_idx, cols_idx)
-    out[i, j] = v
-    return out
-
-
 def _eliminate_interior(A: SparseSym, mesh: Mesh, rhs=None):
     """Eliminate the interior unknowns of A x = rhs onto the boundary.
 
@@ -478,12 +460,12 @@ def _eliminate_interior(A: SparseSym, mesh: Mesh, rhs=None):
     """
     gamma = mesh.boundary_vertex_ids()
     interior = np.setdiff1d(np.arange(A.n), gamma)
-    A_ig = _submatrix_dense(A, interior, gamma)
+    A_ig = A.dense_block(interior, gamma)
     cols = A_ig if rhs is None else np.concatenate([A_ig, rhs[interior, None]], axis=1)
-    Y = solve_spd(SparseSym(len(interior), *_submatrix(A, interior, interior)), cols,
+    Y = solve_spd(SparseSym(len(interior), *A.block_coo(interior, interior)), cols,
                   tol=1e-12)
     X = Y[:, :len(gamma)]
-    S = _submatrix_dense(A, gamma, gamma) - A_ig.T @ X
+    S = A.dense_block(gamma, gamma) - A_ig.T @ X
     if rhs is None:
         return gamma, interior, S, X, None, None
     w = Y[:, -1]
@@ -506,12 +488,15 @@ def _schur_pencil_bottom(A: SparseSym, Bm: SparseSym, mesh: Mesh, k: int = 1):
     n = mesh.num_vertices
     gamma, interior, S, X, _, _ = _eliminate_interior(A, mesh)
     S = 0.5 * (S + S.T)
-    B_gg = _submatrix_dense(Bm, gamma, gamma)
+    B_gg = Bm.dense_block(gamma, gamma)
 
     comp = Complement(B_gg @ np.ones(len(gamma)))
     St, Bt = comp.restrict(S), comp.restrict(B_gg)
-    vals, Y = generalized_eig_sym(St, Bt, k)
-    vals = np.array(vals, dtype=float)
+    # every pair is back-transformed: the vectors of the first k then
+    # round exactly as they always have, and the reduced Rayleigh cleanup
+    # below is sensitive to their last bits
+    vals, Y = generalized_eig_sym(St, Bt)
+    vals = np.array(vals[:k], dtype=float)
 
     bdir = Bm.matvec(np.ones(n))
 

@@ -83,6 +83,27 @@ def test_trace_spectrum_cusp_unweighted_accumulation():
     assert np.all(np.abs(sw1 - sw0) / sw0 < 0.1)
 
 
+
+def test_trace_spectrum_length_and_full_pencil_oracle():
+    # the |Gamma| x |Gamma| reduction against the n x n pencil it replaces
+    from steklov_cusp import assemble_p2, generalized_eig_sym
+
+    base = triangulate(boundary_polygon(DomainSpec.cusp(2.5), n_lateral=12, n_arc=24), 0.5)
+    n = base.num_vertices
+    n_gamma = len(base.boundary_vertex_ids())
+    assert n_gamma < n < 200
+    for weighted in (True, False):
+        K, M, B = assemble_p2(base, weighted=weighted)
+        full, _ = generalized_eig_sym(B.to_dense(), (K + M).to_dense())
+        ref = full[::-1][:10]
+        assert len(trace_spectrum(base, weighted, k=3)) == 3
+        sigma = trace_spectrum(base, weighted, k=200)
+        assert len(sigma) == n
+        assert np.all(np.diff(sigma) <= 0.0)
+        assert np.all(sigma[n_gamma:] == 0.0)
+        assert np.allclose(sigma[:10], ref, rtol=1e-12, atol=0.0)
+
+
 def test_classify_trend():
     assert classify_trend([1.0, 0.99, 0.985]) == "stable"
     assert classify_trend([0.5, 0.3, 0.2]) == "decaying-to-zero"

@@ -122,6 +122,15 @@ OUT_OF_RANGE = [
     ("sweep", SWEEP_CONFIG, "target_h = 0.5", "target_h = -1", "[sweep] target_h"),
     ("sweep", SWEEP_CONFIG, "grading_q = 2.0", "grading_q = 0.5", "[domain] grading_q"),
     ("sweep", SWEEP_CONFIG, "alphas = 1.5", "alphas = 1.5,1.0", "[sweep] alphas"),
+    # counts below 1 used to run silently as 1
+    ("solve", DISK_CONFIG, "refinements = 1", "refinements = 0", "[solver] refinements"),
+    ("solve", DISK_CONFIG, "refinements = 1", "refinements = -3", "[solver] refinements"),
+    ("solve", DISK_CONFIG, "restarts = 1", "restarts = 0", "[solver] restarts"),
+    ("solve", DISK_CONFIG, "restarts = 1", "restarts = -3", "[solver] restarts"),
+    ("sweep", SWEEP_CONFIG, "refinements = 3", "refinements = 0", "[sweep] refinements"),
+    ("sweep", SWEEP_CONFIG, "refinements = 3", "refinements = -3", "[sweep] refinements"),
+    ("sweep", SWEEP_CONFIG, "restarts = 1", "restarts = 0", "[sweep] restarts"),
+    ("sweep", SWEEP_CONFIG, "restarts = 1", "restarts = -3", "[sweep] restarts"),
 ]
 
 

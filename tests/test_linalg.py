@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from steklov_cusp import SolveError, SparseSym, assemble_p2, generalized_eig_sym, solve_spd
-from steklov_cusp.linalg import Complement, Factor
+from steklov_cusp.linalg import Complement, Factor, inverse_block
 
 from helpers import charpoly_eigenvalues
 
@@ -204,6 +204,69 @@ def test_eig_cholesky_failure_names_pivot():
     B = np.diag([1.0, -2.0, 1.0])
     with pytest.raises(SolveError, match="pivot"):
         generalized_eig_sym(A, B, 1)
+
+
+
+def _random_pencil(rng, n):
+    A = rng.standard_normal((n, n))
+    Braw = rng.standard_normal((n, n))
+    return A + A.T, Braw @ Braw.T + n * np.eye(n)
+
+
+def test_eig_first_k_pairs_match_the_full_solve():
+    rng = np.random.default_rng(41)
+    n = 24
+    A, B = _random_pencil(rng, n)
+    w_all, V_all = generalized_eig_sym(A, B)
+    for k in range(1, n + 1):
+        w, V = generalized_eig_sym(A, B, k)
+        assert V.shape == (n, k)
+        assert np.array_equal(w, w_all[:k])
+        assert np.max(np.abs(V - V_all[:, :k])) <= 1e-12 * np.max(np.abs(V_all))
+        assert np.allclose(V.T @ B @ V, np.eye(k), atol=1e-12)
+
+
+def test_eig_working_set_is_bounded():
+    # the dense reduction keeps at most three n x n arrays alive beside the
+    # two inputs; six n x n doubles leaves one to spare.  tracemalloc sees
+    # numpy's arrays, not the workspace LAPACK allocates inside eigh.
+    import tracemalloc
+
+    n = 400
+    rng = np.random.default_rng(43)
+    tracemalloc.start()
+    try:
+        A, B = _random_pencil(rng, n)
+        tracemalloc.reset_peak()
+        base, _ = tracemalloc.get_traced_memory()
+        generalized_eig_sym(A, B, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert base >= 2 * 8 * n * n
+    assert peak <= 6 * 8 * n * n
+
+
+def test_inverse_block_matches_dense_inverse():
+    rng = np.random.default_rng(47)
+    n = 300  # more than one substitution block
+    _, dense = _random_sparse_spd(rng, n, density=0.05)
+    # graded diagonal, as the boundary masses are
+    D = np.geomspace(1e-4, 1e2, n)
+    dense = D[:, None] * dense * D[None, :]
+    rows, cols = np.nonzero(dense)
+    P = SparseSym(n, rows, cols, dense[rows, cols])
+    idx = np.sort(rng.choice(n, 40, replace=False))
+    G = inverse_block(P, idx)
+    ref = np.linalg.inv(dense)[np.ix_(idx, idx)]
+    assert np.allclose(G, G.T, rtol=0.0, atol=1e-12 * np.abs(ref).max())
+    assert np.max(np.abs(G - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_inverse_block_names_a_failed_pivot():
+    P = SparseSym(3, [0, 1, 2], [0, 1, 2], [1.0, -2.0, 1.0])
+    with pytest.raises(SolveError, match="pivot 1"):
+        inverse_block(P, np.array([0, 2]))
 
 
 @pytest.mark.parametrize("lead", [0.7, -0.7, 0.0])
