@@ -101,6 +101,10 @@ def trace_spectrum(mesh: Mesh, weighted: bool, k: int = 10) -> np.ndarray:
     (linalg.inverse_block).  The cheaper sparse factor and the Schur
     complement route move the unweighted values by 6.5e-9 and 2.5e-8,
     outside the 1e-9 tolerance the recorded values are checked to.
+
+    Values below about 1e-6 of the top value carry no digits: there the
+    n x n pencil and this |Gamma| pencil, equal in exact arithmetic, differ
+    by 3-25%, and a value that comes out non-positive is clipped to 0.
     """
     K, M, B = fem.assemble_p2(mesh, weighted=weighted)
     gamma = mesh.boundary_vertex_ids()

@@ -356,14 +356,15 @@ def run_validation() -> list[dict]:
     record("energy_homogeneity", 1.0, float(e_ratio), 1e-12)
     record("boundary_norm_homogeneity", 1.0, float(b_ratio), 1e-12)
 
-    # two-point shift root: (3-c)|3-c| = c|c| at p=3 gives c = 1.5
+    # two-point shift root: (3-c)|3-c| = c|c| at p=3 gives c = 1.5, one
+    # Newton step from the midpoint of [0, 4]
     def toy(cshift):
         return (3.0 - cshift) * abs(3.0 - cshift) - cshift * abs(cshift)
 
     def toy_slope(cshift):
         return -2.0 * (abs(3.0 - cshift) + abs(cshift))
 
-    root = scalar_shift_root(toy, toy_slope, 0.0, 3.0, ftol=1e-14)
+    root = scalar_shift_root(toy, toy_slope, 0.0, 4.0, ftol=1e-14)
     record("shift_root_two_point", 1.5, float(root), 1e-10)
 
     # unit square zero-mean FP constant: 1/pi

@@ -69,42 +69,23 @@ def rayleigh(mesh: Mesh, cfg: ProblemConfig, u) -> float:
     return fem.energy(mesh, replace(cfg, eps_reg=0.0), u) / denom
 
 
-def scalar_shift_root(F, dF, lo: float, hi: float, ftol: float,
-                      method: str = "hybrid") -> float:
+def scalar_shift_root(F, dF, lo: float, hi: float, ftol: float) -> float:
     """Root of a strictly decreasing scalar function F with derivative dF,
     bracketed by F(lo) >= 0 >= F(hi).
 
-    method "bisection" runs pure bisection; "hybrid" localizes by bisection
-    and then polishes with safeguarded Newton.  Terminates when |F| <= ftol.
+    Safeguarded Newton from the bracket midpoint (rtsafe; Press et al.,
+    Numerical Recipes, section 9.4): every evaluation shrinks the bracket,
+    and a Newton step that leaves it, or is longer than half the previous
+    step, is replaced by a bisection step.  Terminates when |F| <= ftol or
+    when no double lies strictly inside the bracket, so it also ends when
+    ftol lies below the rounding error of F.
     Raises SolveError if [lo, hi] does not bracket the root.
     """
-    if method not in ("bisection", "hybrid"):
-        raise ValueError(f"unknown method {method!r}")
     if F(lo) < 0.0 or F(hi) > 0.0:
         raise SolveError(f"shift root is not bracketed by [{lo!r}, {hi!r}]")
-
-    n_bisect = 2000 if method == "bisection" else 12
-    for _ in range(n_bisect):
-        c = 0.5 * (lo + hi)
-        fc = F(c)
-        if abs(fc) <= ftol or hi - lo < 1e-17 * max(1.0, abs(lo) + abs(hi)):
-            return c
-        if fc > 0.0:
-            lo = c
-        else:
-            hi = c
-    if method == "bisection":
-        return c
-
-    for _ in range(100):
-        slope = dF(c)
-        step_ok = np.isfinite(slope) and slope < 0.0
-        if step_ok:
-            c_new = c - fc / slope
-            step_ok = lo < c_new < hi
-        if not step_ok:
-            c_new = 0.5 * (lo + hi)
-        c = c_new
+    c = 0.5 * (lo + hi)
+    prev_step = hi - lo
+    while True:
         fc = F(c)
         if abs(fc) <= ftol:
             return c
@@ -112,21 +93,26 @@ def scalar_shift_root(F, dF, lo: float, hi: float, ftol: float,
             lo = c
         else:
             hi = c
-        if hi - lo < 1e-17 * max(1.0, abs(lo) + abs(hi)):
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
             return c
-    return c
+        slope = dF(c)
+        c_new = c - fc / slope if slope < 0.0 else mid
+        if not (lo < c_new < hi and 2.0 * abs(c_new - c) <= prev_step):
+            c_new = mid
+        prev_step = abs(c_new - c)
+        c = c_new
 
 
-def orthogonalize_shift(mesh: Mesh, cfg: ProblemConfig, u, method: str = "hybrid"):
+def orthogonalize_shift(mesh: Mesh, cfg: ProblemConfig, u):
     """Shift u by the constant that zeroes the weighted orthogonality functional.
 
     The root is unique because the functional is strictly decreasing in the
-    shift; the bracket is the range of the boundary trace.  The functional
-    and its slope are evaluated on the boundary quadrature samples only
-    (fem.shifted_constraint), with the quadrature arrays and the measure
-    cached on the mesh, and the root is bit for bit the one
-    scalar_shift_root finds over fem.constraint_functional(mesh, cfg, u - c)
-    and the sum of fem.constraint_gradient_direction.
+    shift; the bracket is the range of the boundary trace.  scalar_shift_root
+    finds it on F(c) = fem.constraint_functional(mesh, cfg, u - c), whose
+    derivative is -(p - 1) times the sum of
+    fem.constraint_gradient_direction(mesh, cfg, u - c), to within
+    SHIFT_FTOL_FACTOR times the boundary measure.
     """
     u = fem.as_field(mesh, u)
     bverts = mesh.boundary_vertex_ids()
@@ -134,11 +120,15 @@ def orthogonalize_shift(mesh: Mesh, cfg: ProblemConfig, u, method: str = "hybrid
     lo, hi = float(bvals.min()), float(bvals.max())
     if hi - lo <= 1e-300:
         raise SolveError("no admissible shift: boundary trace is constant")
-    measure = fem.boundary_weighted_measure(mesh, cfg)
-    ftol = SHIFT_FTOL_FACTOR * measure
-    F, dF = fem.shifted_constraint(mesh, cfg, u)
-    c = scalar_shift_root(F, dF, lo, hi, ftol, method=method)
-    return u - c
+    ftol = SHIFT_FTOL_FACTOR * fem.boundary_weighted_measure(mesh, cfg)
+
+    def F(c):
+        return fem.constraint_functional(mesh, cfg, u - c)
+
+    def dF(c):
+        return -(cfg.p - 1.0) * float(fem.constraint_gradient_direction(mesh, cfg, u - c).sum())
+
+    return u - scalar_shift_root(F, dF, lo, hi, ftol)
 
 
 def _normalize(mesh, cfg, u, denom_fn):

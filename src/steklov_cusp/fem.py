@@ -202,36 +202,6 @@ def boundary_weighted_measure(mesh: Mesh, cfg: ProblemConfig) -> float:
     return mesh._cache[key]
 
 
-def shifted_constraint(mesh: Mesh, cfg: ProblemConfig, u):
-    """The constraint functional of u - c and its derivative in c, as
-    functions of the shift c evaluated on the boundary samples only.
-
-    Returns (F, dF): F(c) equals constraint_functional(mesh, cfg, u - c)
-    bit for bit, and dF(c) equals -(p - 1) times the sum of
-    constraint_gradient_direction(mesh, cfg, u - c).  The trace of u is
-    gathered once, every sample expression is the one those functionals
-    evaluate, and dF sums the same mesh-long nodal vector (_boundary_scatter),
-    so a root found through them is the root found through the full-field
-    functionals.
-    """
-    u = as_field(mesh, u)
-    xi, jac, w = _boundary_arrays(mesh, cfg.weighted, cfg.quadrature_order)
-    b = mesh.boundary
-    p = cfg.p
-    u0, u1 = u[b.v0][:, None], u[b.v1][:, None]
-    w0, w1 = (1.0 - xi)[None, :], xi[None, :]
-    jw = jac * w
-
-    def F(c):
-        return float(np.sum(jw * _signed_power((u0 - c) * w0 + (u1 - c) * w1, p)))
-
-    def dF(c):
-        s = jw * _magnitude_power((u0 - c) * w0 + (u1 - c) * w1, p)
-        return -(p - 1.0) * float(_boundary_scatter(mesh, xi, s).sum())
-
-    return F, dF
-
-
 def volume_pnorm(mesh: Mesh, cfg: ProblemConfig, u) -> float:
     """Integral of |u|^p over the domain by a degree-4 triangle rule."""
     u = as_field(mesh, u)

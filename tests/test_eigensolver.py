@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -7,10 +8,11 @@ from steklov_cusp import (DomainSpec, ProblemConfig, SolveError, boundary_pnorm,
                           boundary_polygon, boundary_weighted_length, constraint_functional,
                           orthogonalize_shift, rayleigh, refine_uniform, solve_p,
                           solve_p2, triangulate, weakform_residual)
-from steklov_cusp import fem
+from steklov_cusp import eigensolver, fem
 from steklov_cusp.eigensolver import (CONSTRAINT_TOL_FACTOR, SHIFT_FTOL_FACTOR, WEAKFORM_RTOL,
                                       scalar_shift_root, _bordered_newton, _descent,
                                       _eps_schedule)
+from helpers import bisect_root
 
 
 def test_rayleigh_scale_invariance(cusp15_mesh):
@@ -44,10 +46,43 @@ def _toy_slope(c):
     return -2.0 * (abs(3.0 - c) + abs(c))
 
 
-def test_shift_root_two_point_toy():
-    for method in ("bisection", "hybrid"):
-        root = scalar_shift_root(_toy, _toy_slope, 0.0, 3.0, ftol=1e-14, method=method)
-        assert root == pytest.approx(1.5, abs=1e-10)
+def _count_shift_evals(monkeypatch):
+    # wraps scalar_shift_root so that every F it receives counts its calls
+    counts = {"shifts": 0, "evals": 0}
+    inner = eigensolver.scalar_shift_root
+
+    def counting(F, dF, lo, hi, ftol):
+        def counted(c):
+            counts["evals"] += 1
+            return F(c)
+        counts["shifts"] += 1
+        return inner(counted, dF, lo, hi, ftol)
+
+    monkeypatch.setattr(eigensolver, "scalar_shift_root", counting)
+    return counts
+
+
+def test_shift_root_two_point_toy(monkeypatch):
+    # from the midpoint 2 one Newton step lands on the root 1.5: F(lo), F(hi),
+    # F(2) and F(1.5) are the only evaluations
+    counts = _count_shift_evals(monkeypatch)
+    root = eigensolver.scalar_shift_root(_toy, _toy_slope, 0.0, 4.0, ftol=1e-14)
+    assert root == pytest.approx(1.5, abs=1e-10)
+    assert counts["evals"] == 4
+
+
+def test_shift_root_bisection_fallback():
+    # from the midpoint 1 the Newton step of the flat arctangent lands near
+    # c = -23.6, outside [-3, 5], so the search must fall back to bisection
+    def F(c):
+        return -math.atan(20.0 * (c - 0.1))
+
+    def dF(c):
+        return -20.0 / (1.0 + (20.0 * (c - 0.1)) ** 2)
+
+    assert not -3.0 < 1.0 - F(1.0) / dF(1.0) < 5.0
+    root = scalar_shift_root(F, dF, -3.0, 5.0, ftol=1e-14)
+    assert root == pytest.approx(bisect_root(F, -3.0, 5.0), abs=1e-12)
 
 
 def test_shift_root_unbracketed_interval_error():
@@ -57,14 +92,9 @@ def test_shift_root_unbracketed_interval_error():
             scalar_shift_root(_toy, _toy_slope, lo, hi, ftol=1e-14)
 
 
-def test_shift_root_unknown_method_error():
-    with pytest.raises(ValueError, match="unknown method"):
-        scalar_shift_root(_toy, _toy_slope, 0.0, 3.0, ftol=1e-14, method="secant")
-
-
-def _reference_shift(mesh, cfg, u, method):
+def _reference_shift(mesh, cfg, u):
     # the full-field formulation on a copy of the mesh with an empty cache,
-    # so that no cached boundary array or measure is shared with the kernel
+    # so that no cached boundary array or measure is shared with the search
     fresh = replace(mesh, _cache={})
     bvals = u[fresh.boundary_vertex_ids()]
     measure = fem.boundary_pnorm(fresh, cfg, np.ones(fresh.num_vertices))
@@ -77,8 +107,15 @@ def _reference_shift(mesh, cfg, u, method):
         return -(cfg.p - 1.0) * float(d.sum())
 
     c = scalar_shift_root(F, dF, float(bvals.min()), float(bvals.max()),
-                          SHIFT_FTOL_FACTOR * measure, method=method)
+                          SHIFT_FTOL_FACTOR * measure)
     return u - c
+
+
+def _oracle_shift(mesh, cfg, u):
+    """The shift by plain bisection on the full-field functional."""
+    bvals = u[mesh.boundary_vertex_ids()]
+    return bisect_root(lambda c: constraint_functional(mesh, cfg, u - c),
+                       float(bvals.min()), float(bvals.max()))
 
 
 @pytest.mark.parametrize("mesh_name", ["cusp15_mesh", "disk_mesh"])
@@ -88,41 +125,47 @@ def test_shift_bit_identical_to_full_field_formulation(mesh_name, request):
     fields = [rng.standard_normal(msh.num_vertices), msh.vertices[:, 1] ** 2]
     combos = [(p, weighted) for p in (1.5, 2.0, 2.5, 3.0) for weighted in (True, False)]
     # one mesh object for every combination, visited forwards and backwards,
-    # so that a cache key missing the weighting hands the kernel the other
+    # so that a cache key missing the weighting hands the search the other
     # weighting's boundary arrays (the measure, keyed by p as well, comes
     # out the same for every p here: the samples of 1 interpolate to 1)
     for p, weighted in combos + combos[::-1]:
         cfg = ProblemConfig(p=p, weighted=weighted)
         for u in fields:
-            for method in ("hybrid", "bisection"):
-                got = orthogonalize_shift(msh, cfg, u, method=method)
-                assert np.array_equal(got, _reference_shift(msh, cfg, u, method)), \
-                    (p, weighted, method)
-
-
-def test_shifted_constraint_matches_full_field_functionals(cusp15_mesh):
-    # a refined mesh numbers boundary vertices among interior ones, so the
-    # slope's nodal sum must keep its full length to reproduce the bits
-    msh = refine_uniform(cusp15_mesh)
-    u = np.random.default_rng(12).standard_normal(msh.num_vertices)
-    cs = [0.0, float(u[5])] + list(np.linspace(-1.0, 1.0, 41))
-    for p in (1.5, 2.5):
-        cfg = ProblemConfig(p=p, weighted=True)
-        F, dF = fem.shifted_constraint(msh, cfg, u)
-        ref = [fem.constraint_functional(msh, cfg, u - c) for c in cs]
-        assert [F(c) for c in cs] == ref
-        for c in cs:
-            d = fem.constraint_gradient_direction(msh, cfg, u - c)
-            assert dF(c) == -(cfg.p - 1.0) * float(d.sum())
+            got = orthogonalize_shift(msh, cfg, u)
+            assert np.array_equal(got, _reference_shift(msh, cfg, u)), (p, weighted)
 
 
 def test_shift_bisection_newton_agree(cusp15_mesh):
     cfg = ProblemConfig(p=2.7, weighted=True)
     rng = np.random.default_rng(6)
     u = rng.standard_normal(cusp15_mesh.num_vertices)
-    ua = orthogonalize_shift(cusp15_mesh, cfg, u, method="bisection")
-    ub = orthogonalize_shift(cusp15_mesh, cfg, u, method="hybrid")
-    assert np.abs(ua - ub).max() <= 1e-10
+    shifted = orthogonalize_shift(cusp15_mesh, cfg, u)
+    assert np.abs(shifted - (u - _oracle_shift(cusp15_mesh, cfg, u))).max() <= 1e-10
+
+
+def test_shift_stops_when_the_bracket_is_exhausted(cusp15_mesh, monkeypatch):
+    # shifts near 1e7: 1e-12 * measure lies below the rounding error of F, so
+    # only the exhausted bracket can stop the search (the width test
+    # hi - lo < 1e-17 * (|lo| + |hi|) it replaces ran 114 evaluations here)
+    u = np.exp(5.0 * cusp15_mesh.vertices[:, 1])
+    counts = _count_shift_evals(monkeypatch)
+    for p in (2.0, 3.0, 4.0):
+        for weighted in (True, False):
+            cfg = ProblemConfig(p=p, weighted=weighted)
+            counts["evals"] = 0
+            c = float((u - orthogonalize_shift(cusp15_mesh, cfg, u))[0])
+            assert counts["evals"] <= 64, (p, weighted, counts["evals"])
+            ref = _oracle_shift(cusp15_mesh, cfg, u)
+            assert abs(c - ref) <= 4.0 * np.spacing(ref), (p, weighted, c, ref)
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0])
+def test_descent_shift_evaluations(cusp15_mesh, monkeypatch, p):
+    # bisecting before Newton cost about 16 evaluations per shift here
+    counts = _count_shift_evals(monkeypatch)
+    solve_p(cusp15_mesh, ProblemConfig(p=p), restarts=1)
+    assert counts["shifts"] > 0
+    assert counts["evals"] / counts["shifts"] <= 8.0
 
 
 def test_shift_p2_weighted_mean(cusp15_mesh):
