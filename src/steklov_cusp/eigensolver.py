@@ -8,13 +8,15 @@ constant, whose value is the unique root of a strictly decreasing scalar
 function.  Because any value-driven method goes flat near sqrt(machine eps)
 eigenvector accuracy, a stalled descent is finished by one residual-driven
 terminal phase, damped Newton on the bordered stationarity system
-(_bordered_newton).  Both it and solve_p2 eliminate the interior unknowns
-onto the boundary through _eliminate_interior.  solve_p2 is the direct
+(_bordered_newton); its interior elimination (_eliminate_interior) factors
+the interior block once per step and forms the boundary Schur complement
+from the forward half-solve (linalg.Factor.lower).  solve_p2 is the direct
 linear path: boundary reduction of the stiffness matrix by a Schur
-complement, restriction to the complement of the constraint direction
-(linalg.Complement), and a dense generalized eigensolve; it doubles as the
-oracle for p = 2 and as the initializer for the nonlinear descent.  Both
-paths report their residual through one formula, _relative_residual.
+complement through the refined solve_spd, restriction to the complement of
+the constraint direction (linalg.Complement), and a dense generalized
+eigensolve; it doubles as the oracle for p = 2 and as the initializer for
+the nonlinear descent.  Both paths report their residual through one
+formula, _relative_residual.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ STALL_WINDOW = 5
 STALL_RTOL = 1e-10
 ITERATION_CAP = 5000
 NEWTON_STEP_CAP = 40  # the alpha = 2.5 cusp at p = 1.5 needs 40 from its stall to 1e-9
+NEWTON_SOLVE_RTOL = 1e-10  # bordered residual of the step, relative to the residual vector
 SHIFT_FTOL_FACTOR = 1e-12
 CONSTRAINT_TOL_FACTOR = 1e-8
 WEAKFORM_RTOL = 1e-6
@@ -79,10 +82,11 @@ def scalar_shift_root(F, dF, lo: float, hi: float, ftol: float) -> float:
     step, is replaced by a bisection step.  Terminates when |F| <= ftol or
     when no double lies strictly inside the bracket, so it also ends when
     ftol lies below the rounding error of F.
-    Raises SolveError if [lo, hi] does not bracket the root.
+    A moved end has the right sign by construction, so F is evaluated at an
+    original end only when the search exhausts the bracket with that end in
+    place; SolveError is raised if its sign is wrong.
     """
-    if F(lo) < 0.0 or F(hi) > 0.0:
-        raise SolveError(f"shift root is not bracketed by [{lo!r}, {hi!r}]")
+    lo0, hi0 = lo, hi
     c = 0.5 * (lo + hi)
     prev_step = hi - lo
     while True:
@@ -95,6 +99,8 @@ def scalar_shift_root(F, dF, lo: float, hi: float, ftol: float) -> float:
             hi = c
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
+            if (lo == lo0 and F(lo) < 0.0) or (hi == hi0 and F(hi) > 0.0):
+                raise SolveError(f"shift root is not bracketed by [{lo0!r}, {hi0!r}]")
             return c
         slope = dF(c)
         c_new = c - fc / slope if slope < 0.0 else mid
@@ -290,7 +296,12 @@ def _bordered_newton(mesh, cfg, u):
     H = A(u) - lam (p-1) B_w(u) and r the weak-form residual vector; the
     interior block of H equals A's (B_w lives on the boundary), so interior
     elimination plus a dense bordered boundary solve handles the
-    indefiniteness directly.
+    indefiniteness directly.  Each step factors H_ii once
+    (_eliminate_interior), reduces r with one single-vector solve, solves
+    the (|Gamma| + 1)^2 bordered system, and lifts the interior part of du
+    with one more solve.  The step is then checked where it is used: if
+    |H du - b dlam + r| / |r| exceeds NEWTON_SOLVE_RTOL, SolveError carries
+    the value and the phase ends.
 
     A step is accepted only if the weak-form residual drops and the Rayleigh
     value does not grow beyond fp noise; otherwise it is damped toward the
@@ -318,16 +329,22 @@ def _bordered_newton(mesh, cfg, u):
         b = fem.boundary_pnorm_gradient(mesh, cfg0, u) / p
         H = fem.linearized_energy_matrix(mesh, cfg_mat, u) \
             + fem.linearized_boundary_mass(mesh, cfg, u).scaled(-(value * (p - 1.0)))
-        gamma, interior, S, X, w, rt = _eliminate_interior(H, mesh, a - value * b)
+        r = a - value * b
+        gamma, interior, S, factor, A_ig = _eliminate_interior(H, mesh)
         ng = len(gamma)
         bord = np.zeros((ng + 1, ng + 1))
         bord[:ng, :ng] = S
         bord[:ng, ng] = -b[gamma]
         bord[ng, :ng] = b[gamma]
+        rt = r[gamma] - A_ig.T @ factor.solve(r[interior])
         sol = np.linalg.solve(bord, np.append(-rt, 0.0))
         du = np.zeros(mesh.num_vertices)
         du[gamma] = sol[:ng]
-        du[interior] = -(X @ sol[:ng] + w)
+        du[interior] = -factor.solve(r[interior] + A_ig @ sol[:ng])
+        gap = np.linalg.norm(H.matvec(du) - sol[ng] * b + r) / np.linalg.norm(r)
+        if not gap <= NEWTON_SOLVE_RTOL:
+            raise SolveError(f"bordered Newton step relative residual {gap:.3e} "
+                             f"exceeds {NEWTON_SOLVE_RTOL:.0e}")
         return u + du
 
     u = np.asarray(u, dtype=float)
@@ -438,28 +455,22 @@ def solve_p(mesh: Mesh, cfg: ProblemConfig, restarts: int = 3, seed: int = 0,
 # -- boundary reduction and the p = 2 direct path ------------------------
 
 
-def _eliminate_interior(A: SparseSym, mesh: Mesh, rhs=None):
-    """Eliminate the interior unknowns of A x = rhs onto the boundary.
+def _eliminate_interior(A: SparseSym, mesh: Mesh):
+    """Factor the interior block of A and form the boundary Schur complement.
 
-    Solves A_ii [X, w] = [A_ig, rhs_i] by one sparse direct solve at every
-    mesh size (solve_spd, checked to relative residual 1e-12; A_ii must be
-    SPD).  Returns (gamma, interior, S, X, w, f) with the boundary Schur
-    complement S = A_gg - A_ig^T X and the reduced right-hand side
-    f = rhs_g - A_ig^T w, so that S x_g = f and x_i = w - X x_g; w and f are
-    None without rhs.
+    A_ii (SPD) is factored once (Factor).  With Z = L^-1 P A_ig, the
+    forward half-solve of the |Gamma| boundary columns (Factor.lower), the
+    complement is S = A_gg - Z^T Z, symmetric by construction; no column is
+    solved for in full.  Returns (gamma, interior, S, factor, A_ig): A x = r
+    reduces to S x_g = r_g - A_ig^T A_ii^-1 r_i, and the interior part is
+    x_i = A_ii^-1 (r_i - A_ig x_g), one factor.solve each.
     """
     gamma = mesh.boundary_vertex_ids()
     interior = np.setdiff1d(np.arange(A.n), gamma)
     A_ig = A.dense_block(interior, gamma)
-    cols = A_ig if rhs is None else np.concatenate([A_ig, rhs[interior, None]], axis=1)
-    Y = solve_spd(SparseSym(len(interior), *A.block_coo(interior, interior)), cols,
-                  tol=1e-12)
-    X = Y[:, :len(gamma)]
-    S = A.dense_block(gamma, gamma) - A_ig.T @ X
-    if rhs is None:
-        return gamma, interior, S, X, None, None
-    w = Y[:, -1]
-    return gamma, interior, S, X, w, rhs[gamma] - A_ig.T @ w
+    factor = Factor(SparseSym(len(interior), *A.block_coo(interior, interior)))
+    Z = factor.lower(A_ig)
+    return gamma, interior, A.dense_block(gamma, gamma) - Z.T @ Z, factor, A_ig
 
 
 def _schur_pencil_bottom(A: SparseSym, Bm: SparseSym, mesh: Mesh, k: int = 1):
@@ -468,7 +479,10 @@ def _schur_pencil_bottom(A: SparseSym, Bm: SparseSym, mesh: Mesh, k: int = 1):
 
     A must carry the constants in its kernel and Bm must be supported on the
     boundary.  Interior unknowns are eliminated by a Schur complement
-    (_eliminate_interior), the reduced pencil is restricted to the
+    S = A_gg - A_ig^T X with X = A_ii^-1 A_ig from solve_spd (refined and
+    checked to relative residual 1e-12; the eigenpairs found later are
+    sensitive to X's last bits, so the Z^T Z form of _eliminate_interior is
+    not used here), the reduced pencil is restricted to the
     complement of Bm @ 1 on the boundary (Complement), and the restricted
     dense pencil goes to the generalized eigensolver.  Eigenpairs are
     cleaned by reduced Rayleigh iteration until the full-pencil relative
@@ -476,7 +490,12 @@ def _schur_pencil_bottom(A: SparseSym, Bm: SparseSym, mesh: Mesh, k: int = 1):
     Bm-orthonormal full-mesh fields and each pair's _relative_residual.
     """
     n = mesh.num_vertices
-    gamma, interior, S, X, _, _ = _eliminate_interior(A, mesh)
+    gamma = mesh.boundary_vertex_ids()
+    interior = np.setdiff1d(np.arange(n), gamma)
+    A_ig = A.dense_block(interior, gamma)
+    X = solve_spd(SparseSym(len(interior), *A.block_coo(interior, interior)), A_ig,
+                  tol=1e-12)
+    S = A.dense_block(gamma, gamma) - A_ig.T @ X
     S = 0.5 * (S + S.T)
     B_gg = Bm.dense_block(gamma, gamma)
 
@@ -544,6 +563,8 @@ def solve_p2(mesh: Mesh, weighted: bool, k: int = 1,
     p2_spectrum holds the max(1, k) smallest non-trivial eigenvalues of the
     stiffness/boundary-mass pencil on the complement of the constraint.
     quadrature_order is the boundary Gauss rule, as in ProblemConfig.
+    converged means the returned pair meets WEAKFORM_RTOL: the dense
+    reduction can lose the wanted pair on a strongly graded boundary mass.
     """
     K, _, B = fem.assemble_p2(mesh, weighted=weighted, quadrature_order=quadrature_order)
     vals, fields, residuals = _schur_pencil_bottom(K, B, mesh, k=max(1, k))
@@ -555,5 +576,6 @@ def solve_p2(mesh: Mesh, weighted: bool, k: int = 1,
         raise SolveError(f"non-positive p=2 eigenvalue {lam}")
     return EigenResult(eigenvalue=lam, u=u, iterations=0,
                        energy_history=[lam], constraint_residual=cres,
-                       weakform_residual=float(residuals[0]), converged=True,
+                       weakform_residual=float(residuals[0]),
+                       converged=bool(residuals[0] <= WEAKFORM_RTOL),
                        p2_spectrum=vals)

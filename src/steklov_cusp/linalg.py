@@ -3,12 +3,14 @@ constraint direction and a dense generalized eigensolver, in numpy alone.
 
 Every sparse linear solve goes through one factorization: reverse
 Cuthill-McKee ordering and a block-tridiagonal Cholesky factor (Factor),
-used as the descent preconditioner and, through solve_spd, for the
-interior elimination.  The spectral paths restrict a pencil to the
-complement of their constraint direction (Complement, a Householder
-reflector) and reduce it to a dense eigensolve (equilibrated Cholesky
-factor of B, then a standard symmetric eigensolve; only the eigenvectors
-asked for are back-transformed).
+used as the descent preconditioner, for the Newton step's interior
+elimination (whose Schur complement Z^T Z needs only the forward half,
+Factor.lower) and, refined and residual-checked through solve_spd, for
+solve_p2's.  The spectral paths restrict a pencil to the complement of
+their constraint direction (Complement, a Householder reflector) and reduce
+it to a dense eigensolve (equilibrated Cholesky factor of B, then a
+standard symmetric eigensolve; only the eigenvectors asked for are
+back-transformed).
 
 The trace spectrum's pencil B x = sigma P x has B supported on the boundary
 vertices Gamma, so its non-zero spectrum is that of the |Gamma| x |Gamma|
@@ -246,9 +248,8 @@ class Factor:
                 sub[k] = sub[k] @ diag[k].T
         self._linv, self._lsub = diag, sub
 
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        """A^{-1} b for a vector or for each column of a matrix."""
-        b = np.asarray(b, dtype=float)
+    def _forward(self, b: np.ndarray) -> np.ndarray:
+        # L^{-1} P b in the factor's blocks; the padding rows come out zero
         linv, lsub = self._linv, self._lsub
         nb, bs = linv.shape[:2]
         y = np.zeros((nb * bs,) + b.shape[1:])
@@ -256,10 +257,28 @@ class Factor:
         y = y.reshape((nb, bs) + b.shape[1:])
         for k in range(nb):
             y[k] = linv[k] @ (y[k] - lsub[k - 1] @ y[k - 1] if k else y[k])
+        return y
+
+    def lower(self, b: np.ndarray) -> np.ndarray:
+        """Z = L^{-1} P b, the forward half of solve, for a vector or matrix b.
+
+        With P A P^T = L L^T, b^T A^{-1} b = Z^T Z: a Schur complement
+        A_gg - A_ig^T A_ii^{-1} A_ig needs only this half, and comes out
+        symmetric.
+        """
+        b = np.asarray(b, dtype=float)
+        return self._forward(b).reshape((-1,) + b.shape[1:])[:self.n]
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """A^{-1} b for a vector or for each column of a matrix."""
+        b = np.asarray(b, dtype=float)
+        linv, lsub = self._linv, self._lsub
+        nb = len(linv)
+        y = self._forward(b)
         for k in range(nb - 1, -1, -1):
             y[k] = linv[k].T @ (y[k] - lsub[k].T @ y[k + 1] if k + 1 < nb else y[k])
         x = np.empty_like(b)
-        x[self.perm] = y.reshape((nb * bs,) + b.shape[1:])[:self.n]
+        x[self.perm] = y.reshape((-1,) + b.shape[1:])[:self.n]
         return x
 
 

@@ -147,6 +147,26 @@ def test_factor_cusp_bandwidth_and_accuracy(cusp15_mesh):
     assert np.linalg.norm(factor.solve(B) - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
+def test_factor_lower_gives_the_schur_term(cusp15_mesh):
+    # Z = L^-1 P A_ig of the interior block: Z^T Z is A_ig^T A_ii^-1 A_ig,
+    # exactly symmetric, with no back sweep
+    K, M, _ = assemble_p2(cusp15_mesh, weighted=False)
+    A = K + M
+    gamma = cusp15_mesh.boundary_vertex_ids()
+    interior = np.setdiff1d(np.arange(A.n), gamma)
+    A_ii = SparseSym(len(interior), *A.block_coo(interior, interior))
+    B = A.dense_block(interior, gamma)
+    factor = Factor(A_ii)
+    Z = factor.lower(B)
+    assert Z.shape == B.shape
+    G = Z.T @ Z
+    ref = B.T @ np.linalg.solve(A_ii.to_dense(), B)
+    assert np.linalg.norm(G - ref) <= 1e-12 * np.linalg.norm(ref)
+    assert np.array_equal(G, G.T)
+    z = factor.lower(B[:, 0])
+    assert np.linalg.norm(z - Z[:, 0]) <= 1e-14 * np.linalg.norm(Z[:, 0])
+
+
 def test_eig_diagonal():
     vals, vecs = generalized_eig_sym(np.diag([1.0, 2.0, 3.0]), np.eye(3), 3)
     assert np.allclose(vals, [1.0, 2.0, 3.0], atol=1e-13)
