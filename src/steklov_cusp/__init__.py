@@ -11,9 +11,8 @@ from .eigensolver import (EigenResult, orthogonalize_shift, rayleigh, solve_p,
                           solve_p2, weakform_residual)
 from .fem import (ProblemConfig, assemble_p2, boundary_pnorm, constraint_functional,
                   energy, energy_gradient, volume_pnorm)
-from .geometry import (BoundaryArc, BoundaryPolygon, BoundaryTag, DomainSpec,
-                       GeometryError, boundary_arcs, boundary_polygon,
-                       boundary_weight, cusp_cap_intersection, cusp_halfwidth,
+from .geometry import (BoundaryPolygon, BoundaryTag, DomainSpec, GeometryError,
+                       boundary_polygon, cusp_cap_intersection, cusp_halfwidth,
                        polygon_from_points)
 from .linalg import SolveError, SparseSym, generalized_eig_sym, solve_spd
 from .mesh import Mesh, boundary_weighted_length, mesh_area, refine_uniform, triangulate
@@ -24,9 +23,8 @@ __all__ = [
     "weakform_residual",
     "ProblemConfig", "assemble_p2", "boundary_pnorm", "constraint_functional",
     "energy", "energy_gradient", "volume_pnorm",
-    "BoundaryArc", "BoundaryPolygon", "BoundaryTag", "DomainSpec",
-    "GeometryError", "boundary_arcs", "boundary_polygon", "boundary_weight",
-    "cusp_cap_intersection", "cusp_halfwidth", "polygon_from_points",
+    "BoundaryPolygon", "BoundaryTag", "DomainSpec", "GeometryError",
+    "boundary_polygon", "cusp_cap_intersection", "cusp_halfwidth", "polygon_from_points",
     "SolveError", "SparseSym", "generalized_eig_sym", "solve_spd",
     "Mesh", "boundary_weighted_length", "mesh_area", "refine_uniform", "triangulate",
 ]

@@ -12,71 +12,57 @@ import numpy as np
 from . import fem, geometry
 from .eigensolver import _descent, _eps_schedule, solve_p
 from .fem import ProblemConfig
-from .linalg import Complement, SolveError, generalized_eig_sym, inverse_block
+from .linalg import Complement, Factor, SolveError, generalized_eig_sym, inverse_block
 from .mesh import Mesh, refine_uniform, triangulate
 
 
 def fp_constant(mesh: Mesh, cfg: ProblemConfig, constraint: str = "weighted-boundary",
-                method: str = "auto", seed: int = 0) -> float:
+                seed: int = 0) -> float:
     """Discrete Friedrichs-Poincare constant: the largest C with
     ||u||_p <= C ||grad u||_p over the constrained set.
 
     Computed as m^(-1/p) where m minimizes energy over the volume p-norm.
     At p = 2 the minimum comes from the dense (stiffness, mass) pencil
     restricted to the complement of the constraint direction (Complement);
-    otherwise the same descent machinery as the eigenvalue solver runs with
-    the volume p-norm in the denominator.
+    at any other p from _fp_descent, seeded by seed.
     constraint "weighted-boundary" is the problem's own condition; "zero-mean"
-    is the validation mode whose square-domain constant is known.
+    is the p = 2 validation mode whose square-domain constant is known, and
+    asking for it at any other p raises ValueError.
     """
     if constraint not in ("weighted-boundary", "zero-mean"):
         raise ValueError(f"unknown constraint mode {constraint!r}")
-    if method not in ("auto", "pencil", "descent"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "auto":
-        method = "pencil" if cfg.p == 2.0 else "descent"
+    if cfg.p != 2.0:
+        if constraint == "zero-mean":
+            raise ValueError("the zero-mean constraint is a p = 2 validation mode")
+        return _fp_descent(mesh, cfg, seed)
 
-    if method == "pencil":
-        if cfg.p != 2.0:
-            raise ValueError("the pencil path is a p = 2 method")
-        K, M, B = fem.assemble_p2(mesh, weighted=cfg.weighted,
-                                  quadrature_order=cfg.quadrature_order)
-        if constraint == "weighted-boundary":
-            direction = B.matvec(np.ones(mesh.num_vertices))
-        else:
-            direction = M.matvec(np.ones(mesh.num_vertices))
-        comp = Complement(direction)
-        # restricted one at a time, so no full dense matrix outlives its
-        # restriction into the eigensolve
-        vals, _ = generalized_eig_sym(comp.restrict(K.to_dense()),
-                                      comp.restrict(M.to_dense()), 1)
-        mu = float(vals[0])
-        if not mu > 0.0:
-            raise SolveError(f"non-positive constrained pencil minimum {mu}")
-        return mu ** -0.5
-
-    K, M, _ = fem.assemble_p2(mesh, weighted=False)
-    precond = K + M
+    K, M, B = fem.assemble_p2(mesh, weighted=cfg.weighted,
+                              quadrature_order=cfg.quadrature_order)
     if constraint == "weighted-boundary":
-        shift_fn = None
-        constraint_grad_fn = None
+        direction = B.matvec(np.ones(mesh.num_vertices))
     else:
-        area = float(fem.volume_mean_direction(mesh).sum())
-        mdir = fem.volume_mean_direction(mesh)
+        direction = M.matvec(np.ones(mesh.num_vertices))
+    comp = Complement(direction)
+    # restricted one at a time, so no full dense matrix outlives its
+    # restriction into the eigensolve
+    vals, _ = generalized_eig_sym(comp.restrict(K.to_dense()),
+                                  comp.restrict(M.to_dense()), 1)
+    mu = float(vals[0])
+    if not mu > 0.0:
+        raise SolveError(f"non-positive constrained pencil minimum {mu}")
+    return mu ** -0.5
 
-        def shift_fn(v):
-            return v - float(mdir @ v) / area
 
-        def constraint_grad_fn(_u):
-            return mdir
-
-    # start from the p = 2 constrained pencil eigenvector substitute: the
-    # first coordinate function recentred, a cheap and reliable seed
+def _fp_descent(mesh: Mesh, cfg: ProblemConfig, seed: int) -> float:
+    """FP constant under the weighted-boundary constraint at any p: the
+    eigenvalue solver's descent (_descent) with the volume p-norm in the
+    denominator, started from the first coordinate function plus a small
+    seeded perturbation."""
+    K, M, _ = fem.assemble_p2(mesh, weighted=False)
     rng = np.random.default_rng(seed)
     u0 = mesh.vertices[:, 0] + 0.01 * rng.standard_normal(mesh.num_vertices)
     outcome = _descent(mesh, cfg, u0, fem.volume_pnorm, fem.volume_pnorm_gradient,
-                       precond, _eps_schedule(cfg), shift_fn=shift_fn,
-                       constraint_grad_fn=constraint_grad_fn)
+                       Factor(K + M), _eps_schedule(cfg))
     value = fem.energy(mesh, replace(cfg, eps_reg=0.0), outcome.u) \
         / fem.volume_pnorm(mesh, cfg, outcome.u)
     if not value > 0.0:

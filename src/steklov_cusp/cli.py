@@ -259,10 +259,12 @@ def cmd_solve(cp, manifest: Manifest, seed: int):
     manifest.stage("mesh")
 
     alpha = spec.alpha if spec.kind == "cusp" else None
-    results = [solve_p(msh, cfg, restarts=restarts, seed=seed)]
     if cfg.p == 2.0:
-        results.append(solve_p2(msh, weighted=cfg.weighted,
-                                quadrature_order=cfg.quadrature_order))
+        # the direct pair is solve_p's own first start, so it is solved once
+        direct = solve_p2(msh, weighted=cfg.weighted, quadrature_order=cfg.quadrature_order)
+        results = [solve_p(msh, cfg, restarts=restarts, seed=seed, u0=direct.u), direct]
+    else:
+        results = [solve_p(msh, cfg, restarts=restarts, seed=seed)]
     manifest.stage("solve")
 
     csv_path = manifest.out / "results.csv"

@@ -137,11 +137,14 @@ def orthogonalize_shift(mesh: Mesh, cfg: ProblemConfig, u):
     return u - scalar_shift_root(F, dF, lo, hi, ftol)
 
 
-def _normalize(mesh, cfg, u, denom_fn):
+def _retract(mesh, cfg, u, denom_fn):
+    """Shift u onto the constraint (orthogonalize_shift), then scale it to
+    unit denominator p-norm."""
+    u = orthogonalize_shift(mesh, cfg, u)
     nval = denom_fn(mesh, cfg, u)
     if nval <= 0.0:
         raise SolveError("degenerate field: denominator norm vanishes")
-    return u / nval ** (1.0 / cfg.p), nval
+    return u / nval ** (1.0 / cfg.p)
 
 
 def weakform_residual(mesh: Mesh, cfg: ProblemConfig, u, lam: float) -> float:
@@ -178,42 +181,28 @@ class _DescentOutcome:
     stalled: bool
 
 
-def _descent(mesh, cfg, u0, denom_fn, denom_grad_fn, precond, eps_schedule,
-             iteration_cap=ITERATION_CAP, stall_rtol=STALL_RTOL,
-             shift_fn=None, constraint_grad_fn=None, on_accept=None):
+def _descent(mesh, cfg, u0, denom_fn, denom_grad_fn, factor, eps_schedule,
+             iteration_cap=ITERATION_CAP, stall_rtol=STALL_RTOL, on_accept=None):
     """Projected, preconditioned descent of numerator/denominator on the
     shifted-and-rescaled constraint manifold.  Returns the final iterate and
     the non-increasing history of accepted objective values.
 
-    shift_fn restores the constraint by a constant shift (weighted boundary
-    orthogonality by default); constraint_grad_fn supplies the constraint
-    gradient used to project out the component a shift can absorb.
-    on_accept(u) is called after every accepted step (used by tests to
-    monitor per-iterate invariants).  The SPD preconditioner precond is
-    factored once per call and applied exactly at every step.
+    The constraint is the weighted boundary orthogonality, restored after
+    every step by a constant shift (orthogonalize_shift); the gradient
+    component such a shift can absorb is projected out before the step.
+    factor is the preconditioner, a linalg.Factor of K + M applied exactly
+    at every step; the caller builds it once, so solve_p shares one factor
+    among all its starts.  on_accept(u) is called after every accepted step
+    (used by tests to monitor per-iterate invariants).
     """
     p = cfg.p
-    factor = Factor(precond)
-    if shift_fn is None:
-        def shift_fn(v):
-            return orthogonalize_shift(mesh, cfg, v)
-    if constraint_grad_fn is None:
-        def constraint_grad_fn(w):
-            return (p - 1.0) * fem.constraint_gradient_direction(mesh, cfg, w)
-
-    def retract(v):
-        v = shift_fn(v)
-        v, _ = _normalize(mesh, cfg, v, denom_fn)
-        return v
-
-    u = retract(np.asarray(u0, dtype=float))
+    u = _retract(mesh, cfg, np.asarray(u0, dtype=float), denom_fn)
     history = []
     total_iters = 0
     stalled = False
     step = 1.0
 
     for eps in eps_schedule:
-        leg_rtol = stall_rtol
         cfg_eps = replace(cfg, eps_reg=eps)
         value = fem.energy(mesh, cfg_eps, u)  # denominator is 1 after retract
         history.append(value)
@@ -225,7 +214,7 @@ def _descent(mesh, cfg, u0, denom_fn, denom_grad_fn, precond, eps_schedule,
             g = g_num - value * g_den
             # component a constant shift can absorb (zero for the boundary
             # denominator at feasible points, nonzero for the volume one)
-            gdir = constraint_grad_fn(u)
+            gdir = (p - 1.0) * fem.constraint_gradient_direction(mesh, cfg, u)
             gdir_sum = float(gdir.sum())
             if gdir_sum != 0.0:
                 g = g - (float(g.sum()) / gdir_sum) * gdir
@@ -238,7 +227,7 @@ def _descent(mesh, cfg, u0, denom_fn, denom_grad_fn, precond, eps_schedule,
             s = min(2.0 * step, 1e3)
             for _ in range(64):
                 try:
-                    trial = retract(u - s * d)
+                    trial = _retract(mesh, cfg, u - s * d, denom_fn)
                 except SolveError:
                     s *= 0.5
                     continue
@@ -263,7 +252,7 @@ def _descent(mesh, cfg, u0, denom_fn, denom_grad_fn, precond, eps_schedule,
                 on_accept(u)
             if len(history) - leg_start >= STALL_WINDOW:
                 drop = history[-1 - STALL_WINDOW] - history[-1]
-                if drop < leg_rtol * max(abs(history[-1]), 1e-300):
+                if drop < stall_rtol * max(abs(history[-1]), 1e-300):
                     stalled = True
                     break
             # long-window guard against flatline creep (a symmetry valley can
@@ -319,11 +308,6 @@ def _bordered_newton(mesh, cfg, u):
     cfg_mat = replace(cfg, eps_reg=0.0 if p == 2.0 else 1e-8)
     cfg0 = replace(cfg, eps_reg=0.0)
 
-    def retract(v):
-        v = orthogonalize_shift(mesh, cfg, v)
-        v, _ = _normalize(mesh, cfg, v, fem.boundary_pnorm)
-        return v
-
     def newton_target(u, value):
         a = fem.energy_gradient(mesh, cfg0, u) / p
         b = fem.boundary_pnorm_gradient(mesh, cfg0, u) / p
@@ -366,7 +350,7 @@ def _bordered_newton(mesh, cfg, u):
         theta = min(2.0 * theta_warm, 1.0)
         for _ in range(12):
             try:
-                trial = retract(u + theta * (v - u))
+                trial = _retract(mesh, cfg, u + theta * (v - u), fem.boundary_pnorm)
             except SolveError:
                 theta *= 0.5
                 continue
@@ -415,7 +399,7 @@ def solve_p(mesh: Mesh, cfg: ProblemConfig, restarts: int = 3, seed: int = 0,
     certified global minimum.
     """
     K, M, _ = fem.assemble_p2(mesh, weighted=False)
-    precond = K + M
+    factor = Factor(K + M)
     schedule = _eps_schedule(cfg)
     starts = []
     if u0 is not None:
@@ -433,7 +417,7 @@ def solve_p(mesh: Mesh, cfg: ProblemConfig, restarts: int = 3, seed: int = 0,
         # the terminal phase, which enforces the same final standard
         run_rtol = STALL_RTOL if start_idx == 0 else 1e-6
         outcome = _descent(mesh, cfg, u_init, fem.boundary_pnorm,
-                           fem.boundary_pnorm_gradient, precond, schedule,
+                           fem.boundary_pnorm_gradient, factor, schedule,
                            iteration_cap=iteration_cap, stall_rtol=run_rtol)
         result = _finalize_run(mesh, cfg, outcome.u, outcome.iterations, outcome.history)
         if outcome.stalled and result.weakform_residual > 0.1 * WEAKFORM_RTOL:

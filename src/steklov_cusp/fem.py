@@ -259,14 +259,6 @@ def linearized_boundary_mass(mesh: Mesh, cfg: ProblemConfig, u) -> SparseSym:
     return _boundary_mass(mesh, xi, jac * w * _magnitude_power(uq, cfg.p))
 
 
-def volume_mean_direction(mesh: Mesh) -> np.ndarray:
-    """Nodal vector int phi_i dx (row sums of the mass matrix)."""
-    areas, _ = mesh.tri_geometry()
-    contrib = np.repeat(areas[:, None] / 3.0, 3, axis=1)
-    return np.bincount(mesh.triangles.ravel(), weights=contrib.ravel(),
-                       minlength=mesh.num_vertices)
-
-
 def assemble_p2(mesh: Mesh, weighted: bool, quadrature_order: int = DEFAULT_QUAD_ORDER):
     """Stiffness K, volume mass M and (weighted) boundary mass B as SparseSym.
 

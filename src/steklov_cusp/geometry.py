@@ -167,80 +167,6 @@ def weight_on_arc(spec: DomainSpec | None, tag: BoundaryTag, param) -> float | n
     return np.ones_like(np.asarray(param, dtype=float))
 
 
-_ON_BOUNDARY_TOL = 1e-10
-
-
-def boundary_weight(spec: DomainSpec, point) -> float:
-    """Weight at a point of the resolved boundary.
-
-    The point must lie on one of the boundary arcs within 1e-10.  At the cusp
-    tip itself the weight is 0; quadrature never samples there because Gauss
-    points are interior to edges.
-    """
-    x, y = float(point[0]), float(point[1])
-    if spec.kind == "disk":
-        r = math.hypot(x, y)
-        if abs(r - spec.disk_radius) > _ON_BOUNDARY_TOL:
-            raise ValueError(f"point {point} not on the validation circle")
-        return 1.0
-
-    t_star = cusp_cap_intersection(spec)
-    if -_ON_BOUNDARY_TOL <= y <= t_star + _ON_BOUNDARY_TOL:
-        if abs(abs(x) - max(y, 0.0) ** spec.alpha) <= _ON_BOUNDARY_TOL:
-            return max(y, 0.0) ** spec.alpha
-    r = math.hypot(x - CAP_CENTER[0], y - CAP_CENTER[1])
-    if abs(r - CAP_RADIUS) <= _ON_BOUNDARY_TOL and y >= t_star - _ON_BOUNDARY_TOL:
-        return 1.0
-    raise ValueError(f"point {point} does not lie on the resolved boundary")
-
-
-@dataclass(frozen=True)
-class BoundaryArc:
-    """One smooth piece of the resolved boundary.
-
-    parameter_range is (height interval) for lateral arcs and (angle
-    interval) for circular ones; the pieces are pairwise non-overlapping and
-    their closure covers the whole boundary.
-    """
-
-    tag: BoundaryTag
-    parameter_range: tuple[float, float]
-    arclength: float
-
-
-def _lateral_arclength(spec: DomainSpec, t_hi: float, n: int = 2000) -> float:
-    # composite Gauss-2 on the graded substitution t = t_hi * s**2, which
-    # absorbs the integrand's derivative blowup at the tip for alpha < 2
-    a = spec.alpha
-    nodes = np.linspace(0.0, 1.0, n + 1)
-    mid = 0.5 * (nodes[:-1] + nodes[1:])
-    half = 0.5 / n / math.sqrt(3.0)
-    total = 0.0
-    for off in (-half, half):
-        s = mid + off
-        t = t_hi * s ** 2
-        dt = 2.0 * t_hi * s / (2.0 * n)
-        total += float(np.sum(np.sqrt(1.0 + (a * t ** (a - 1.0)) ** 2) * dt))
-    return total
-
-
-def boundary_arcs(spec: DomainSpec) -> list[BoundaryArc]:
-    """Decomposition of the resolved boundary into tagged smooth arcs."""
-    if spec.kind == "disk":
-        r = spec.disk_radius
-        return [BoundaryArc(BoundaryTag.DISK_CIRCLE, (0.0, 2.0 * math.pi),
-                            2.0 * math.pi * r)]
-    t_star = cusp_cap_intersection(spec)
-    theta_r, theta_l = cap_angle_range(spec)
-    lateral = _lateral_arclength(spec, t_star)
-    cap = CAP_RADIUS * (theta_l - theta_r)
-    return [
-        BoundaryArc(BoundaryTag.CUSP_LATERAL_RIGHT, (0.0, t_star), lateral),
-        BoundaryArc(BoundaryTag.CAP_ARC, (theta_r, theta_l), cap),
-        BoundaryArc(BoundaryTag.CUSP_LATERAL_LEFT, (0.0, t_star), lateral),
-    ]
-
-
 @dataclass(frozen=True)
 class PolygonEdge:
     """Directed polygon edge i -> j with its arc tag and curve parameters."""

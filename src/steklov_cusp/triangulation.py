@@ -11,6 +11,11 @@ raises GeometryError.  The cusp and disk polygons of boundary_polygon meet
 this (tests/test_mesh.py meshes those of the shipped configs), and so do
 the convex validation and test polygons.
 
+Nor is there recovery from a blocked walk: a circumcenter that encroaches
+a constrained segment splits that segment instead of being inserted, and
+point location that would still cross a constrained edge or the hull
+raises GeometryError naming the edge.
+
 Inside a neighborhood of the cusp tip no quality or encroachment splitting
 is attempted: a 20 degree bound is unattainable inside a power cusp and
 diametral-circle enforcement between the two lateral curves provably cascades
@@ -92,11 +97,6 @@ def _circumcenter(a, b, c):
     return ux, uy
 
 
-class _Blocked(Exception):
-    def __init__(self, edge):
-        self.edge = edge
-
-
 @dataclass
 class Segment:
     tag: BoundaryTag
@@ -163,11 +163,11 @@ class _CDT:
 
     # -- point location ---------------------------------------------------
 
-    def _locate(self, p, hint=None, walls=False):
+    def _locate(self, p, hint=None):
         """Walk to the triangle containing p.
 
-        With walls=True a constrained edge stops the walk (used when the
-        target point may lie outside the domain)."""
+        A walk never crosses a constrained edge or the hull: either would
+        leave the domain, so GeometryError names the edge instead."""
         tid = hint if hint in self.tris else self._last_tid
         if tid not in self.tris:
             tid = next(iter(self.tris))
@@ -180,11 +180,11 @@ class _CDT:
             for (u, v, pu, pv) in ((a, b, pa, pb), (b, c, pb, pc), (c, a, pc, pa)):
                 if orient2d(*pu, *pv, *p) < 0:
                     k = _key(u, v)
-                    if walls and k in self.constrained:
-                        raise _Blocked(k)
+                    if k in self.constrained:
+                        raise GeometryError(f"point {p} lies beyond the constrained edge {k}")
                     nxt = self._neighbor(tid, u, v)
                     if nxt is None:
-                        raise _Blocked(k)
+                        raise GeometryError(f"point {p} lies beyond the hull edge {k}")
                     tid = nxt
                     moved = True
                     break
@@ -193,26 +193,17 @@ class _CDT:
                 return tid
             seen += 1
             if seen > limit:
-                return self._locate_scan(p, walls)
-
-    def _locate_scan(self, p, walls):
-        for tid in sorted(self.tris):
-            a, b, c = self.tris[tid]
-            pa, pb, pc = self.pts[a], self.pts[b], self.pts[c]
-            if (orient2d(*pa, *pb, *p) >= 0 and orient2d(*pb, *pc, *p) >= 0
-                    and orient2d(*pc, *pa, *p) >= 0):
-                return tid
-        raise GeometryError(f"point {p} not inside the triangulation")
+                raise GeometryError(f"walk to point {p} did not end after {limit} steps")
 
     # -- Bowyer-Watson insertion -------------------------------------------
 
-    def insert_point(self, p, hint=None, split_key=None, walls=False):
+    def insert_point(self, p, hint=None, split_key=None):
         """Insert p; returns its vertex id.  split_key names a constrained
         segment being split at p (p must lie on it)."""
         if split_key is not None:
             seeds = list(self.edge_map[split_key])
         else:
-            seeds = [self._locate(p, hint, walls=walls)]
+            seeds = [self._locate(p, hint)]
         # dedupe against nearby vertices
         for tid in seeds:
             for v in self.tris[tid]:
@@ -402,27 +393,14 @@ class _CDT:
                     if (cc[0] - mx) ** 2 + (cc[1] - my) ** 2 < r2:
                         target = k
                         break
-                try:
-                    if target is not None:
-                        if exempt_fn((0.5 * (self.pts[target[0]][0] + self.pts[target[1]][0]),
-                                      0.5 * (self.pts[target[0]][1] + self.pts[target[1]][1]))):
-                            self._given_up.add(self.tris[tid])
-                            continue
-                        self._split_segment(target)
-                    else:
-                        self.insert_point(cc, hint=tid, walls=True)
-                except _Blocked as blk:
-                    k = blk.edge
-                    if k in self.constrained:
-                        mid = (0.5 * (self.pts[k[0]][0] + self.pts[k[1]][0]),
-                               0.5 * (self.pts[k[0]][1] + self.pts[k[1]][1]))
-                        if exempt_fn(mid):
-                            self._given_up.add(self.tris.get(tid, (a, b, c)))
-                            continue
-                        self._split_segment(k)
-                    else:
-                        self._given_up.add(self.tris.get(tid, (a, b, c)))
+                if target is not None:
+                    if exempt_fn((0.5 * (self.pts[target[0]][0] + self.pts[target[1]][0]),
+                                  0.5 * (self.pts[target[0]][1] + self.pts[target[1]][1]))):
+                        self._given_up.add(self.tris[tid])
                         continue
+                    self._split_segment(target)
+                else:
+                    self.insert_point(cc, hint=tid)
                 changed = True
                 if len(self.pts) > ELEMENT_BUDGET:
                     raise GeometryError(f"refinement exceeded the element "

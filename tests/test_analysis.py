@@ -4,7 +4,7 @@ import pytest
 from steklov_cusp import (DomainSpec, ProblemConfig, boundary_polygon, fp_constant,
                           polygon_from_points, refine_uniform, trace_spectrum,
                           triangulate)
-from steklov_cusp.analysis import SweepReport, alpha_sweep, classify_trend
+from steklov_cusp.analysis import SweepReport, _fp_descent, alpha_sweep, classify_trend
 
 
 def test_fp_square_zero_mean_is_inverse_pi():
@@ -22,16 +22,17 @@ def test_fp_positive_and_finite(cusp15_mesh):
 
 def test_fp_descent_matches_pencil_at_p2(cusp15_mesh):
     cfg = ProblemConfig(p=2.0, weighted=True)
-    Cp = fp_constant(cusp15_mesh, cfg, method="pencil")
-    Cd = fp_constant(cusp15_mesh, cfg, method="descent")
+    Cp = fp_constant(cusp15_mesh, cfg)
+    Cd = _fp_descent(cusp15_mesh, cfg, seed=0)
     assert abs(Cp - Cd) / Cp <= 1e-6
 
 
 def test_fp_rejects_bad_modes(cusp15_mesh):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown constraint"):
         fp_constant(cusp15_mesh, ProblemConfig(), constraint="nonsense")
-    with pytest.raises(ValueError):
-        fp_constant(cusp15_mesh, ProblemConfig(p=3.0), method="pencil")
+    # zero-mean is the p = 2 validation mode only
+    with pytest.raises(ValueError, match="zero-mean"):
+        fp_constant(cusp15_mesh, ProblemConfig(p=3.0), constraint="zero-mean")
 
 
 def test_trace_spectrum_disk_stability(disk_mesh):

@@ -208,6 +208,25 @@ def test_cmd_solve_disk_lambda_near_one(tmp_path):
     assert (out / "eigenfunction.vtk").exists()
 
 
+def test_cmd_solve_p2_solves_the_direct_pair_once(tmp_path, monkeypatch):
+    # the direct pair is both a results row and solve_p's first start
+    from steklov_cusp import cli, eigensolver
+
+    real_solve_p2 = eigensolver.solve_p2
+    calls = []
+
+    def solve_p2(*args, **kwargs):
+        calls.append(args)
+        return real_solve_p2(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "solve_p2", solve_p2)
+    monkeypatch.setattr(eigensolver, "solve_p2", solve_p2)
+    out = tmp_path / "out"
+    assert main(["solve", "--config", _write(tmp_path, "disk.ini", DISK_CONFIG, out)]) == 0
+    assert len(calls) == 1
+    assert len((out / "results.csv").read_text().splitlines()) == 3
+
+
 def test_cmd_solve_deterministic_bytes(tmp_path):
     out1 = tmp_path / "a"
     out2 = tmp_path / "b"

@@ -43,3 +43,16 @@ def test_no_private_names_imported_across_modules():
                 found |= {(path.stem, node.module, alias.name) for alias in node.names
                           if alias.name.startswith("_")}
     assert found - PRIVATE_IMPORTS_ALLOWED == set()
+
+
+def test_all_lists_exactly_the_imported_names():
+    # a name deleted from a module must leave both the import and __all__
+    import steklov_cusp
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    imported = [alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) and node.level == 1
+                for alias in node.names]
+    assert sorted(steklov_cusp.__all__) == sorted(imported)
+    assert len(set(imported)) == len(imported)
+    for name in steklov_cusp.__all__:
+        assert getattr(steklov_cusp, name) is not None, name

@@ -345,7 +345,7 @@ def test_descent_constraint_at_every_accepted_step(disk_mesh):
 
     u0 = disk_mesh.vertices[:, 0]
     _descent(disk_mesh, cfg, u0, fem.boundary_pnorm, fem.boundary_pnorm_gradient,
-             K + M, _eps_schedule(cfg), on_accept=on_accept)
+             Factor(K + M), _eps_schedule(cfg), on_accept=on_accept)
     assert len(seen) > 0
     assert max(seen) <= 1e-8 * measure
 
@@ -377,7 +377,7 @@ def test_bordered_newton_finishes_stalled_descent(cusp15_mesh, p):
     cfg = ProblemConfig(p=p, weighted=True)
     K, M, _ = fem.assemble_p2(cusp15_mesh, weighted=False)
     out = _descent(cusp15_mesh, cfg, solve_p2(cusp15_mesh, weighted=True).u,
-                   fem.boundary_pnorm, fem.boundary_pnorm_gradient, K + M,
+                   fem.boundary_pnorm, fem.boundary_pnorm_gradient, Factor(K + M),
                    _eps_schedule(cfg))
     assert out.stalled
     lam_in = rayleigh(cusp15_mesh, cfg, out.u)
@@ -395,9 +395,24 @@ def test_bordered_newton_finishes_stalled_descent(cusp15_mesh, p):
 def _stalled_field(mesh, cfg):
     K, M, _ = fem.assemble_p2(mesh, weighted=False)
     out = _descent(mesh, cfg, solve_p2(mesh, weighted=cfg.weighted).u, fem.boundary_pnorm,
-                   fem.boundary_pnorm_gradient, K + M, _eps_schedule(cfg))
+                   fem.boundary_pnorm_gradient, Factor(K + M), _eps_schedule(cfg))
     assert out.stalled
     return out.u
+
+
+def test_solve_p_factors_the_preconditioner_once(cusp15_mesh, monkeypatch):
+    # one factor of K + M serves every start (Newton's interior factors,
+    # if any, are smaller)
+    sizes = []
+
+    class CountingFactor(Factor):
+        def __init__(self, A):
+            sizes.append(A.n)
+            super().__init__(A)
+
+    monkeypatch.setattr(eigensolver, "Factor", CountingFactor)
+    solve_p(cusp15_mesh, ProblemConfig(p=2.5, weighted=True), restarts=3, iteration_cap=5)
+    assert sizes.count(cusp15_mesh.num_vertices) == 1
 
 
 def test_bordered_newton_factors_once_per_step(cusp15_mesh, monkeypatch):

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from steklov_cusp import (BoundaryTag, DomainSpec, GeometryError, boundary_polygon,
-                          boundary_weight, cusp_cap_intersection, cusp_halfwidth,
-                          polygon_from_points)
-from steklov_cusp.geometry import cap_angle_range, polygon_area
+                          cusp_cap_intersection, cusp_halfwidth, polygon_from_points)
+from steklov_cusp.geometry import cap_angle_range, polygon_area, weight_on_arc
 
 from helpers import exact_cusp_area, junction_height, shoelace
 
@@ -55,30 +54,22 @@ def test_junction_is_first_crossing(alpha):
 
 def test_boundary_weight_on_lateral():
     spec = DomainSpec.cusp(2.0)
-    assert boundary_weight(spec, (0.25, 0.5)) == pytest.approx(0.25, abs=1e-12)
-    assert boundary_weight(spec, (-0.25, 0.5)) == pytest.approx(0.25, abs=1e-12)
+    for tag in (BoundaryTag.CUSP_LATERAL_RIGHT, BoundaryTag.CUSP_LATERAL_LEFT):
+        assert weight_on_arc(spec, tag, 0.5) == pytest.approx(0.25, abs=1e-12)
 
 
 def test_boundary_weight_on_cap_is_one():
     for alpha in (1.5, 2.0, 3.0):
         spec = DomainSpec.cusp(alpha)
-        assert boundary_weight(spec, (0.0, 2.0 + math.sqrt(2.0))) == 1.0
+        assert weight_on_arc(spec, BoundaryTag.CAP_ARC, 0.5 * math.pi) == 1.0
 
 
 def test_boundary_weight_at_junction():
     spec = DomainSpec.cusp(1.5)
     t = cusp_cap_intersection(spec)
-    w = boundary_weight(spec, (t ** 1.5, t))
+    w = weight_on_arc(spec, BoundaryTag.CUSP_LATERAL_RIGHT, t)
     assert w == pytest.approx(t ** 1.5, abs=1e-12)
     assert w < 1.0
-
-
-def test_boundary_weight_off_boundary_raises():
-    spec = DomainSpec.cusp(2.0)
-    with pytest.raises(ValueError):
-        boundary_weight(spec, (0.5, 0.5))
-    with pytest.raises(ValueError):
-        boundary_weight(DomainSpec.disk(1.0), (0.5, 0.5))
 
 
 def test_weight_jump_at_junction_convention():
@@ -86,11 +77,8 @@ def test_weight_jump_at_junction_convention():
     # the implemented convention is the jump, asserted here explicitly
     spec = DomainSpec.cusp(2.5)
     t = cusp_cap_intersection(spec)
-    lateral = boundary_weight(spec, (t ** 2.5, t))
-    cap_pt = (math.sqrt(2.0) * math.cos(cap_angle_range(spec)[0] + 1e-3),)
-    theta = cap_angle_range(spec)[0] + 1e-3
-    cap = boundary_weight(spec, (math.sqrt(2.0) * math.cos(theta),
-                                 2.0 + math.sqrt(2.0) * math.sin(theta)))
+    lateral = weight_on_arc(spec, BoundaryTag.CUSP_LATERAL_RIGHT, t)
+    cap = weight_on_arc(spec, BoundaryTag.CAP_ARC, cap_angle_range(spec)[0] + 1e-3)
     assert lateral < 1.0 and cap == 1.0
 
 
@@ -146,26 +134,6 @@ def test_polygon_preconditions():
 def test_self_intersection_detection():
     with pytest.raises(GeometryError):
         polygon_from_points([(0, 0), (1, 1), (1, 0), (0, 1)])
-
-
-def test_boundary_arcs_cover_and_lengths():
-    from steklov_cusp.geometry import boundary_arcs
-    from helpers import adaptive_simpson
-    spec = DomainSpec.cusp(1.5)
-    arcs = boundary_arcs(spec)
-    assert [a.tag for a in arcs] == [BoundaryTag.CUSP_LATERAL_RIGHT,
-                                     BoundaryTag.CAP_ARC,
-                                     BoundaryTag.CUSP_LATERAL_LEFT]
-    t_star = junction_height(1.5)
-    assert arcs[0].parameter_range == pytest.approx((0.0, t_star), abs=1e-10)
-    lateral_oracle = adaptive_simpson(
-        lambda t: math.sqrt(1.0 + (1.5 * t ** 0.5) ** 2), 0.0, t_star, 1e-12)
-    assert arcs[0].arclength == pytest.approx(lateral_oracle, rel=1e-8)
-    x_star = t_star ** 1.5
-    cap_oracle = math.sqrt(2.0) * (2.0 * math.pi - 2.0 * math.asin(x_star / math.sqrt(2.0)))
-    assert arcs[1].arclength == pytest.approx(cap_oracle, rel=1e-10)
-    disk_arcs = boundary_arcs(DomainSpec.disk(2.0))
-    assert disk_arcs[0].arclength == pytest.approx(4.0 * math.pi, rel=1e-14)
 
 
 def test_weight_range_on_polygon_edges():

@@ -1,4 +1,5 @@
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -134,6 +135,20 @@ def test_polygon_edge_missing_from_delaunay_rejected():
             (1, 0.5), (1, 3), (0, 3)]
     with pytest.raises(GeometryError, match=r"polygon edge \(6, 7\)"):
         triangulate(polygon_from_points(slit), 0.3)
+
+
+def test_walk_beyond_a_boundary_segment_names_it():
+    # point location stops at a constrained edge instead of leaving the domain
+    from steklov_cusp.triangulation import Segment, _CDT, _key
+    square = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
+    cdt = _CDT(square)
+    ids = [cdt.insert_point(p) for p in square]
+    for i in range(4):
+        cdt.constrained[_key(ids[i], ids[(i + 1) % 4])] = Segment(BoundaryTag.SEGMENT, 0.0, 1.0)
+    cdt.remove_exterior()
+    right = _key(ids[1], ids[2])
+    with pytest.raises(GeometryError, match=re.escape(f"constrained edge {right}")):
+        cdt._locate((2.0, 0.5))
 
 
 def test_shipped_config_base_meshes_validate():
