@@ -95,7 +95,7 @@ def trace_spectrum(mesh: Mesh, weighted: bool, k: int = 10) -> np.ndarray:
     K, M, B = fem.assemble_p2(mesh, weighted=weighted)
     gamma = mesh.boundary_vertex_ids()
     G = inverse_block(K + M, gamma)
-    vals, _ = generalized_eig_sym(G @ B.dense_block(gamma, gamma) @ G, G)
+    vals, _ = generalized_eig_sym(G @ B.pattern.split(gamma).boundary_block(B) @ G, G)
     top = np.maximum(vals, 0.0)[::-1][:k]
     if not np.all(np.isfinite(top)):
         raise SolveError("trace spectrum produced non-finite values")

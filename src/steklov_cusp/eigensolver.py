@@ -10,7 +10,12 @@ eigenvector accuracy, a stalled descent is finished by one residual-driven
 terminal phase, damped Newton on the bordered stationarity system
 (_bordered_newton); its interior elimination (_eliminate_interior) factors
 the interior block once per step and forms the boundary Schur complement
-from the forward half-solve (linalg.Factor.lower).  solve_p2 is the direct
+from the forward half-solve (linalg.Factor.lower).  Every matrix here is
+assembled on the mesh's cached sparsity patterns (linalg.Pattern) and split
+into interior and boundary blocks by index arrays kept with them
+(linalg.BoundarySplit), so a Newton step sums, gathers and factors values
+only: its ordering, scatter and block layout are analysed once per mesh.
+solve_p2 is the direct
 linear path: boundary reduction of the stiffness matrix by a Schur
 complement through the refined solve_spd, restriction to the complement of
 the constraint direction (linalg.Complement), and a dense generalized
@@ -285,7 +290,11 @@ def _bordered_newton(mesh, cfg, u):
     H = A(u) - lam (p-1) B_w(u) and r the weak-form residual vector; the
     interior block of H equals A's (B_w lives on the boundary), so interior
     elimination plus a dense bordered boundary solve handles the
-    indefiniteness directly.  Each step factors H_ii once
+    indefiniteness directly.  H's values are A's on the mesh's triangle
+    pattern with -lam (p-1) times B_w's added at their positions in it
+    (linalg.Pattern.positions), so no step sorts or analyses a pattern: the
+    RCM ordering and block layout of H_ii, and the index arrays of its
+    blocks, come from the mesh's cached split.  Each step factors H_ii once
     (_eliminate_interior), reduces r with one single-vector solve, solves
     the (|Gamma| + 1)^2 bordered system, and lifts the interior part of du
     with one more solve.  The step is then checked where it is used: if
@@ -311,8 +320,12 @@ def _bordered_newton(mesh, cfg, u):
     def newton_target(u, value):
         a = fem.energy_gradient(mesh, cfg0, u) / p
         b = fem.boundary_pnorm_gradient(mesh, cfg0, u) / p
-        H = fem.linearized_energy_matrix(mesh, cfg_mat, u) \
-            + fem.linearized_boundary_mass(mesh, cfg, u).scaled(-(value * (p - 1.0)))
+        E = fem.linearized_energy_matrix(mesh, cfg_mat, u)
+        Bw = fem.linearized_boundary_mass(mesh, cfg, u)
+        # a shared entry rounds as e + (s b), as a COO sum of E and s B_w would
+        data = E.data.copy()
+        data[E.pattern.positions(Bw.pattern)] += -(value * (p - 1.0)) * Bw.data
+        H = SparseSym.on(E.pattern, data)
         r = a - value * b
         gamma, interior, S, factor, A_ig = _eliminate_interior(H, mesh)
         ng = len(gamma)
@@ -442,6 +455,8 @@ def solve_p(mesh: Mesh, cfg: ProblemConfig, restarts: int = 3, seed: int = 0,
 def _eliminate_interior(A: SparseSym, mesh: Mesh):
     """Factor the interior block of A and form the boundary Schur complement.
 
+    The blocks come from the split of A's pattern at the mesh's boundary
+    vertices (linalg.Pattern.split), built once per pattern.
     A_ii (SPD) is factored once (Factor).  With Z = L^-1 P A_ig, the
     forward half-solve of the |Gamma| boundary columns (Factor.lower), the
     complement is S = A_gg - Z^T Z, symmetric by construction; no column is
@@ -449,12 +464,11 @@ def _eliminate_interior(A: SparseSym, mesh: Mesh):
     reduces to S x_g = r_g - A_ig^T A_ii^-1 r_i, and the interior part is
     x_i = A_ii^-1 (r_i - A_ig x_g), one factor.solve each.
     """
-    gamma = mesh.boundary_vertex_ids()
-    interior = np.setdiff1d(np.arange(A.n), gamma)
-    A_ig = A.dense_block(interior, gamma)
-    factor = Factor(SparseSym(len(interior), *A.block_coo(interior, interior)))
+    split = A.pattern.split(mesh.boundary_vertex_ids())
+    A_ig = split.coupling(A)
+    factor = Factor(split.interior_block(A))
     Z = factor.lower(A_ig)
-    return gamma, interior, A.dense_block(gamma, gamma) - Z.T @ Z, factor, A_ig
+    return split.gamma, split.interior, split.boundary_block(A) - Z.T @ Z, factor, A_ig
 
 
 def _schur_pencil_bottom(A: SparseSym, Bm: SparseSym, mesh: Mesh, k: int = 1):
@@ -462,8 +476,9 @@ def _schur_pencil_bottom(A: SparseSym, Bm: SparseSym, mesh: Mesh, k: int = 1):
     Bm-orthogonal to constants.
 
     A must carry the constants in its kernel and Bm must be supported on the
-    boundary.  Interior unknowns are eliminated by a Schur complement
-    S = A_gg - A_ig^T X with X = A_ii^-1 A_ig from solve_spd (refined and
+    boundary.  The blocks of A and Bm come from the splits of their patterns
+    (linalg.Pattern.split).  Interior unknowns are eliminated by a Schur
+    complement S = A_gg - A_ig^T X with X = A_ii^-1 A_ig from solve_spd (refined and
     checked to relative residual 1e-12; the eigenpairs found later are
     sensitive to X's last bits, so the Z^T Z form of _eliminate_interior is
     not used here), the reduced pencil is restricted to the
@@ -474,14 +489,13 @@ def _schur_pencil_bottom(A: SparseSym, Bm: SparseSym, mesh: Mesh, k: int = 1):
     Bm-orthonormal full-mesh fields and each pair's _relative_residual.
     """
     n = mesh.num_vertices
-    gamma = mesh.boundary_vertex_ids()
-    interior = np.setdiff1d(np.arange(n), gamma)
-    A_ig = A.dense_block(interior, gamma)
-    X = solve_spd(SparseSym(len(interior), *A.block_coo(interior, interior)), A_ig,
-                  tol=1e-12)
-    S = A.dense_block(gamma, gamma) - A_ig.T @ X
+    split = A.pattern.split(mesh.boundary_vertex_ids())
+    gamma, interior = split.gamma, split.interior
+    A_ig = split.coupling(A)
+    X = solve_spd(split.interior_block(A), A_ig, tol=1e-12)
+    S = split.boundary_block(A) - A_ig.T @ X
     S = 0.5 * (S + S.T)
-    B_gg = Bm.dense_block(gamma, gamma)
+    B_gg = Bm.pattern.split(gamma).boundary_block(Bm)
 
     comp = Complement(B_gg @ np.ones(len(gamma)))
     St, Bt = comp.restrict(S), comp.restrict(B_gg)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import SparseSym
+from .linalg import Pattern, SparseSym
 from .mesh import DEFAULT_QUAD_ORDER, Mesh
 
 # 6-point symmetric triangle rule, exact through degree 4 (weights sum to 1)
@@ -145,11 +145,22 @@ def _boundary_scatter(mesh: Mesh, xi: np.ndarray, s: np.ndarray) -> np.ndarray:
                        minlength=mesh.num_vertices)
 
 
-def _element_blocks(n: int, cells: np.ndarray, loc: np.ndarray) -> SparseSym:
-    """SparseSym summing the (m, k, k) local blocks loc over the (m, k) cells."""
-    k = cells.shape[1]
-    return SparseSym(n, np.repeat(cells, k, axis=1).ravel(), np.tile(cells, (1, k)).ravel(),
-                     loc.ravel())
+def _element_blocks(mesh: Mesh, cells: str, loc: np.ndarray) -> SparseSym:
+    """SparseSym summing the (m, k, k) local blocks loc over the mesh's
+    triangles (cells "triangles") or boundary edges ("edges").
+
+    The pattern of the blocks' entries is analysed on first use and cached
+    on the mesh, so every later matrix on the same cells only sums values.
+    """
+    key = ("pattern", cells)
+    if key not in mesh._cache:
+        b = mesh.boundary
+        idx = mesh.triangles if cells == "triangles" else np.stack([b.v0, b.v1], axis=1)
+        k = idx.shape[1]
+        mesh._cache[key] = Pattern(mesh.num_vertices, np.repeat(idx, k, axis=1).ravel(),
+                                   np.tile(idx, (1, k)).ravel())
+    pattern = mesh._cache[key]
+    return SparseSym.on(pattern, pattern.assemble(loc.ravel()))
 
 
 def _boundary_mass(mesh: Mesh, xi: np.ndarray, dens: np.ndarray) -> SparseSym:
@@ -157,8 +168,7 @@ def _boundary_mass(mesh: Mesh, xi: np.ndarray, dens: np.ndarray) -> SparseSym:
     Gauss weight included): one 2 x 2 block per boundary edge."""
     shapes = np.stack([1.0 - xi, xi], axis=0)  # (2, Q)
     loc = np.einsum("eq,aq,bq->eab", dens, shapes, shapes)
-    b = mesh.boundary
-    return _element_blocks(mesh.num_vertices, np.stack([b.v0, b.v1], axis=1), loc)
+    return _element_blocks(mesh, "edges", loc)
 
 
 def boundary_pnorm(mesh: Mesh, cfg: ProblemConfig, u) -> float:
@@ -245,7 +255,7 @@ def linearized_energy_matrix(mesh: Mesh, cfg: ProblemConfig, u) -> SparseSym:
     gdot = np.einsum("td,tkd->tk", g, grads)  # (T, 3)
     loc = (f1 * areas)[:, None, None] * gdot[:, :, None] * gdot[:, None, :] \
         + (f2 * areas)[:, None, None] * np.einsum("tid,tjd->tij", grads, grads)
-    return _element_blocks(mesh.num_vertices, mesh.triangles, loc)
+    return _element_blocks(mesh, "triangles", loc)
 
 
 def linearized_boundary_mass(mesh: Mesh, cfg: ProblemConfig, u) -> SparseSym:
@@ -263,14 +273,13 @@ def assemble_p2(mesh: Mesh, weighted: bool, quadrature_order: int = DEFAULT_QUAD
     """Stiffness K, volume mass M and (weighted) boundary mass B as SparseSym.
 
     K has the constants in its kernel; row sums of B are the weighted hat
-    integrals, so B @ 1 reproduces the boundary measure vector.
+    integrals, so B @ 1 reproduces the boundary measure vector.  K and M
+    share the mesh's triangle pattern, so K + M sums their values only.
     """
-    n = mesh.num_vertices
-    tris = mesh.triangles
     areas, grads = mesh.tri_geometry()
 
     kloc = np.einsum("tid,tjd->tij", grads, grads) * areas[:, None, None]
     mloc = (np.ones((3, 3)) + np.eye(3))[None, :, :] * (areas / 12.0)[:, None, None]
     xi, jac, w = _boundary_arrays(mesh, weighted, quadrature_order)
-    return (_element_blocks(n, tris, kloc), _element_blocks(n, tris, mloc),
+    return (_element_blocks(mesh, "triangles", kloc), _element_blocks(mesh, "triangles", mloc),
             _boundary_mass(mesh, xi, jac * w))

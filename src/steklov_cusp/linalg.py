@@ -1,6 +1,13 @@
 """Sparse symmetric storage, a sparse direct solver, the complement of one
 constraint direction and a dense generalized eigensolver, in numpy alone.
 
+Every sparse matrix is CSR values on a Pattern, and what depends on the
+pattern alone is analysed once: the assembly's sort and grouping, and,
+derived on first use, the RCM ordering and block layout a Factor scatters
+into, the row slots of the product and the interior/boundary block split.
+A mesh keeps the patterns of its matrices, so assembling, splitting and
+factoring on it again is numeric work only.
+
 Every sparse linear solve goes through one factorization: reverse
 Cuthill-McKee ordering and a block-tridiagonal Cholesky factor (Factor),
 used as the descent preconditioner, for the Newton step's interior
@@ -33,11 +40,121 @@ class SolveError(Exception):
     """Factorization or solve failure; carries the failing pivot or residual."""
 
 
-class SparseSym:
-    """Symmetric sparse matrix; stores the full pattern once, in CSR form.
+class Pattern:
+    """Sparsity pattern of a symmetric matrix summed from COO entries,
+    analysed once for every matrix assembled on it.
 
-    Matrix-vector products use a copy in row slots (ELLPACK: one array per
-    slot, padded to the longest row), cached on first use;
+    The constructor sorts the entries by row, then column, and groups the
+    duplicates: that gives the CSR structure (indptr, indices, and rows, the
+    row of each stored entry) and the sort order and group starts with which
+    assemble sums any values listed like the entries into CSR values.  What
+    depends on the pattern alone is derived on first use and kept: the
+    reverse Cuthill-McKee ordering and block layout every Factor of it
+    scatters into, the row slots of the matrix-vector product, and the
+    interior/boundary split (split).  A mesh keeps the patterns of its
+    matrices in its cache, so each is analysed once per mesh and freed with
+    the mesh (George & Liu 1981: analyse once, factor many times).
+    """
+
+    def __init__(self, n, rows, cols):
+        rows = np.asarray(rows, dtype=np.int64)
+        cols = np.asarray(cols, dtype=np.int64)
+        self.n = int(n)
+        self._order = np.lexsort((cols, rows))
+        r, c = rows[self._order], cols[self._order]
+        key = r * self.n + c
+        self._starts = np.flatnonzero(np.concatenate([[len(key) > 0], key[1:] != key[:-1]]))
+        self.rows, self.indices = r[self._starts], c[self._starts]
+        self.indptr = np.concatenate([[0], np.cumsum(np.bincount(self.rows, minlength=self.n))])
+        self._split = None
+
+    def assemble(self, vals) -> np.ndarray:
+        """CSR values of the entries' values vals, duplicates summed."""
+        vals = np.asarray(vals, dtype=float)
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("non-finite entries in sparse assembly")
+        if len(self._starts) == 0:
+            return np.zeros(0)
+        return np.add.reduceat(vals[self._order], self._starts)
+
+    def block(self, rows_idx, cols_idx):
+        """(at, i, j) of the block [rows_idx, cols_idx]: the positions of
+        its entries in the CSR values and their local row and column."""
+        lookup_r = -np.ones(self.n, dtype=np.int64)
+        lookup_r[rows_idx] = np.arange(len(rows_idx))
+        lookup_c = -np.ones(self.n, dtype=np.int64)
+        lookup_c[cols_idx] = np.arange(len(cols_idx))
+        i, j = lookup_r[self.rows], lookup_c[self.indices]
+        at = np.flatnonzero((i >= 0) & (j >= 0))
+        return at, i[at], j[at]
+
+    def positions(self, other: "Pattern") -> np.ndarray:
+        """Positions in these CSR values of every entry of other, a pattern
+        contained in this one, in other's order."""
+        keys = other.rows * self.n + other.indices
+        at = np.searchsorted(self._keys, keys)
+        if (other.n != self.n or np.any(at == len(self._keys))
+                or not np.array_equal(self._keys[at], keys)):
+            raise ValueError("pattern is not contained in this one")
+        return at
+
+    @functools.cached_property
+    def _keys(self):
+        # row * n + column of every stored entry, ascending
+        return self.rows * self.n + self.indices
+
+    def split(self, gamma) -> "BoundarySplit":
+        """The BoundarySplit of this pattern at the boundary unknowns gamma,
+        kept for the last gamma array passed: a mesh passes the same cached
+        boundary vertex ids every time, so it is built once per pattern."""
+        if self._split is None or self._split.gamma is not gamma:
+            self._split = BoundarySplit(self, gamma)
+        return self._split
+
+    @functools.cached_property
+    def _ell(self):
+        # ELLPACK layout: slot k of every row holds its k-th entry; short
+        # rows are padded with zeros on the diagonal.  Returns the slot
+        # columns and the flat position of each stored entry among them.
+        counts = np.diff(self.indptr)
+        slot = np.arange(len(self.rows)) - self.indptr[self.rows]
+        cols = np.tile(np.arange(self.n), (int(counts.max(initial=0)), 1))
+        cols[slot, self.rows] = self.indices
+        return cols, slot * self.n + self.rows
+
+    @functools.cached_property
+    def _band(self):
+        # Factor's layout: the RCM permutation, the bandwidth bw, block size
+        # b = max(bw, 1) and block count nb; for the stored entries of the
+        # diagonal blocks, then of the first subdiagonal blocks, their CSR
+        # positions and their flat positions in the (nb, b, b) and
+        # (nb - 1, b, b) block arrays; last the padding rows' diagonal.
+        n = self.n
+        perm = _rcm_order(self)
+        inv = np.empty(n, dtype=np.int64)
+        inv[perm] = np.arange(n)
+        pi, pj = inv[self.rows], inv[self.indices]
+        bandwidth = int(np.max(np.abs(pi - pj))) if len(pi) else 0
+        b = max(bandwidth, 1)
+        nb = max(-(-n // b), 1)
+        bi, bj = pi // b, pj // b
+        on = np.flatnonzero(bi == bj)
+        below = np.flatnonzero(bi == bj + 1)
+        pad = np.arange(n, nb * b)
+        return (perm, bandwidth, b, nb,
+                on, (bi[on] * b + pi[on] % b) * b + pj[on] % b,
+                below, (bj[below] * b + pi[below] % b) * b + pj[below] % b,
+                ((nb - 1) * b + pad % b) * b + pad % b)
+
+
+class SparseSym:
+    """Symmetric sparse matrix: CSR values on a Pattern, full pattern stored.
+
+    The COO constructor analyses a new pattern; SparseSym.on puts values on
+    an analysed one, so matrices assembled on the same mesh share its
+    patterns and do no sorting of their own.  Matrix-vector products use a
+    copy in row slots (ELLPACK: one array per slot, padded to the longest
+    row; the layout is the pattern's, the values are cached on first use);
     each slot is gathered into one reused buffer, so the cost stays O(n)
     per column and the temporaries one n x m buffer for a matrix
     right-hand side.  Instances are immutable after construction.
@@ -49,27 +166,32 @@ class SparseSym:
         Duplicate (i, j) entries are summed; mirrored off-diagonal entries
         must both be present (as element-loop assembly naturally produces).
         """
-        rows = np.asarray(rows, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
-        vals = np.asarray(vals, dtype=float)
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("non-finite entries in sparse assembly")
-        self.n = int(n)
-        r, self.indices, self.data = _coalesce(self.n, rows, cols, vals)
-        self.indptr = np.concatenate([[0], np.cumsum(np.bincount(r, minlength=self.n))])
+        self.pattern = Pattern(n, rows, cols)
+        self.n = self.pattern.n
+        self.data = self.pattern.assemble(vals)
+
+    @classmethod
+    def on(cls, pattern: Pattern, data: np.ndarray) -> "SparseSym":
+        """The matrix with CSR values data on pattern."""
+        A = cls.__new__(cls)
+        A.pattern, A.n, A.data = pattern, pattern.n, data
+        return A
+
+    @property
+    def indptr(self) -> np.ndarray:
+        return self.pattern.indptr
+
+    @property
+    def indices(self) -> np.ndarray:
+        return self.pattern.indices
 
     @functools.cached_property
     def _slots(self):
-        # slot k of every row holds its k-th entry; short rows are padded
-        # with zeros on the diagonal.  Built on the first product, so a
-        # matrix that is only factored never holds it.
-        counts = np.diff(self.indptr)
-        row = np.repeat(np.arange(self.n), counts)
-        slot = np.arange(len(row)) - self.indptr[row]
-        cols = np.tile(np.arange(self.n), (int(counts.max(initial=0)), 1))
+        # built on the first product, so a matrix that is only factored
+        # never holds it
+        cols, at = self.pattern._ell
         vals = np.zeros(cols.shape)
-        cols[slot, row] = self.indices
-        vals[slot, row] = self.data
+        vals.reshape(-1)[at] = self.data
         return cols, vals
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
@@ -94,24 +216,7 @@ class SparseSym:
 
     def coo(self):
         """(rows, cols, vals) of every stored entry, sorted by row, then column."""
-        rows = np.repeat(np.arange(self.n), np.diff(self.indptr))
-        return rows, self.indices, self.data
-
-    def block_coo(self, rows_idx, cols_idx):
-        """COO triplets of the block A[rows_idx, cols_idx], renumbered locally."""
-        lookup_r = -np.ones(self.n, dtype=np.int64)
-        lookup_r[rows_idx] = np.arange(len(rows_idx))
-        lookup_c = -np.ones(self.n, dtype=np.int64)
-        lookup_c[cols_idx] = np.arange(len(cols_idx))
-        r, c, v = self.coo()
-        mask = (lookup_r[r] >= 0) & (lookup_c[c] >= 0)
-        return lookup_r[r[mask]], lookup_c[c[mask]], v[mask]
-
-    def dense_block(self, rows_idx, cols_idx) -> np.ndarray:
-        out = np.zeros((len(rows_idx), len(cols_idx)))
-        i, j, v = self.block_coo(rows_idx, cols_idx)
-        out[i, j] = v
-        return out
+        return self.pattern.rows, self.pattern.indices, self.data
 
     def to_dense(self) -> np.ndarray:
         a = np.zeros((self.n, self.n))
@@ -122,26 +227,51 @@ class SparseSym:
     def __add__(self, other: "SparseSym") -> "SparseSym":
         if self.n != other.n:
             raise ValueError("dimension mismatch")
+        if other.pattern is self.pattern:
+            # the sorted concatenation below would put each of self's values
+            # just before other's, so reduceat would give the same sums
+            return SparseSym.on(self.pattern, self.data + other.data)
         r1, c1, v1 = self.coo()
         r2, c2, v2 = other.coo()
         return SparseSym(self.n, np.concatenate([r1, r2]),
                          np.concatenate([c1, c2]), np.concatenate([v1, v2]))
 
-    def scaled(self, s: float) -> "SparseSym":
-        r, c, v = self.coo()
-        return SparseSym(self.n, r, c, s * v)
 
+class BoundarySplit:
+    """A pattern's interior/interior, interior/boundary and boundary/boundary
+    blocks at the boundary unknowns gamma, as index arrays.
 
-def _coalesce(n, rows, cols, vals):
-    order = np.lexsort((cols, rows))
-    r, c, v = rows[order], cols[order], vals[order]
-    if len(r) == 0:
-        return r, c, v
-    key = r * n + c
-    first = np.concatenate([[True], key[1:] != key[:-1]])
-    starts = np.flatnonzero(first)
-    summed = np.add.reduceat(v, starts)
-    return r[starts], c[starts], summed
+    interior lists the other unknowns, ascending; interior_pattern is the
+    pattern of the interior block, whose entries keep the order they have
+    in the full pattern, so the block's values are a gather of the full
+    values (interior_block) and its Factor layout is analysed once.
+    """
+
+    def __init__(self, pattern: Pattern, gamma):
+        self.gamma = gamma
+        self.interior = np.setdiff1d(np.arange(pattern.n), gamma)
+        self._ii, i, j = pattern.block(self.interior, self.interior)
+        self.interior_pattern = Pattern(len(self.interior), i, j)
+        self._ig, self._gg = pattern.block(self.interior, gamma), pattern.block(gamma, gamma)
+
+    def interior_block(self, A: SparseSym) -> SparseSym:
+        """A[interior, interior] on interior_pattern."""
+        return SparseSym.on(self.interior_pattern, A.data[self._ii])
+
+    def coupling(self, A: SparseSym) -> np.ndarray:
+        """A[interior, gamma] as a dense array."""
+        return self._dense(self._ig, (len(self.interior), len(self.gamma)), A)
+
+    def boundary_block(self, A: SparseSym) -> np.ndarray:
+        """A[gamma, gamma] as a dense array."""
+        return self._dense(self._gg, (len(self.gamma), len(self.gamma)), A)
+
+    @staticmethod
+    def _dense(block, shape, A):
+        at, i, j = block
+        out = np.zeros(shape)
+        out[i, j] = A.data[at]
+        return out
 
 
 def _bfs_levels(indptr, indices, degree, start):
@@ -171,19 +301,20 @@ def _bfs_levels(indptr, indices, degree, start):
         levels.append(nxt)
 
 
-def _rcm_order(A: SparseSym) -> np.ndarray:
-    """Reverse Cuthill-McKee ordering of the graph of A (Cuthill & McKee 1969).
+def _rcm_order(pattern: Pattern) -> np.ndarray:
+    """Reverse Cuthill-McKee ordering of the graph of a pattern (Cuthill &
+    McKee 1969).
 
     Each connected component starts from a pseudo-peripheral node found by
     the George-Liu search: restart from a minimum-degree node of the last
     level while that lengthens the level structure.
     """
-    rows, cols, _ = A.coo()
+    n, rows, cols = pattern.n, pattern.rows, pattern.indices
     off = rows != cols
     indices = cols[off]
-    degree = np.bincount(rows[off], minlength=A.n)
+    degree = np.bincount(rows[off], minlength=n)
     indptr = np.concatenate([[0], np.cumsum(degree)])
-    placed = np.zeros(A.n, dtype=bool)
+    placed = np.zeros(n, dtype=bool)
     order = []
     while not placed.all():
         start = int(np.argmin(np.where(placed, np.iinfo(np.int64).max, degree)))
@@ -208,30 +339,23 @@ class Factor:
     diagonal, so the matrix is block tridiagonal in blocks of size bw
     (George & Liu 1981).  The factor keeps, per block row, the inverse of its
     diagonal Cholesky block and its subdiagonal block: O(n bw) storage and
-    O(n bw^2) work to factor, O(n bw) per right-hand side to solve.  Raises
-    SolveError naming the pivot if A is not positive definite.
+    O(n bw^2) work to factor, O(n bw) per right-hand side to solve.  The
+    ordering and the scatter of A's values into the blocks are analysed
+    once per pattern (Pattern), so a factor does only the numeric block
+    Cholesky.  Raises SolveError naming the pivot if A is not positive
+    definite.
     """
 
     def __init__(self, A: SparseSym):
-        n = A.n
-        self.n = n
-        self.perm = _rcm_order(A)
-        inv = np.empty(n, dtype=np.int64)
-        inv[self.perm] = np.arange(n)
-        rows, cols, vals = A.coo()
-        pi, pj = inv[rows], inv[cols]
-        self.bandwidth = int(np.max(np.abs(pi - pj))) if len(pi) else 0
-        b = max(self.bandwidth, 1)
-        nb = max(-(-n // b), 1)
-        diag = np.zeros((nb, b, b))
-        sub = np.zeros((nb - 1, b, b))
-        bi, bj = pi // b, pj // b
-        on = bi == bj
-        diag[bi[on], pi[on] % b, pj[on] % b] = vals[on]
-        below = bi == bj + 1
-        sub[bj[below], pi[below] % b, pj[below] % b] = vals[below]
-        pad = np.arange(n, nb * b)
-        diag[-1, pad % b, pad % b] = 1.0
+        perm, self.bandwidth, b, nb, on, on_at, below, below_at, pad_at = A.pattern._band
+        self.n, self.perm = A.n, perm
+        diag = np.zeros(nb * b * b)
+        diag[on_at] = A.data[on]
+        diag[pad_at] = 1.0
+        diag = diag.reshape(nb, b, b)
+        sub = np.zeros((nb - 1) * b * b)
+        sub[below_at] = A.data[below]
+        sub = sub.reshape(nb - 1, b, b)
         # diag becomes the inverse diagonal blocks, sub the factor's L_{k+1,k}
         for k in range(nb):
             block = diag[k] - sub[k - 1] @ sub[k - 1].T if k else diag[k]

@@ -12,7 +12,7 @@ from steklov_cusp import (DomainSpec, ProblemConfig, SolveError, boundary_pnorm,
                           boundary_polygon, boundary_weighted_length, constraint_functional,
                           orthogonalize_shift, rayleigh, refine_uniform, solve_p,
                           solve_p2, triangulate, weakform_residual)
-from steklov_cusp import eigensolver, fem
+from steklov_cusp import eigensolver, fem, linalg
 from steklov_cusp.linalg import Factor, solve_spd
 from steklov_cusp.eigensolver import (CONSTRAINT_TOL_FACTOR, SHIFT_FTOL_FACTOR, WEAKFORM_RTOL,
                                       scalar_shift_root, _bordered_newton, _descent,
@@ -435,6 +435,33 @@ def test_bordered_newton_factors_once_per_step(cusp15_mesh, monkeypatch):
     assert res <= 0.1 * WEAKFORM_RTOL
     assert steps > 0
     assert counts == {"spd": 0, "factors": steps}
+
+
+def test_solve_p_orders_each_pattern_once(cusp15_polygon, monkeypatch):
+    # on a fresh mesh, the RCM ordering is computed once for K + M and once
+    # for the interior block (solve_p2's elimination and every Newton step),
+    # however many Newton steps the run takes
+    mesh = triangulate(cusp15_polygon, 0.35)
+    calls = []
+    steps = []
+    rcm, newton = linalg._rcm_order, eigensolver._bordered_newton
+
+    def counting_rcm(pattern):
+        calls.append(pattern.n)
+        return rcm(pattern)
+
+    def recording_newton(*args):
+        out = newton(*args)
+        steps.append(out[2])
+        return out
+
+    monkeypatch.setattr(linalg, "_rcm_order", counting_rcm)
+    monkeypatch.setattr(eigensolver, "_bordered_newton", recording_newton)
+    res = solve_p(mesh, ProblemConfig(p=1.5, weighted=True), restarts=1)
+    assert res.converged
+    assert len(steps) == 1 and steps[0] >= 2
+    n_interior = mesh.num_vertices - len(mesh.boundary_vertex_ids())
+    assert sorted(calls) == [n_interior, mesh.num_vertices]
 
 
 def test_bordered_newton_gate_rejects_an_inexact_step(cusp15_mesh, monkeypatch):

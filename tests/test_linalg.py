@@ -1,7 +1,12 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
-from steklov_cusp import SolveError, SparseSym, assemble_p2, generalized_eig_sym, solve_spd
+from steklov_cusp import (DomainSpec, ProblemConfig, SolveError, SparseSym, assemble_p2,
+                          boundary_polygon, generalized_eig_sym, solve_p2, solve_spd, triangulate)
+from steklov_cusp import fem
 from steklov_cusp.linalg import Complement, Factor, inverse_block
 
 from helpers import charpoly_eigenvalues
@@ -51,7 +56,6 @@ def test_sparse_add_and_scale():
     A, da = _random_sparse_spd(rng, 20)
     B, db = _random_sparse_spd(rng, 20)
     assert np.allclose((A + B).to_dense(), da + db, atol=1e-12)
-    assert np.allclose(A.scaled(-2.5).to_dense(), -2.5 * da, atol=1e-12)
 
 
 def test_solve_spd_identity():
@@ -152,10 +156,9 @@ def test_factor_lower_gives_the_schur_term(cusp15_mesh):
     # exactly symmetric, with no back sweep
     K, M, _ = assemble_p2(cusp15_mesh, weighted=False)
     A = K + M
-    gamma = cusp15_mesh.boundary_vertex_ids()
-    interior = np.setdiff1d(np.arange(A.n), gamma)
-    A_ii = SparseSym(len(interior), *A.block_coo(interior, interior))
-    B = A.dense_block(interior, gamma)
+    split = A.pattern.split(cusp15_mesh.boundary_vertex_ids())
+    A_ii = split.interior_block(A)
+    B = split.coupling(A)
     factor = Factor(A_ii)
     Z = factor.lower(B)
     assert Z.shape == B.shape
@@ -165,6 +168,75 @@ def test_factor_lower_gives_the_schur_term(cusp15_mesh):
     assert np.array_equal(G, G.T)
     z = factor.lower(B[:, 0])
     assert np.linalg.norm(z - Z[:, 0]) <= 1e-14 * np.linalg.norm(Z[:, 0])
+
+
+def test_mesh_patterns_assemble_like_the_coo_constructor(cusp15_mesh, monkeypatch):
+    # matrices summed on the mesh's cached patterns are, bit for bit, the
+    # SparseSym the COO constructor builds from the same element triplets
+    seen = []
+    assemble = fem._element_blocks
+
+    def capture(mesh, cells, loc):
+        A = assemble(mesh, cells, loc)
+        seen.append((cells, loc, A))
+        return A
+
+    monkeypatch.setattr(fem, "_element_blocks", capture)
+    cfg = ProblemConfig(p=1.5, weighted=True)
+    u = np.random.default_rng(53).standard_normal(cusp15_mesh.num_vertices)
+    assemble_p2(cusp15_mesh, weighted=True)
+    fem.linearized_energy_matrix(cusp15_mesh, cfg, u)
+    fem.linearized_boundary_mass(cusp15_mesh, cfg, u)
+    assert [cells for cells, _, _ in seen] == ["triangles", "triangles", "edges",
+                                              "triangles", "edges"]
+    b = cusp15_mesh.boundary
+    for cells, loc, A in seen:
+        idx = cusp15_mesh.triangles if cells == "triangles" else np.stack([b.v0, b.v1], axis=1)
+        k = idx.shape[1]
+        ref = SparseSym(A.n, np.repeat(idx, k, axis=1).ravel(), np.tile(idx, (1, k)).ravel(),
+                        loc.ravel())
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(A, name), getattr(ref, name)), (cells, name)
+    # one pattern per kind of cell, shared by every matrix on it
+    assert seen[0][2].pattern is seen[1][2].pattern is seen[3][2].pattern
+    assert seen[2][2].pattern is seen[4][2].pattern
+
+
+def test_factor_on_a_shared_pattern_matches_a_coo_copy(cusp15_mesh):
+    K, M, _ = assemble_p2(cusp15_mesh, weighted=False)
+    A = K + M
+    assert A.pattern is K.pattern
+    split = A.pattern.split(cusp15_mesh.boundary_vertex_ids())
+    interior, gamma = split.interior, split.gamma
+    A_ii = split.interior_block(A)
+    assert A_ii.pattern is split.interior_pattern
+    dense = A.to_dense()
+    assert np.array_equal(A_ii.to_dense(), dense[np.ix_(interior, interior)])
+    assert np.array_equal(split.coupling(A), dense[np.ix_(interior, gamma)])
+    assert np.array_equal(split.boundary_block(A), dense[np.ix_(gamma, gamma)])
+    B = np.random.default_rng(59).standard_normal((A.n, 3))
+    for shared in (A, A_ii):
+        copy = SparseSym(shared.n, *shared.coo())
+        assert copy.pattern is not shared.pattern
+        f, g = Factor(shared), Factor(copy)
+        rhs = B[:shared.n]
+        assert np.array_equal(f.perm, g.perm)
+        assert np.array_equal(f.solve(rhs), g.solve(rhs))
+        assert np.array_equal(f.lower(rhs), g.lower(rhs))
+
+
+def test_mesh_patterns_are_freed_with_the_mesh():
+    # the analysed patterns live in the mesh's cache and nowhere else
+    mesh = triangulate(boundary_polygon(DomainSpec.cusp(1.5), n_lateral=8, n_arc=16), 0.5)
+    solve_p2(mesh, weighted=True)
+    K, M, B = assemble_p2(mesh, weighted=True)
+    Factor(K + M)
+    interior = K.pattern.split(mesh.boundary_vertex_ids()).interior_pattern
+    assert "_band" in vars(interior)
+    refs = [weakref.ref(K.pattern), weakref.ref(B.pattern), weakref.ref(interior)]
+    del mesh, K, M, B, interior
+    gc.collect()
+    assert [r() for r in refs] == [None, None, None]
 
 
 def test_eig_diagonal():
