@@ -123,7 +123,8 @@ def orthogonalize_shift(mesh: Mesh, cfg: ProblemConfig, u):
     finds it on F(c) = fem.constraint_functional(mesh, cfg, u - c), whose
     derivative is -(p - 1) times the sum of
     fem.constraint_gradient_direction(mesh, cfg, u - c), to within
-    SHIFT_FTOL_FACTOR times the boundary measure.
+    SHIFT_FTOL_FACTOR times the boundary measure.  Both are evaluated on the
+    boundary trace of u alone (fem.shift_constraint), with the same bits.
     """
     u = fem.as_field(mesh, u)
     bverts = mesh.boundary_vertex_ids()
@@ -132,13 +133,7 @@ def orthogonalize_shift(mesh: Mesh, cfg: ProblemConfig, u):
     if hi - lo <= 1e-300:
         raise SolveError("no admissible shift: boundary trace is constant")
     ftol = SHIFT_FTOL_FACTOR * fem.boundary_weighted_measure(mesh, cfg)
-
-    def F(c):
-        return fem.constraint_functional(mesh, cfg, u - c)
-
-    def dF(c):
-        return -(cfg.p - 1.0) * float(fem.constraint_gradient_direction(mesh, cfg, u - c).sum())
-
+    F, dF = fem.shift_constraint(mesh, cfg, u)
     return u - scalar_shift_root(F, dF, lo, hi, ftol)
 
 

@@ -5,6 +5,11 @@ Discrete fields are plain numpy vectors indexed by mesh vertices.  All
 boundary integrals use per-edge Gauss quadrature of the linear trace, with
 the weight sampled on the exact curve through each edge's (tag, parameter)
 data.
+
+What the element loops read of the mesh is one layout per mesh (_Elements),
+built on first use in its cache; the shift search of the orthogonality
+constraint evaluates on the boundary trace alone (shift_constraint).  Both
+give the bits of the full-array formulations they replace.
 """
 
 from __future__ import annotations
@@ -77,33 +82,69 @@ def _magnitude_power(u: np.ndarray, p: float) -> np.ndarray:
     return out
 
 
-def _tri_gradients(mesh: Mesh, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    areas, grads = mesh.tri_geometry()
-    uv = u[mesh.triangles]  # (T, 3)
-    g = np.einsum("tk,tkd->td", uv, grads)
-    g2 = np.einsum("td,td->t", g, g)
-    return areas, g, g2
+@dataclass(frozen=True)
+class _Elements:
+    """Per-mesh element layout: everything the element loops read that
+    depends on the mesh alone, as contiguous arrays.
+
+    tri (3, T) holds the vertex columns of mesh.triangles, gx and gy (3, T)
+    the x and y components of the hat-function gradients of local vertex k
+    in row k, and gram (T, 3, 3) the products grad(phi_i) . grad(phi_j).
+    """
+
+    areas: np.ndarray
+    tri: np.ndarray
+    gx: np.ndarray
+    gy: np.ndarray
+    gram: np.ndarray
+
+
+def _elements(mesh: Mesh) -> _Elements:
+    """The mesh's _Elements, built on first use and cached on the mesh."""
+    if "elements" not in mesh._cache:
+        areas, grads = mesh.tri_geometry()
+        mesh._cache["elements"] = _Elements(
+            areas, np.ascontiguousarray(mesh.triangles.T),
+            np.ascontiguousarray(grads[:, :, 0].T), np.ascontiguousarray(grads[:, :, 1].T),
+            np.einsum("tid,tjd->tij", grads, grads))
+    return mesh._cache["elements"]
+
+
+def _tri_gradients(mesh: Mesh, u: np.ndarray):
+    """(elements, gx, gy, g2): the mesh's _Elements, the per-triangle
+    gradient of u and its squared length.
+
+    Each sum runs over the local vertices k in sequence, as an einsum over
+    k would, so the values have that einsum's bits; only a zero may differ
+    in sign (the einsum starts from +0), which g2 and the callers' sums do
+    not see.
+    """
+    el = _elements(mesh)
+    u0, u1, u2 = u.take(el.tri)
+    gx = u0 * el.gx[0] + u1 * el.gx[1] + u2 * el.gx[2]
+    gy = u0 * el.gy[0] + u1 * el.gy[1] + u2 * el.gy[2]
+    return el, gx, gy, gx * gx + gy * gy
 
 
 def energy(mesh: Mesh, cfg: ProblemConfig, u) -> float:
     """Regularized p-Dirichlet energy sum area * (|grad u|^2 + eps^2)^(p/2)."""
     u = as_field(mesh, u)
-    areas, _, g2 = _tri_gradients(mesh, u)
-    return float(np.sum(areas * (g2 + cfg.eps_reg ** 2) ** (cfg.p / 2.0)))
+    el, _, _, g2 = _tri_gradients(mesh, u)
+    return float(np.sum(el.areas * (g2 + cfg.eps_reg ** 2) ** (cfg.p / 2.0)))
 
 
 def energy_gradient(mesh: Mesh, cfg: ProblemConfig, u) -> np.ndarray:
     """Exact derivative of energy: p * area * (|g|^2+eps^2)^((p-2)/2) g . grad(phi_i)."""
     u = as_field(mesh, u)
-    areas, g, g2 = _tri_gradients(mesh, u)
-    _, grads = mesh.tri_geometry()
+    el, gx, gy, g2 = _tri_gradients(mesh, u)
     s = g2 + cfg.eps_reg ** 2
     factor = np.zeros_like(s)
     nz = s > 0.0
     factor[nz] = s[nz] ** ((cfg.p - 2.0) / 2.0)
-    coef = cfg.p * areas * factor  # (T,)
-    contrib = coef[:, None] * np.einsum("td,tkd->tk", g, grads)
-    return np.bincount(mesh.triangles.ravel(), weights=contrib.ravel(),
+    coef = cfg.p * el.areas * factor  # (T,)
+    contrib = coef * (gx * el.gx + gy * el.gy)  # (3, T)
+    # summed triangle by triangle, in the order of mesh.triangles' rows
+    return np.bincount(mesh.triangles.ravel(), weights=contrib.T.ravel(),
                        minlength=mesh.num_vertices)
 
 
@@ -138,8 +179,9 @@ def _boundary_samples(mesh: Mesh, cfg: ProblemConfig, u: np.ndarray):
 
 def _boundary_scatter(mesh: Mesh, xi: np.ndarray, s: np.ndarray) -> np.ndarray:
     """Nodal vector sum_(e, q) s[e, q] phi_i(x_eq) of the (E, Q) samples s."""
-    b = mesh.boundary
-    return np.bincount(np.concatenate([b.v0, b.v1]),
+    if "bscatter" not in mesh._cache:
+        mesh._cache["bscatter"] = np.concatenate([mesh.boundary.v0, mesh.boundary.v1])
+    return np.bincount(mesh._cache["bscatter"],
                        weights=np.concatenate([np.sum(s * (1.0 - xi)[None, :], axis=1),
                                                np.sum(s * xi[None, :], axis=1)]),
                        minlength=mesh.num_vertices)
@@ -199,6 +241,41 @@ def constraint_gradient_direction(mesh: Mesh, cfg: ProblemConfig, u) -> np.ndarr
     return _boundary_scatter(mesh, xi, jac * w * _magnitude_power(uq, cfg.p))
 
 
+def shift_constraint(mesh: Mesh, cfg: ProblemConfig, u):
+    """(F, dF) of the constant shift c: F(c) = constraint_functional(mesh,
+    cfg, u - c) and its derivative dF(c) = -(p - 1) times the sum of
+    constraint_gradient_direction(mesh, cfg, u - c), with the same bits.
+
+    u's boundary trace is gathered once ((u - c)[v] is u[v] - c exactly),
+    and each c is evaluated on the (E, Q) boundary samples alone: one power
+    |u_q - c|^(p-2) serves F(c) and a following dF(c) at the same c.
+    """
+    u = as_field(mesh, u)
+    xi, jac, w = _boundary_arrays(mesh, cfg.weighted, cfg.quadrature_order)
+    jw = jac * w
+    u0, u1 = u[mesh.boundary.v0][:, None], u[mesh.boundary.v1][:, None]
+    p = cfg.p
+    last = {}
+
+    def F(c):
+        uq = (u0 - c) * (1.0 - xi)[None, :] + (u1 - c) * xi[None, :]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            mag = np.abs(uq) ** (p - 2.0)
+            signed = mag * uq
+        zero = uq == 0.0
+        signed[zero] = 0.0
+        mag[zero] = 0.0
+        last.update(c=c, mag=mag)
+        return float(np.sum(jw * signed))
+
+    def dF(c):
+        if last.get("c") != c:
+            F(c)
+        return -(p - 1.0) * float(_boundary_scatter(mesh, xi, jw * last["mag"]).sum())
+
+    return F, dF
+
+
 def boundary_weighted_measure(mesh: Mesh, cfg: ProblemConfig) -> float:
     """Total measure int w ds (or the plain perimeter in unweighted mode).
 
@@ -243,8 +320,7 @@ def linearized_energy_matrix(mesh: Mesh, cfg: ProblemConfig, u) -> SparseSym:
     u itself reproduces (p-1) times the energy gradient over p.
     """
     u = as_field(mesh, u)
-    areas, g, g2 = _tri_gradients(mesh, u)
-    _, grads = mesh.tri_geometry()
+    el, gx, gy, g2 = _tri_gradients(mesh, u)
     p = cfg.p
     s = g2 + cfg.eps_reg ** 2
     f1 = np.zeros_like(s)
@@ -252,9 +328,10 @@ def linearized_energy_matrix(mesh: Mesh, cfg: ProblemConfig, u) -> SparseSym:
     nz = s > 0.0
     f1[nz] = s[nz] ** ((p - 4.0) / 2.0) * (p - 2.0)
     f2[nz] = s[nz] ** ((p - 2.0) / 2.0)
-    gdot = np.einsum("td,tkd->tk", g, grads)  # (T, 3)
-    loc = (f1 * areas)[:, None, None] * gdot[:, :, None] * gdot[:, None, :] \
-        + (f2 * areas)[:, None, None] * np.einsum("tid,tjd->tij", grads, grads)
+    # the leading 0.0 makes a zero sum +0, as an einsum's zero-started sum
+    gdot = (0.0 + gx * el.gx + gy * el.gy).T  # (T, 3)
+    loc = (f1 * el.areas)[:, None, None] * gdot[:, :, None] * gdot[:, None, :] \
+        + (f2 * el.areas)[:, None, None] * el.gram
     return _element_blocks(mesh, "triangles", loc)
 
 
@@ -276,9 +353,9 @@ def assemble_p2(mesh: Mesh, weighted: bool, quadrature_order: int = DEFAULT_QUAD
     integrals, so B @ 1 reproduces the boundary measure vector.  K and M
     share the mesh's triangle pattern, so K + M sums their values only.
     """
-    areas, grads = mesh.tri_geometry()
-
-    kloc = np.einsum("tid,tjd->tij", grads, grads) * areas[:, None, None]
+    el = _elements(mesh)
+    areas = el.areas
+    kloc = el.gram * areas[:, None, None]
     mloc = (np.ones((3, 3)) + np.eye(3))[None, :, :] * (areas / 12.0)[:, None, None]
     xi, jac, w = _boundary_arrays(mesh, weighted, quadrature_order)
     return (_element_blocks(mesh, "triangles", kloc), _element_blocks(mesh, "triangles", mloc),

@@ -9,8 +9,9 @@ A mesh keeps the patterns of its matrices, so assembling, splitting and
 factoring on it again is numeric work only.
 
 Every sparse linear solve goes through one factorization: reverse
-Cuthill-McKee ordering and a block-tridiagonal Cholesky factor (Factor),
-used as the descent preconditioner, for the Newton step's interior
+Cuthill-McKee ordering and a block-tridiagonal Cholesky factor (Factor,
+which lists its blocks once so that a solve is one loop of block products
+per sweep), used as the descent preconditioner, for the Newton step's interior
 elimination (whose Schur complement Z^T Z needs only the forward half,
 Factor.lower) and, refined and residual-checked through solve_spd, for
 solve_p2's.  The spectral paths restrict a pencil to the complement of
@@ -342,8 +343,11 @@ class Factor:
     O(n bw^2) work to factor, O(n bw) per right-hand side to solve.  The
     ordering and the scatter of A's values into the blocks are analysed
     once per pattern (Pattern), so a factor does only the numeric block
-    Cholesky.  Raises SolveError naming the pivot if A is not positive
-    definite.
+    Cholesky.  The blocks are listed once per factor, with views of their
+    transposes for the back sweep, so each sweep of solve and lower is one
+    loop for a vector or a matrix right-hand side that carries the previous
+    block from step to step.  Raises SolveError naming the pivot if A is
+    not positive definite.
     """
 
     def __init__(self, A: SparseSym):
@@ -370,17 +374,23 @@ class Factor:
             diag[k] = np.linalg.inv(L)
             if k + 1 < nb:
                 sub[k] = sub[k] @ diag[k].T
-        self._linv, self._lsub = diag, sub
+        # views of the blocks, listed once, so a sweep makes none per step;
+        # .dot on them makes the BLAS calls @ would, with less overhead
+        self._linv, self._lsub = list(diag), list(sub)
+        self._linv_t, self._lsub_t = [a.T for a in diag], [a.T for a in sub]
 
     def _forward(self, b: np.ndarray) -> np.ndarray:
-        # L^{-1} P b in the factor's blocks; the padding rows come out zero
-        linv, lsub = self._linv, self._lsub
-        nb, bs = linv.shape[:2]
-        y = np.zeros((nb * bs,) + b.shape[1:])
+        # L^{-1} P b in the factor's (nb, bs, ...) blocks, each block from
+        # the one before; the padding rows come out zero
+        bs = self._linv[0].shape[0]
+        y = np.zeros((len(self._linv) * bs,) + b.shape[1:])
         y[:self.n] = b[self.perm]
-        y = y.reshape((nb, bs) + b.shape[1:])
-        for k in range(nb):
-            y[k] = linv[k] @ (y[k] - lsub[k - 1] @ y[k - 1] if k else y[k])
+        y = y.reshape((-1, bs) + b.shape[1:])
+        prev = y[0]
+        prev[...] = self._linv[0].dot(prev)
+        for yk, linv, lsub in zip(y[1:], self._linv[1:], self._lsub):
+            yk[...] = linv.dot(yk - lsub.dot(prev))
+            prev = yk
         return y
 
     def lower(self, b: np.ndarray) -> np.ndarray:
@@ -396,11 +406,12 @@ class Factor:
     def solve(self, b: np.ndarray) -> np.ndarray:
         """A^{-1} b for a vector or for each column of a matrix."""
         b = np.asarray(b, dtype=float)
-        linv, lsub = self._linv, self._lsub
-        nb = len(linv)
         y = self._forward(b)
-        for k in range(nb - 1, -1, -1):
-            y[k] = linv[k].T @ (y[k] - lsub[k].T @ y[k + 1] if k + 1 < nb else y[k])
+        prev = y[-1]
+        prev[...] = self._linv_t[-1].dot(prev)
+        for yk, linv_t, lsub_t in zip(y[-2::-1], self._linv_t[-2::-1], self._lsub_t[::-1]):
+            yk[...] = linv_t.dot(yk - lsub_t.dot(prev))
+            prev = yk
         x = np.empty_like(b)
         x[self.perm] = y.reshape((-1,) + b.shape[1:])[:self.n]
         return x

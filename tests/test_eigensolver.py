@@ -483,19 +483,23 @@ def test_bordered_newton_gate_rejects_an_inexact_step(cusp15_mesh, monkeypatch):
 
 
 _THREAD_RUN = """
-from steklov_cusp import DomainSpec, ProblemConfig, boundary_polygon, solve_p, triangulate
+from steklov_cusp import (DomainSpec, ProblemConfig, boundary_polygon, fp_constant, solve_p,
+                          triangulate)
 msh = triangulate(boundary_polygon(DomainSpec.cusp(1.5), n_lateral=16, n_arc=32), 0.35)
 for p in (1.5, 3.0):
     print(repr(solve_p(msh, ProblemConfig(p=p), restarts=1).eigenvalue))
+print(repr(fp_constant(msh, ProblemConfig(p=3.0))))
 """
 
 
 def test_eigenvalues_agree_across_blas_threads():
-    # the conftest cusp at p = 1.5 (descent plus Newton phase) and p = 3 with
-    # 1 and 2 OpenBLAS threads: bit-identical when measured (numpy 2.4,
-    # OpenBLAS 0.3.31), and the bench's eigen_p meshes within 2e-16; the
-    # tolerance leaves room for other reduction orders, not for another
-    # stationary point.  Iteration counts may differ and are not compared.
+    # the conftest cusp at p = 1.5 (descent plus Newton phase) and p = 3, and
+    # its FP constant at p = 3 (the volume-norm descent alone), with 1 and 2
+    # OpenBLAS threads: all three bit-identical when measured (numpy 2.4,
+    # OpenBLAS 0.3.31), as are the bench's fp_descent constants, and the
+    # bench's eigen_p meshes within 2e-16; the relative tolerance 1e-13
+    # leaves room for other reduction orders, not for another stationary
+    # point.  Iteration counts may differ and are not compared.
     src = str(Path(eigensolver.__file__).resolve().parents[1])
     lams = []
     for threads in ("1", "2"):
@@ -505,6 +509,6 @@ def test_eigenvalues_agree_across_blas_threads():
         out = subprocess.run([sys.executable, "-c", _THREAD_RUN], env=env, check=True,
                              capture_output=True, text=True).stdout
         lams.append([float(line) for line in out.split()])
-    assert len(lams[0]) == 2
+    assert len(lams[0]) == len(lams[1]) == 3
     for one, two in zip(*lams):
         assert abs(one - two) <= 1e-13 * abs(one), (one, two)

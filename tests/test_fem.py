@@ -219,3 +219,69 @@ def test_field_validation(square_mesh):
     bad[0] = np.nan
     with pytest.raises(ValueError):
         energy(square_mesh, cfg, bad)
+
+
+def _einsum_element_terms(mesh, cfg, u):
+    # energy, energy gradient and linearized-matrix data from einsums over
+    # the (T, 3, 2) hat-function gradients
+    areas, grads = mesh.tri_geometry()
+    g = np.einsum("tk,tkd->td", u[mesh.triangles], grads)
+    s = np.einsum("td,td->t", g, g) + cfg.eps_reg ** 2
+    p = cfg.p
+    nz = s > 0.0
+    f0, f1, f2 = np.zeros_like(s), np.zeros_like(s), np.zeros_like(s)
+    f0[nz] = s[nz] ** ((p - 2.0) / 2.0)
+    f1[nz] = s[nz] ** ((p - 4.0) / 2.0) * (p - 2.0)
+    f2[nz] = s[nz] ** ((p - 2.0) / 2.0)
+    gdot = np.einsum("td,tkd->tk", g, grads)
+    contrib = (p * areas * f0)[:, None] * gdot
+    grad = np.bincount(mesh.triangles.ravel(), weights=contrib.ravel(),
+                       minlength=mesh.num_vertices)
+    loc = (f1 * areas)[:, None, None] * gdot[:, :, None] * gdot[:, None, :] \
+        + (f2 * areas)[:, None, None] * np.einsum("tid,tjd->tij", grads, grads)
+    return (float(np.sum(areas * s ** (p / 2.0))), grad,
+            fem._element_blocks(mesh, "triangles", loc).data)
+
+
+def _same_bits(a, b):
+    # equal values and equal signs of zero
+    a, b = np.asarray(a), np.asarray(b)
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("eps", [0.0, 1e-2])
+def test_element_layout_matches_the_einsum_formulation(cusp15_mesh, p, eps):
+    # the cached per-mesh layout sums over the local vertices in sequence:
+    # every value carries the einsums' bits.  The second field is constant
+    # where x > 0.2, so g2 == 0 there (the zero branch at eps = 0).
+    msh = cusp15_mesh
+    x = msh.vertices[:, 0]
+    fields = [np.random.default_rng(71).standard_normal(msh.num_vertices),
+              np.where(x > 0.2, 0.2, x)]
+    assert np.any(fem._tri_gradients(msh, fields[1])[3] == 0.0)
+    cfg = ProblemConfig(p=p, weighted=True, eps_reg=eps)
+    for u in fields:
+        e_ref, g_ref, h_ref = _einsum_element_terms(msh, cfg, u)
+        assert _same_bits(energy(msh, cfg, u), e_ref)
+        assert _same_bits(energy_gradient(msh, cfg, u), g_ref)
+        assert _same_bits(fem.linearized_energy_matrix(msh, cfg, u).data, h_ref)
+
+
+def test_shift_constraint_matches_the_full_field_functionals(cusp15_mesh):
+    # F and dF of the trace-only evaluation are the full-field functional at
+    # u - c and -(p - 1) times the sum of its multiplier direction, bit for
+    # bit, also where dF is asked for at a c that F has not just seen
+    msh = cusp15_mesh
+    u = np.random.default_rng(73).standard_normal(msh.num_vertices)
+    u[msh.boundary.v0[:4]] = 0.25  # exact zeros of u - c at c = 0.25
+    for p in (1.5, 2.0, 3.0):
+        for weighted in (True, False):
+            cfg = ProblemConfig(p=p, weighted=weighted)
+            F, dF = fem.shift_constraint(msh, cfg, u)
+            for c in (0.25, -0.7, 0.0, 0.25, 1.3):
+                ref = constraint_functional(msh, cfg, u - c)
+                slope = -(p - 1.0) * float(fem.constraint_gradient_direction(msh, cfg, u - c).sum())
+                assert _same_bits(dF(c), slope), (p, weighted, c)
+                assert _same_bits(F(c), ref), (p, weighted, c)
+                assert _same_bits(dF(c), slope), (p, weighted, c)

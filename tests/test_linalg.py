@@ -225,6 +225,42 @@ def test_factor_on_a_shared_pattern_matches_a_coo_copy(cusp15_mesh):
         assert np.array_equal(f.lower(rhs), g.lower(rhs))
 
 
+def _blockwise_solve(factor, b):
+    # (L^-1 P b, A^-1 b) by one block row at a time, indexing the factor's
+    # blocks and a padded block array at every step
+    linv, lsub = factor._linv, factor._lsub
+    nb, bs = len(linv), linv[0].shape[0]
+    y = np.zeros((nb * bs,) + b.shape[1:])
+    y[:factor.n] = b[factor.perm]
+    y = y.reshape((nb, bs) + b.shape[1:])
+    for k in range(nb):
+        y[k] = linv[k] @ (y[k] - lsub[k - 1] @ y[k - 1] if k else y[k])
+    z = y.reshape((-1,) + b.shape[1:])[:factor.n].copy()
+    for k in range(nb - 1, -1, -1):
+        y[k] = linv[k].T @ (y[k] - lsub[k].T @ y[k + 1] if k + 1 < nb else y[k])
+    x = np.empty_like(b)
+    x[factor.perm] = y.reshape((-1,) + b.shape[1:])[:factor.n]
+    return z, x
+
+
+def test_factor_solves_match_a_blockwise_loop(cusp15_mesh):
+    # solve and lower carry the previous block from step to step; the bits
+    # are those of the loop over block indices
+    K, M, _ = assemble_p2(cusp15_mesh, weighted=False)
+    A = K + M
+    A_ii = A.pattern.split(cusp15_mesh.boundary_vertex_ids()).interior_block(A)
+    rng = np.random.default_rng(61)
+    for matrix in (A, A_ii):
+        factor = Factor(matrix)
+        assert len(factor._linv) > 2
+        for b in (rng.standard_normal(matrix.n), rng.standard_normal((matrix.n, 5))):
+            z, x = _blockwise_solve(factor, b)
+            lower, solved = factor.lower(b), factor.solve(b)
+            assert lower.shape == z.shape and solved.shape == x.shape
+            assert lower.tobytes() == z.tobytes()
+            assert solved.tobytes() == x.tobytes()
+
+
 def test_mesh_patterns_are_freed_with_the_mesh():
     # the analysed patterns live in the mesh's cache and nowhere else
     mesh = triangulate(boundary_polygon(DomainSpec.cusp(1.5), n_lateral=8, n_arc=16), 0.5)
