@@ -272,8 +272,6 @@ def _eps_schedule(cfg: ProblemConfig):
     # eigenvalue is always the eps = 0 Rayleigh re-evaluation
     if cfg.p < 2.0:
         return [1e-2, 1e-4, 1e-6, 0.0]
-    if cfg.eps_reg > 0.0:
-        return [cfg.eps_reg, 0.0]
     return [0.0]
 
 
@@ -404,7 +402,9 @@ def solve_p(mesh: Mesh, cfg: ProblemConfig, restarts: int = 3, seed: int = 0,
     terminal phase, and is converged only if it already meets the residual
     standard.  The smallest converged eigenvalue wins; the problem is
     non-convex for p != 2, so the result is a minimizer candidate, not a
-    certified global minimum.
+    certified global minimum.  The descent runs its own regularization
+    (a ladder of eps down to 0 for p < 2, none for p >= 2), so cfg.eps_reg
+    is not read.
     """
     K, M, _ = fem.assemble_p2(mesh, weighted=False)
     factor = Factor(K + M)

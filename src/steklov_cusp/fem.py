@@ -6,10 +6,12 @@ boundary integrals use per-edge Gauss quadrature of the linear trace, with
 the weight sampled on the exact curve through each edge's (tag, parameter)
 data.
 
-What the element loops read of the mesh is one layout per mesh (_Elements),
-built on first use in its cache; the shift search of the orthogonality
-constraint evaluates on the boundary trace alone (shift_constraint).  Both
-give the bits of the full-array formulations they replace.
+The per-mesh arrays these read live on the Mesh, one copy each: the element
+layout (Mesh.elements) and the boundary quadrature (Mesh.boundary_quadrature).
+fem keeps only the assembly patterns, because the order of element-block
+entries is its decision.  The shift search of the orthogonality constraint
+evaluates on the boundary trace alone (shift_constraint), with the bits of
+the full-field functionals.
 """
 
 from __future__ import annotations
@@ -61,65 +63,33 @@ def as_field(mesh: Mesh, values) -> np.ndarray:
     return u
 
 
-# Both powers run on the whole array and then reset the zeros of u to +0.
-# numpy's array power gives an entry the same bits whatever the array's
-# shape or other entries, so this matches a power over the nonzeros alone
-# in every bit, with fewer array passes.
+def _powers(u: np.ndarray, p: float):
+    """(|u|^(p-2) u, |u|^(p-2)), both reset to +0 where u is 0 (the removable
+    singularity of the first; the second is only used inside integrals).
 
-def _signed_power(u: np.ndarray, p: float) -> np.ndarray:
-    """|u|**(p-2) * u with the removable singularity at 0 set to 0."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.abs(u) ** (p - 2.0) * u
-    out[u == 0.0] = 0.0
-    return out
-
-
-def _magnitude_power(u: np.ndarray, p: float) -> np.ndarray:
-    """|u|**(p-2) with the value at 0 set to 0 (only used inside integrals)."""
-    with np.errstate(divide="ignore"):
-        out = np.abs(u) ** (p - 2.0)
-    out[u == 0.0] = 0.0
-    return out
-
-
-@dataclass(frozen=True)
-class _Elements:
-    """Per-mesh element layout: everything the element loops read that
-    depends on the mesh alone, as contiguous arrays.
-
-    tri (3, T) holds the vertex columns of mesh.triangles, gx and gy (3, T)
-    the x and y components of the hat-function gradients of local vertex k
-    in row k, and gram (T, 3, 3) the products grad(phi_i) . grad(phi_j).
+    The powers run on the whole array: numpy's array power gives an entry
+    the same bits whatever the array's shape or other entries, so this
+    matches a power over the nonzeros alone in every bit.
     """
-
-    areas: np.ndarray
-    tri: np.ndarray
-    gx: np.ndarray
-    gy: np.ndarray
-    gram: np.ndarray
-
-
-def _elements(mesh: Mesh) -> _Elements:
-    """The mesh's _Elements, built on first use and cached on the mesh."""
-    if "elements" not in mesh._cache:
-        areas, grads = mesh.tri_geometry()
-        mesh._cache["elements"] = _Elements(
-            areas, np.ascontiguousarray(mesh.triangles.T),
-            np.ascontiguousarray(grads[:, :, 0].T), np.ascontiguousarray(grads[:, :, 1].T),
-            np.einsum("tid,tjd->tij", grads, grads))
-    return mesh._cache["elements"]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mag = np.abs(u) ** (p - 2.0)
+        signed = mag * u
+    zero = u == 0.0
+    signed[zero] = 0.0
+    mag[zero] = 0.0
+    return signed, mag
 
 
 def _tri_gradients(mesh: Mesh, u: np.ndarray):
-    """(elements, gx, gy, g2): the mesh's _Elements, the per-triangle
-    gradient of u and its squared length.
+    """(elements, gx, gy, g2): mesh.elements(), the per-triangle gradient
+    of u and its squared length.
 
     Each sum runs over the local vertices k in sequence, as an einsum over
     k would, so the values have that einsum's bits; only a zero may differ
     in sign (the einsum starts from +0), which g2 and the callers' sums do
     not see.
     """
-    el = _elements(mesh)
+    el = mesh.elements()
     u0, u1, u2 = u.take(el.tri)
     gx = u0 * el.gx[0] + u1 * el.gx[1] + u2 * el.gx[2]
     gy = u0 * el.gy[0] + u1 * el.gy[1] + u2 * el.gy[2]
@@ -149,27 +119,20 @@ def energy_gradient(mesh: Mesh, cfg: ProblemConfig, u) -> np.ndarray:
 
 
 def _boundary_arrays(mesh: Mesh, weighted: bool, quadrature_order: int):
-    """(xi (Q,), jac (E, Q), w (E, Q)) of the boundary quadrature: the Gauss
-    abscissae, length * Gauss weight, and the boundary weight (ones when
-    unweighted).  Cached on the mesh per (weighted, quadrature_order);
-    callers multiply them in their own order, because p * jac * w and
-    p * (jac * w) differ in floating point.
+    """(xi, jac, w) of mesh.boundary_quadrature, with w the scalar 1.0 when
+    unweighted (multiplying by 1.0 is exact).  Callers multiply them in
+    their own order, because p * jac * w and p * (jac * w) differ in
+    floating point.
     """
-    key = ("bjw", bool(weighted), quadrature_order)
-    if key not in mesh._cache:
-        xi, gw, w = mesh.boundary_quadrature(quadrature_order)
-        if not weighted:
-            w = np.ones_like(w)
-        jac = mesh.boundary.length[:, None] * gw[None, :]
-        mesh._cache[key] = (xi, jac, w)
-    return mesh._cache[key]
+    xi, jac, w = mesh.boundary_quadrature(quadrature_order)
+    return xi, jac, w if weighted else 1.0
 
 
 def _boundary_samples(mesh: Mesh, cfg: ProblemConfig, u: np.ndarray):
     """Quadrature data and the trace of u at the (E, Q) boundary samples.
 
     Returns (xi, uq, w, jac): uq[e, q] = (1 - xi_q) u[v0_e] + xi_q u[v1_e];
-    xi, w and jac are the cached _boundary_arrays, not rebuilt per call.
+    xi, w and jac come from _boundary_arrays.
     """
     xi, jac, w = _boundary_arrays(mesh, cfg.weighted, cfg.quadrature_order)
     b = mesh.boundary
@@ -224,21 +187,21 @@ def boundary_pnorm_gradient(mesh: Mesh, cfg: ProblemConfig, u) -> np.ndarray:
     """Derivative of boundary_pnorm: p * int |u|^(p-2) u phi_i w ds."""
     u = as_field(mesh, u)
     xi, uq, w, jac = _boundary_samples(mesh, cfg, u)
-    return _boundary_scatter(mesh, xi, cfg.p * jac * w * _signed_power(uq, cfg.p))
+    return _boundary_scatter(mesh, xi, cfg.p * jac * w * _powers(uq, cfg.p)[0])
 
 
 def constraint_functional(mesh: Mesh, cfg: ProblemConfig, u) -> float:
     """Weighted boundary orthogonality functional int |u|^(p-2) u w ds."""
     u = as_field(mesh, u)
     _, uq, w, jac = _boundary_samples(mesh, cfg, u)
-    return float(np.sum(jac * w * _signed_power(uq, cfg.p)))
+    return float(np.sum(jac * w * _powers(uq, cfg.p)[0]))
 
 
 def constraint_gradient_direction(mesh: Mesh, cfg: ProblemConfig, u) -> np.ndarray:
     """Nodal vector int |u|^(p-2) phi_i w ds, the constraint multiplier direction."""
     u = as_field(mesh, u)
     xi, uq, w, jac = _boundary_samples(mesh, cfg, u)
-    return _boundary_scatter(mesh, xi, jac * w * _magnitude_power(uq, cfg.p))
+    return _boundary_scatter(mesh, xi, jac * w * _powers(uq, cfg.p)[1])
 
 
 def shift_constraint(mesh: Mesh, cfg: ProblemConfig, u):
@@ -249,8 +212,8 @@ def shift_constraint(mesh: Mesh, cfg: ProblemConfig, u):
     u's boundary trace is gathered once ((u - c)[v] is u[v] - c exactly),
     and each c is evaluated on the (E, Q) boundary samples alone: one power
     |u_q - c|^(p-2) serves F(c) and a following dF(c) at the same c.
+    u is not validated here: the caller (orthogonalize_shift) has done so.
     """
-    u = as_field(mesh, u)
     xi, jac, w = _boundary_arrays(mesh, cfg.weighted, cfg.quadrature_order)
     jw = jac * w
     u0, u1 = u[mesh.boundary.v0][:, None], u[mesh.boundary.v1][:, None]
@@ -259,12 +222,7 @@ def shift_constraint(mesh: Mesh, cfg: ProblemConfig, u):
 
     def F(c):
         uq = (u0 - c) * (1.0 - xi)[None, :] + (u1 - c) * xi[None, :]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            mag = np.abs(uq) ** (p - 2.0)
-            signed = mag * uq
-        zero = uq == 0.0
-        signed[zero] = 0.0
-        mag[zero] = 0.0
+        signed, mag = _powers(uq, p)
         last.update(c=c, mag=mag)
         return float(np.sum(jw * signed))
 
@@ -279,33 +237,29 @@ def shift_constraint(mesh: Mesh, cfg: ProblemConfig, u):
 def boundary_weighted_measure(mesh: Mesh, cfg: ProblemConfig) -> float:
     """Total measure int w ds (or the plain perimeter in unweighted mode).
 
-    Evaluated as the boundary p-norm of the constant 1 and cached on the
-    mesh per (weighted, quadrature_order, p): p stays in the key because
-    |1|^p is taken on interpolated samples.
+    This is boundary_pnorm of the constant 1 in every bit, at every p: each
+    Gauss abscissa has (1 - xi) + xi == 1.0, so every sample of 1 is exactly
+    1.0 and so is its p-th power.
     """
-    key = ("measure", bool(cfg.weighted), cfg.quadrature_order, cfg.p)
-    if key not in mesh._cache:
-        mesh._cache[key] = boundary_pnorm(mesh, cfg, np.ones(mesh.num_vertices))
-    return mesh._cache[key]
+    _, jac, w = _boundary_arrays(mesh, cfg.weighted, cfg.quadrature_order)
+    return float(np.sum(jac * w))
 
 
 def volume_pnorm(mesh: Mesh, cfg: ProblemConfig, u) -> float:
     """Integral of |u|^p over the domain by a degree-4 triangle rule."""
     u = as_field(mesh, u)
-    areas, _ = mesh.tri_geometry()
     uv = u[mesh.triangles]  # (T, 3)
     uq = uv @ _TRI_QP.T  # (T, Q)
     vals = np.abs(uq) ** cfg.p @ _TRI_QW
-    return float(np.sum(areas * vals))
+    return float(np.sum(mesh.elements().areas * vals))
 
 
 def volume_pnorm_gradient(mesh: Mesh, cfg: ProblemConfig, u) -> np.ndarray:
     u = as_field(mesh, u)
-    areas, _ = mesh.tri_geometry()
     uv = u[mesh.triangles]
     uq = uv @ _TRI_QP.T
-    s = cfg.p * _signed_power(uq, cfg.p) * _TRI_QW[None, :]  # (T, Q)
-    contrib = areas[:, None] * (s @ _TRI_QP)  # (T, 3)
+    s = cfg.p * _powers(uq, cfg.p)[0] * _TRI_QW[None, :]  # (T, Q)
+    contrib = mesh.elements().areas[:, None] * (s @ _TRI_QP)  # (T, 3)
     return np.bincount(mesh.triangles.ravel(), weights=contrib.ravel(),
                        minlength=mesh.num_vertices)
 
@@ -343,7 +297,7 @@ def linearized_boundary_mass(mesh: Mesh, cfg: ProblemConfig, u) -> SparseSym:
     """
     u = as_field(mesh, u)
     xi, uq, w, jac = _boundary_samples(mesh, cfg, u)
-    return _boundary_mass(mesh, xi, jac * w * _magnitude_power(uq, cfg.p))
+    return _boundary_mass(mesh, xi, jac * w * _powers(uq, cfg.p)[1])
 
 
 def assemble_p2(mesh: Mesh, weighted: bool, quadrature_order: int = DEFAULT_QUAD_ORDER):
@@ -353,7 +307,7 @@ def assemble_p2(mesh: Mesh, weighted: bool, quadrature_order: int = DEFAULT_QUAD
     integrals, so B @ 1 reproduces the boundary measure vector.  K and M
     share the mesh's triangle pattern, so K + M sums their values only.
     """
-    el = _elements(mesh)
+    el = mesh.elements()
     areas = el.areas
     kloc = el.gram * areas[:, None, None]
     mloc = (np.ones((3, 3)) + np.eye(3))[None, :, :] * (areas / 12.0)[:, None, None]

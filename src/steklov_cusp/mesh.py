@@ -1,10 +1,14 @@
 """Triangle meshes of the cuspidal domain: construction, refinement, export.
 
 A Mesh is immutable after construction.  Boundary edges are directed so the
-domain lies on the left, carry the arc tag and exact-curve parameters of
-their endpoints, and cache weight samples at the default boundary quadrature
-points.  The weight is always evaluated on the exact curve through the
-(tag, parameter) pair, never interpolated from polygon vertices.
+domain lies on the left and carry the arc tag and exact-curve parameters of
+their endpoints.  The weight is always evaluated on the exact curve through
+the (tag, parameter) pair, never interpolated from polygon vertices.
+
+A Mesh holds the one copy of each per-mesh array that the discretization
+reads, built on first use: the element layout (elements(): areas and
+hat-function gradients) and the boundary quadrature of each Gauss order
+(boundary_quadrature(): abscissae, length times Gauss weight, and weight).
 """
 
 from __future__ import annotations
@@ -61,6 +65,24 @@ class BoundaryEdges:
         return len(self.v0)
 
 
+@dataclass(frozen=True)
+class Elements:
+    """Per-mesh element layout: everything the element loops read that
+    depends on the mesh alone, as contiguous arrays.
+
+    areas (T,) holds the triangle areas, tri (3, T) the vertex columns of
+    mesh.triangles, gx and gy (3, T) the x and y components of the constant
+    hat-function gradient of local vertex k in row k, and gram (T, 3, 3)
+    the products grad(phi_i) . grad(phi_j).
+    """
+
+    areas: np.ndarray
+    tri: np.ndarray
+    gx: np.ndarray
+    gy: np.ndarray
+    gram: np.ndarray
+
+
 @dataclass
 class Mesh:
     vertices: np.ndarray
@@ -80,16 +102,11 @@ class Mesh:
     def num_triangles(self) -> int:
         return len(self.triangles)
 
-    def tri_geometry(self):
-        """Per-triangle areas and P1 basis gradients, cached.
-
-        Returns (areas (T,), grads (T, 3, 2)) with grads[t, k] the constant
-        gradient of the hat function of local vertex k on triangle t.
-        """
-        if "tri_geom" not in self._cache:
+    def elements(self) -> Elements:
+        """The mesh's Elements, built on first use and cached."""
+        if "elements" not in self._cache:
             v = self.vertices[self.triangles]  # (T, 3, 2)
             det = _doubled_areas(v)
-            areas = 0.5 * det
             grads = np.empty((len(det), 3, 2))
             # rotate opposite edge by 90 degrees, divide by twice the area
             for k in range(3):
@@ -97,15 +114,18 @@ class Mesh:
                 pk = v[:, (k + 2) % 3]
                 grads[:, k, 0] = (pj[:, 1] - pk[:, 1]) / det
                 grads[:, k, 1] = (pk[:, 0] - pj[:, 0]) / det
-            self._cache["tri_geom"] = (areas, grads)
-        return self._cache["tri_geom"]
+            self._cache["elements"] = Elements(
+                0.5 * det, np.ascontiguousarray(self.triangles.T),
+                np.ascontiguousarray(grads[:, :, 0].T), np.ascontiguousarray(grads[:, :, 1].T),
+                np.einsum("tid,tjd->tij", grads, grads))
+        return self._cache["elements"]
 
     def boundary_quadrature(self, order: int = DEFAULT_QUAD_ORDER):
-        """Gauss data on boundary edges: (xi (Q,), gw (Q,), weights (E, Q)).
+        """Gauss data on boundary edges: (xi (Q,), jac (E, Q), w (E, Q)), cached.
 
-        weights holds the exact-curve boundary weight at every Gauss point;
-        the integral of f over the boundary is sum(length * gw * f) with f
-        sampled at the points (1 - xi) * v0 + xi * v1.
+        jac is length * Gauss weight and w the exact-curve boundary weight
+        at every Gauss point; the integral of f over the boundary is
+        sum(jac * w * f) with f sampled at the points (1 - xi) * v0 + xi * v1.
         """
         key = ("bq", order)
         if key not in self._cache:
@@ -116,7 +136,7 @@ class Mesh:
             for tag in set(b.tag):
                 idx = [i for i, t in enumerate(b.tag) if t is tag]
                 w[idx, :] = geometry.weight_on_arc(self.spec, tag, params[idx, :])
-            self._cache[key] = (xi, gw, w)
+            self._cache[key] = (xi, b.length[:, None] * gw[None, :], w)
         return self._cache[key]
 
     def boundary_vertex_ids(self) -> np.ndarray:
@@ -289,20 +309,18 @@ def validate(mesh: Mesh) -> None:
     once = uniq[counts == 1]
     if sorted(bkey.tolist()) != sorted(once.tolist()):
         raise GeometryError("boundary edges do not match the mesh boundary")
-    areas, _ = mesh.tri_geometry()
-    if np.any(areas <= 0.0):
+    if np.any(mesh.elements().areas <= 0.0):
         raise GeometryError("non-positive triangle area")
 
 
 def mesh_area(mesh: Mesh) -> float:
-    areas, _ = mesh.tri_geometry()
-    return float(areas.sum())
+    return float(mesh.elements().areas.sum())
 
 
 def boundary_weighted_length(mesh: Mesh, order: int = DEFAULT_QUAD_ORDER) -> float:
     """Quadrature value of the weighted boundary length (the measure of w ds)."""
-    _, gw, w = mesh.boundary_quadrature(order)
-    return float(np.sum(mesh.boundary.length[:, None] * gw[None, :] * w))
+    _, jac, w = mesh.boundary_quadrature(order)
+    return float(np.sum(jac * w))
 
 
 # -- export -------------------------------------------------------------

@@ -34,7 +34,7 @@ import numpy as np
 from .geometry import BoundaryPolygon, BoundaryTag, GeometryError
 
 _MIN_ANGLE_DEG = 20.0
-ELEMENT_BUDGET = 200_000  # vertices; refinement past it raises GeometryError
+ELEMENT_BUDGET = 200_000  # vertices; inserting one past it raises GeometryError
 
 
 def orient2d(ax, ay, bx, by, cx, cy):
@@ -244,6 +244,9 @@ class _CDT:
                 if abs(q[0] - p[0]) <= self.dedupe_tol and abs(q[1] - p[1]) <= self.dedupe_tol:
                     return w
         pid = len(self.pts)
+        if pid >= ELEMENT_BUDGET:
+            raise GeometryError(f"refinement exceeded the element "
+                                f"budget ({ELEMENT_BUDGET} vertices)")
         self.pts.append((float(p[0]), float(p[1])))
         for tid in sorted(dead):
             self._remove_tri(tid)
@@ -292,26 +295,25 @@ class _CDT:
 
     # -- refinement ----------------------------------------------------------
 
+    def _diametral(self, k):
+        """(mx, my, r2): the midpoint of segment k and its squared half-length."""
+        (ux, uy), (vx, vy) = self.pts[k[0]], self.pts[k[1]]
+        return 0.5 * (ux + vx), 0.5 * (uy + vy), 0.25 * ((ux - vx) ** 2 + (uy - vy) ** 2)
+
     def _seg_encroached(self, k):
-        (u, v) = k
-        pu, pv = self.pts[u], self.pts[v]
-        mx, my = 0.5 * (pu[0] + pv[0]), 0.5 * (pu[1] + pv[1])
-        r2 = 0.25 * ((pu[0] - pv[0]) ** 2 + (pu[1] - pv[1]) ** 2)
+        mx, my, r2 = self._diametral(k)
         for tid in self.edge_map.get(k, ()):
-            w = next(x for x in self.tris[tid] if x not in (u, v))
+            w = next(x for x in self.tris[tid] if x not in k)
             pw = self.pts[w]
             if (pw[0] - mx) ** 2 + (pw[1] - my) ** 2 < r2 * (1.0 - 1e-12):
                 return True
         return False
 
     def _split_segment(self, k):
-        u, v = k
-        pu, pv = self.pts[u], self.pts[v]
-        mid = (0.5 * (pu[0] + pv[0]), 0.5 * (pu[1] + pv[1]))
         before = len(self.pts)
-        pid = self.insert_point(mid, split_key=k)
+        pid = self.insert_point(self._diametral(k)[:2], split_key=k)
         if pid < before:
-            raise GeometryError(f"segment ({u},{v}) too short to split")
+            raise GeometryError(f"segment ({k[0]},{k[1]}) too short to split")
         return pid
 
     def refine(self, size_fn, exempt_fn):
@@ -356,18 +358,14 @@ class _CDT:
             for k in sorted(self.constrained):
                 if k not in self.constrained:
                     continue
-                u, v = k
-                pu, pv = self.pts[u], self.pts[v]
-                mid = (0.5 * (pu[0] + pv[0]), 0.5 * (pu[1] + pv[1]))
+                mid = self._diametral(k)[:2]
                 if exempt_fn(mid):
                     continue
+                pu, pv = self.pts[k[0]], self.pts[k[1]]
                 length = math.hypot(pu[0] - pv[0], pu[1] - pv[1])
                 if length > size_fn(mid) or self._seg_encroached(k):
                     self._split_segment(k)
                     changed = True
-                    if len(self.pts) > ELEMENT_BUDGET:
-                        raise GeometryError(f"refinement exceeded the element "
-                                            f"budget ({ELEMENT_BUDGET} vertices)")
             # then triangles
             for tid in sorted(self.tris):
                 if tid not in self.tris:
@@ -386,25 +384,18 @@ class _CDT:
                 # a circumcenter that encroaches a constrained segment splits
                 # that segment instead (the first one in sorted order)
                 for k in sorted(self.constrained):
-                    (u, v) = k
-                    pu, pv = self.pts[u], self.pts[v]
-                    mx, my = 0.5 * (pu[0] + pv[0]), 0.5 * (pu[1] + pv[1])
-                    r2 = 0.25 * ((pu[0] - pv[0]) ** 2 + (pu[1] - pv[1]) ** 2)
+                    mx, my, r2 = self._diametral(k)
                     if (cc[0] - mx) ** 2 + (cc[1] - my) ** 2 < r2:
                         target = k
                         break
                 if target is not None:
-                    if exempt_fn((0.5 * (self.pts[target[0]][0] + self.pts[target[1]][0]),
-                                  0.5 * (self.pts[target[0]][1] + self.pts[target[1]][1]))):
+                    if exempt_fn(self._diametral(target)[:2]):
                         self._given_up.add(self.tris[tid])
                         continue
                     self._split_segment(target)
                 else:
                     self.insert_point(cc, hint=tid)
                 changed = True
-                if len(self.pts) > ELEMENT_BUDGET:
-                    raise GeometryError(f"refinement exceeded the element "
-                                        f"budget ({ELEMENT_BUDGET} vertices)")
             if not changed:
                 break
 

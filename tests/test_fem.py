@@ -131,6 +131,26 @@ def test_homogeneity(square_mesh, p):
             rel=1e-11)
 
 
+def test_gauss_abscissae_interpolate_one_exactly():
+    # the linear trace of the constant 1 is exactly 1.0 at every Gauss point
+    for order in range(1, 6):
+        xi, _ = meshmod.gauss01(order)
+        assert np.all((1.0 - xi) + xi == 1.0), order
+
+
+@pytest.mark.parametrize("mesh_name", ["cusp15_mesh", "disk_mesh"])
+def test_boundary_measure_is_the_pnorm_of_one(request, mesh_name):
+    # the measure needs no p: it is boundary_pnorm of the constant 1, bit for bit
+    msh = request.getfixturevalue(mesh_name)
+    ones = np.ones(msh.num_vertices)
+    for p in (1.5, 2.0, 2.5, 3.0):
+        for weighted in (True, False):
+            for order in range(1, 6):
+                cfg = ProblemConfig(p=p, weighted=weighted, quadrature_order=order)
+                assert _same_bits(fem.boundary_weighted_measure(msh, cfg),
+                                  boundary_pnorm(msh, cfg, ones)), (p, weighted, order)
+
+
 def test_p2_matrix_equivalence(cusp15_mesh):
     msh = cusp15_mesh
     K, M, B = assemble_p2(msh, weighted=True)
@@ -223,8 +243,16 @@ def test_field_validation(square_mesh):
 
 def _einsum_element_terms(mesh, cfg, u):
     # energy, energy gradient and linearized-matrix data from einsums over
-    # the (T, 3, 2) hat-function gradients
-    areas, grads = mesh.tri_geometry()
+    # the (T, 3, 2) hat-function gradients, computed here from the vertices:
+    # the gradient of local vertex k is its opposite edge (from vertex k + 1
+    # to k + 2) rotated by 90 degrees, over twice the area
+    v = mesh.vertices[mesh.triangles]  # (T, 3, 2)
+    d1, d2 = v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]
+    det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
+    areas = 0.5 * det
+    pj, pk = v[:, [1, 2, 0]], v[:, [2, 0, 1]]
+    grads = np.stack([pj[..., 1] - pk[..., 1], pk[..., 0] - pj[..., 0]], axis=2) \
+        / det[:, None, None]
     g = np.einsum("tk,tkd->td", u[mesh.triangles], grads)
     s = np.einsum("td,td->t", g, g) + cfg.eps_reg ** 2
     p = cfg.p

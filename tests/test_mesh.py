@@ -8,7 +8,7 @@ import pytest
 from steklov_cusp import (BoundaryTag, DomainSpec, GeometryError, boundary_polygon,
                           boundary_weighted_length, mesh_area, polygon_from_points,
                           refine_uniform, triangulate)
-from steklov_cusp import cli
+from steklov_cusp import cli, triangulation
 from steklov_cusp import mesh as meshmod
 
 from helpers import exact_weighted_boundary_length, shoelace, tri_min_angle
@@ -167,6 +167,13 @@ def test_shipped_config_base_meshes_validate():
                                 cp.getint("sweep", "n_arc"), grading)
         meshmod.validate(triangulate(poly, cp.getfloat("sweep", "target_h"),
                                      tip_grading=grading))
+
+
+def test_refinement_past_the_element_budget_raises(monkeypatch, disk_polygon):
+    # the 64 polygon vertices fit the budget; refinement does not
+    monkeypatch.setattr(triangulation, "ELEMENT_BUDGET", 100)
+    with pytest.raises(GeometryError, match="element budget \\(100 vertices\\)"):
+        triangulate(disk_polygon, 0.25)
 
 
 def test_nonpositive_target_h_rejected(disk_polygon):
