@@ -63,8 +63,7 @@ def _fp_descent(mesh: Mesh, cfg: ProblemConfig, seed: int) -> float:
     u0 = mesh.vertices[:, 0] + 0.01 * rng.standard_normal(mesh.num_vertices)
     outcome = _descent(mesh, cfg, u0, fem.volume_pnorm, fem.volume_pnorm_gradient,
                        Factor(K + M), _eps_schedule(cfg))
-    value = fem.energy(mesh, replace(cfg, eps_reg=0.0), outcome.u) \
-        / fem.volume_pnorm(mesh, cfg, outcome.u)
+    value = fem.energy(mesh, cfg, outcome.u) / fem.volume_pnorm(mesh, cfg, outcome.u)
     if not value > 0.0:
         raise SolveError(f"non-positive constrained quotient {value}")
     return value ** (-1.0 / cfg.p)

@@ -37,18 +37,15 @@ _TRI_QW = np.array([0.223381589678011] * 3 + [0.109951743655322] * 3)
 
 @dataclass(frozen=True)
 class ProblemConfig:
-    """Exponent p, weighted/unweighted switch, gradient regularization."""
+    """Exponent p, weighted/unweighted switch, boundary quadrature order."""
 
     p: float = 2.0
     weighted: bool = True
-    eps_reg: float = 0.0
     quadrature_order: int = DEFAULT_QUAD_ORDER
 
     def __post_init__(self):
         if not self.p > 1.0:
             raise ValueError(f"p must exceed 1, got {self.p}")
-        if self.eps_reg < 0.0:
-            raise ValueError("eps_reg must be non-negative")
         if not 1 <= self.quadrature_order <= 5:
             raise ValueError("quadrature_order must be in 1..5")
 
@@ -96,18 +93,19 @@ def _tri_gradients(mesh: Mesh, u: np.ndarray):
     return el, gx, gy, gx * gx + gy * gy
 
 
-def energy(mesh: Mesh, cfg: ProblemConfig, u) -> float:
-    """Regularized p-Dirichlet energy sum area * (|grad u|^2 + eps^2)^(p/2)."""
+def energy(mesh: Mesh, cfg: ProblemConfig, u, eps: float = 0.0) -> float:
+    """p-Dirichlet energy sum area * (|grad u|^2 + eps^2)^(p/2), regularized
+    by eps (0 gives the energy itself)."""
     u = as_field(mesh, u)
     el, _, _, g2 = _tri_gradients(mesh, u)
-    return float(np.sum(el.areas * (g2 + cfg.eps_reg ** 2) ** (cfg.p / 2.0)))
+    return float(np.sum(el.areas * (g2 + eps ** 2) ** (cfg.p / 2.0)))
 
 
-def energy_gradient(mesh: Mesh, cfg: ProblemConfig, u) -> np.ndarray:
+def energy_gradient(mesh: Mesh, cfg: ProblemConfig, u, eps: float = 0.0) -> np.ndarray:
     """Exact derivative of energy: p * area * (|g|^2+eps^2)^((p-2)/2) g . grad(phi_i)."""
     u = as_field(mesh, u)
     el, gx, gy, g2 = _tri_gradients(mesh, u)
-    s = g2 + cfg.eps_reg ** 2
+    s = g2 + eps ** 2
     factor = np.zeros_like(s)
     nz = s > 0.0
     factor[nz] = s[nz] ** ((cfg.p - 2.0) / 2.0)
@@ -264,7 +262,7 @@ def volume_pnorm_gradient(mesh: Mesh, cfg: ProblemConfig, u) -> np.ndarray:
                        minlength=mesh.num_vertices)
 
 
-def linearized_energy_matrix(mesh: Mesh, cfg: ProblemConfig, u) -> SparseSym:
+def linearized_energy_matrix(mesh: Mesh, cfg: ProblemConfig, u, eps: float = 0.0) -> SparseSym:
     """Hessian of energy/p at u: the linearized p-Laplacian operator.
 
     Per triangle the local block is
@@ -276,7 +274,7 @@ def linearized_energy_matrix(mesh: Mesh, cfg: ProblemConfig, u) -> SparseSym:
     u = as_field(mesh, u)
     el, gx, gy, g2 = _tri_gradients(mesh, u)
     p = cfg.p
-    s = g2 + cfg.eps_reg ** 2
+    s = g2 + eps ** 2
     f1 = np.zeros_like(s)
     f2 = np.zeros_like(s)
     nz = s > 0.0

@@ -5,6 +5,11 @@ removal, then refinement driven by a local size law and a minimum-angle
 bound.  Predicates are floating point with an exact rational fallback, so
 near-degenerate slivers inside the cusp channel are handled consistently.
 
+Adjacency is one map of directed half-edges, half[(u, v)] = tid for each
+edge of each CCW triangle, so the neighbour across (u, v) is half[(v, u)].
+Triangle ids only grow, and the triangles on a segment are taken in
+ascending id, so vertex dedupe and segment splits see them in a fixed order.
+
 There is no edge recovery: each polygon edge must already be an edge of
 the Delaunay triangulation of the polygon vertices, and one that is not
 raises GeometryError.  The cusp and disk polygons of boundary_polygon meet
@@ -109,6 +114,10 @@ def _key(u, v):
 
 
 class _CDT:
+    """tris: id -> CCW vertex triple; half: directed edge -> id of its
+    triangle; constrained: segment (min, max) -> Segment.  Vertices 0-2 are
+    the super-triangle's, which remove_exterior drops with the exterior."""
+
     def __init__(self, points):
         pts = [tuple(map(float, p)) for p in points]
         xs = [p[0] for p in pts]
@@ -120,13 +129,11 @@ class _CDT:
             (cx - big, cy - big), (cx + big, cy - big), (cx, cy + big)]
         self.dedupe_tol = 1e-13 * span
         self.tris: dict[int, tuple[int, int, int]] = {}
-        self.edge_map: dict[tuple[int, int], list[int]] = {}
-        self.vert_tris: dict[int, set[int]] = {}
+        self.half: dict[tuple[int, int], int] = {}
         self.constrained: dict[tuple[int, int], Segment] = {}
         self._next_tid = 0
         self._last_tid = None
         self._add_tri(0, 1, 2)
-        self._given_up: set[tuple[int, int, int]] = set()
 
     # -- elementary structure updates ------------------------------------
 
@@ -138,28 +145,18 @@ class _CDT:
         tid = self._next_tid
         self._next_tid += 1
         self.tris[tid] = (a, b, c)
-        for u, v in ((a, b), (b, c), (c, a)):
-            self.edge_map.setdefault(_key(u, v), []).append(tid)
-        for v in (a, b, c):
-            self.vert_tris.setdefault(v, set()).add(tid)
+        self.half[a, b] = self.half[b, c] = self.half[c, a] = tid
         self._last_tid = tid
         return tid
 
     def _remove_tri(self, tid):
         a, b, c = self.tris.pop(tid)
-        for u, v in ((a, b), (b, c), (c, a)):
-            k = _key(u, v)
-            self.edge_map[k].remove(tid)
-            if not self.edge_map[k]:
-                del self.edge_map[k]
-        for v in (a, b, c):
-            self.vert_tris[v].discard(tid)
+        del self.half[a, b], self.half[b, c], self.half[c, a]
 
-    def _neighbor(self, tid, u, v):
-        for t in self.edge_map.get(_key(u, v), ()):
-            if t != tid:
-                return t
-        return None
+    def _seg_tris(self, k):
+        """The triangles on edge k (either direction), in ascending tid."""
+        u, v = k
+        return sorted(t for t in (self.half.get((u, v)), self.half.get((v, u))) if t is not None)
 
     # -- point location ---------------------------------------------------
 
@@ -182,7 +179,7 @@ class _CDT:
                     k = _key(u, v)
                     if k in self.constrained:
                         raise GeometryError(f"point {p} lies beyond the constrained edge {k}")
-                    nxt = self._neighbor(tid, u, v)
+                    nxt = self.half.get((v, u))
                     if nxt is None:
                         raise GeometryError(f"point {p} lies beyond the hull edge {k}")
                     tid = nxt
@@ -201,7 +198,7 @@ class _CDT:
         """Insert p; returns its vertex id.  split_key names a constrained
         segment being split at p (p must lie on it)."""
         if split_key is not None:
-            seeds = list(self.edge_map[split_key])
+            seeds = self._seg_tris(split_key)
         else:
             seeds = [self._locate(p, hint)]
         # dedupe against nearby vertices
@@ -220,7 +217,7 @@ class _CDT:
                 k = _key(u, v)
                 if k == split_key or k in self.constrained:
                     continue
-                nb = self._neighbor(tid, u, v)
+                nb = self.half.get((v, u))
                 if nb is None or nb in dead:
                     continue
                 na, nbv, nc = self.tris[nb]
@@ -232,10 +229,9 @@ class _CDT:
         for tid in sorted(dead):
             a, b, c = self.tris[tid]
             for u, v in ((a, b), (b, c), (c, a)):
-                k = _key(u, v)
-                if k == split_key:
+                if _key(u, v) == split_key:
                     continue
-                nb = self._neighbor(tid, u, v)
+                nb = self.half.get((v, u))
                 if nb is None or nb not in dead:
                     boundary.append((u, v))
         for u, v in boundary:
@@ -254,34 +250,26 @@ class _CDT:
             self._add_tri(u, v, pid)
 
         if split_key is not None:
+            # pid is the newest vertex, so it is the larger end of both halves
             seg = self.constrained.pop(split_key)
             u, v = split_key
             pm = 0.5 * (seg.pu + seg.pv)
-            self.constrained[_key(u, pid)] = Segment(seg.tag,
-                                                     seg.pu if u < pid else pm,
-                                                     pm if u < pid else seg.pu)
-            self.constrained[_key(v, pid)] = Segment(seg.tag,
-                                                     seg.pv if v < pid else pm,
-                                                     pm if v < pid else seg.pv)
+            self.constrained[u, pid] = Segment(seg.tag, seg.pu, pm)
+            self.constrained[v, pid] = Segment(seg.tag, seg.pv, pm)
         return pid
 
     # -- exterior removal ---------------------------------------------------
 
     def remove_exterior(self):
-        exterior = set()
-        queue = deque()
-        for v in (0, 1, 2):
-            for tid in self.vert_tris.get(v, ()):
-                if tid not in exterior:
-                    exterior.add(tid)
-                    queue.append(tid)
+        exterior = {tid for tid, tri in self.tris.items() if min(tri) < 3}
+        queue = deque(exterior)
         while queue:
             tid = queue.popleft()
             a, b, c = self.tris[tid]
             for u, v in ((a, b), (b, c), (c, a)):
                 if _key(u, v) in self.constrained:
                     continue
-                nb = self._neighbor(tid, u, v)
+                nb = self.half.get((v, u))
                 if nb is not None and nb not in exterior:
                     exterior.add(nb)
                     queue.append(nb)
@@ -290,7 +278,7 @@ class _CDT:
         if not self.tris:
             raise GeometryError("no interior triangles remain after exterior removal")
         for k in self.constrained:
-            if k not in self.edge_map or len(self.edge_map[k]) != 1:
+            if len(self._seg_tris(k)) != 1:
                 raise GeometryError("constrained edge lost during exterior removal")
 
     # -- refinement ----------------------------------------------------------
@@ -302,7 +290,7 @@ class _CDT:
 
     def _seg_encroached(self, k):
         mx, my, r2 = self._diametral(k)
-        for tid in self.edge_map.get(k, ()):
+        for tid in self._seg_tris(k):
             w = next(x for x in self.tris[tid] if x not in k)
             pw = self.pts[w]
             if (pw[0] - mx) ** 2 + (pw[1] - my) ** 2 < r2 * (1.0 - 1e-12):
@@ -319,7 +307,8 @@ class _CDT:
     def refine(self, size_fn, exempt_fn):
         """Ruppert loop: split encroached segments, then fix undersized or
         skinny triangles by circumcenter insertion (or by splitting the
-        segment that blocks the circumcenter)."""
+        segment that blocks the circumcenter); a bad triangle without a
+        circumcenter, or blocked by an exempt segment, is skipped."""
         min_cos = math.cos(math.radians(_MIN_ANGLE_DEG))
 
         def tri_bad(tid):
@@ -370,8 +359,6 @@ class _CDT:
             for tid in sorted(self.tris):
                 if tid not in self.tris:
                     continue
-                if self.tris[tid] in self._given_up:
-                    continue
                 reason = tri_bad(tid)
                 if reason is None:
                     continue
@@ -379,7 +366,6 @@ class _CDT:
                 cc = _circumcenter(self.pts[a], self.pts[b], self.pts[c])
                 target = None
                 if cc is None:
-                    self._given_up.add(self.tris[tid])
                     continue
                 # a circumcenter that encroaches a constrained segment splits
                 # that segment instead (the first one in sorted order)
@@ -390,7 +376,6 @@ class _CDT:
                         break
                 if target is not None:
                     if exempt_fn(self._diametral(target)[:2]):
-                        self._given_up.add(self.tris[tid])
                         continue
                     self._split_segment(target)
                 else:
@@ -402,7 +387,7 @@ class _CDT:
     # -- extraction ----------------------------------------------------------
 
     def extract(self):
-        used = sorted(v for v, ts in self.vert_tris.items() if ts and v >= 3)
+        used = sorted({v for tri in self.tris.values() for v in tri})
         remap = {old: new for new, old in enumerate(used)}
         pts = np.array([self.pts[v] for v in used], dtype=float)
         tris = np.array([[remap[v] for v in self.tris[t]] for t in sorted(self.tris)],
@@ -410,19 +395,14 @@ class _CDT:
         segs = []
         for k in sorted(self.constrained):
             seg = self.constrained[k]
-            tids = self.edge_map.get(k)
-            if not tids or len(tids) != 1:
+            if len(self._seg_tris(k)) != 1:
                 raise GeometryError("boundary segment not owned by exactly one triangle")
-            tid = tids[0]
-            tri = self.tris[tid]
             u, v = k
             # direct the edge as it appears in the (CCW) owning triangle
-            i = tri.index(u)
-            if tri[(i + 1) % 3] == v:
-                du, dv, pu, pv = u, v, seg.pu, seg.pv
+            if k in self.half:
+                segs.append((remap[u], remap[v], seg.tag, seg.pu, seg.pv))
             else:
-                du, dv, pu, pv = v, u, seg.pv, seg.pu
-            segs.append((remap[du], remap[dv], seg.tag, pu, pv))
+                segs.append((remap[v], remap[u], seg.tag, seg.pv, seg.pu))
         return pts, tris, segs
 
 
@@ -454,7 +434,7 @@ def triangulate_polygon(polygon: BoundaryPolygon, target_h: float,
         raise GeometryError("duplicate vertices in the boundary polygon")
     for e in polygon.edges:
         a, b = ids[e.i], ids[e.j]
-        if _key(a, b) not in cdt.edge_map:
+        if not cdt._seg_tris((a, b)):
             raise GeometryError(
                 f"polygon edge ({e.i}, {e.j}) is not an edge of the Delaunay "
                 "triangulation of the polygon vertices")

@@ -88,15 +88,16 @@ def test_criterion_3_gradient_correctness():
     worst = 0.0
     delta = 1e-6
     for p in (1.5, 2.0, 3.0):
-        cfg = ProblemConfig(p=p, weighted=True, eps_reg=1e-8)
+        cfg = ProblemConfig(p=p, weighted=True)
         for _ in range(20):
             u = rng.standard_normal(msh.num_vertices)
-            ga = energy_gradient(msh, cfg, u)
+            ga = energy_gradient(msh, cfg, u, eps=1e-8)
             gf = np.zeros_like(ga)
             for i in range(msh.num_vertices):
                 e = np.zeros(msh.num_vertices)
                 e[i] = delta
-                gf[i] = (energy(msh, cfg, u + e) - energy(msh, cfg, u - e)) / (2 * delta)
+                gf[i] = (energy(msh, cfg, u + e, eps=1e-8)
+                         - energy(msh, cfg, u - e, eps=1e-8)) / (2 * delta)
             worst = max(worst, float(np.abs(ga - gf).max() / np.abs(ga).max()))
     assert worst <= 1e-5
     elapsed = time.time() - t0

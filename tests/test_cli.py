@@ -227,6 +227,22 @@ def test_cmd_solve_p2_solves_the_direct_pair_once(tmp_path, monkeypatch):
     assert len((out / "results.csv").read_text().splitlines()) == 3
 
 
+def test_cmd_solve_p3_writes_the_descent_row_only(tmp_path):
+    # away from p = 2 there is no direct pair: results.csv holds solve_p's row
+    coarse = CUSP_CONFIG
+    for old, new in (("n_lateral = 12", "n_lateral = 8"), ("n_arc = 24", "n_arc = 16"),
+                     ("target_h = 0.4", "target_h = 0.6"), ("p = 2.0", "p = 3.0")):
+        assert old in coarse
+        coarse = coarse.replace(old, new)
+    out = tmp_path / "out"
+    assert main(["solve", "--config", _write(tmp_path, "p3.ini", coarse, out)]) == 0
+    lines = (out / "results.csv").read_text().splitlines()
+    assert len(lines) == 2
+    row = dict(zip(lines[0].split(","), lines[1].split(",")))
+    assert float(row["p"]) == 3.0
+    assert row["converged"] == "true"
+
+
 def test_cmd_solve_deterministic_bytes(tmp_path):
     out1 = tmp_path / "a"
     out2 = tmp_path / "b"

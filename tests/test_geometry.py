@@ -134,6 +134,13 @@ def test_polygon_preconditions():
 def test_self_intersection_detection():
     with pytest.raises(GeometryError):
         polygon_from_points([(0, 0), (1, 1), (1, 0), (0, 1)])
+    # the bow tie above has zero area and fails the orientation check; this
+    # one is counter-clockwise (signed area 15.5), so the exact segment test
+    # is what finds segment 2, (4, 3)-(1, 3), crossing segment 4, (3, 1)-(2, 4)
+    pts = [(0, 0), (4, 0), (4, 3), (1, 3), (3, 1), (2, 4), (0, 4)]
+    assert polygon_area(np.array(pts, dtype=float)) == pytest.approx(15.5)
+    with pytest.raises(GeometryError, match="between segments 2 and 4"):
+        polygon_from_points(pts)
 
 
 def test_weight_range_on_polygon_edges():
