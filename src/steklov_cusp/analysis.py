@@ -36,8 +36,7 @@ def fp_constant(mesh: Mesh, cfg: ProblemConfig, constraint: str = "weighted-boun
             raise ValueError("the zero-mean constraint is a p = 2 validation mode")
         return _fp_descent(mesh, cfg, seed)
 
-    K, M, B = fem.assemble_p2(mesh, weighted=cfg.weighted,
-                              quadrature_order=cfg.quadrature_order)
+    K, M, B = fem.assemble_p2(mesh, weighted=cfg.weighted)
     if constraint == "weighted-boundary":
         direction = B.matvec(np.ones(mesh.num_vertices))
     else:
@@ -189,9 +188,7 @@ def alpha_sweep(cfg_base: ProblemConfig, alphas, refinements: int = 3,
             fp_error = ""
             if with_fp:
                 try:
-                    fp_val = fp_constant(msh, ProblemConfig(
-                        p=cfg_base.p, weighted=True,
-                        quadrature_order=cfg_base.quadrature_order))
+                    fp_val = fp_constant(msh, replace(cfg_base, weighted=True))
                 except (SolveError, np.linalg.LinAlgError) as exc:
                     fp_error = f"fp_constant: {type(exc).__name__}: {exc}"
             for weighted in (True, False):

@@ -8,10 +8,10 @@ known, it writes the manifest, which echoes the resolved config (validate's
 defaults included), for every run, ending in status = ok or in status =
 failed and error = <reason>.
 
-Exit codes: 0 ok; 1 config error, including a value out of range (n_lateral
->= 8, n_arc >= 16, grading_q >= 1, target_h > 0 in [domain] and [sweep],
-refinements >= 1 and restarts >= 1 in [solver] and [sweep], alpha > 1); 2
-geometry error; 3 solver error or non-convergence; 4
+Exit codes: 0 ok; 1 config error, including an unknown section or key and a
+value out of range (n_lateral >= 8, n_arc >= 16, grading_q >= 1, target_h > 0
+in [domain] and [sweep], refinements >= 1 and restarts >= 1 in [solver] and
+[sweep], alpha > 1); 2 geometry error; 3 solver error or non-convergence; 4
 validation failure.  Any other exception is a bug and is raised.
 """
 
@@ -61,7 +61,6 @@ DEFAULTS = {
         "refinements": "2",
         "restarts": "3",
         "seed": "0",
-        "quadrature_order": "2",
     },
     "sweep": {
         "alphas": "1.25,1.5,1.75,2.5",
@@ -92,6 +91,17 @@ def load_config(path=None) -> configparser.ConfigParser:
     except configparser.Error as exc:
         raise ConfigError(f"config parse error in {path}: {exc}") from None
     return cp
+
+
+def check_keys(cp):
+    """ConfigError naming the first section or key that DEFAULTS does not
+    list ([domain] alpha, which has no default, is known too)."""
+    for section in cp.sections():
+        if section not in DEFAULTS:
+            raise ConfigError(f"unknown config section [{section}]")
+        for key in cp.options(section):
+            if key not in DEFAULTS[section] and (section, key) != ("domain", "alpha"):
+                raise ConfigError(f"unknown config key [{section}] {key}")
 
 
 def _get(cp, section, key, conv):
@@ -169,10 +179,8 @@ def build_base_mesh(cp, spec: geometry.DomainSpec) -> meshmod.Mesh:
 
 
 def solver_config(cp) -> fem.ProblemConfig:
-    return _checked({"p": "solver", "quadrature_order": "solver"}, fem.ProblemConfig,
-                    p=_get(cp, "solver", "p", float),
-                    weighted=_get(cp, "solver", "weighted", bool),
-                    quadrature_order=_get(cp, "solver", "quadrature_order", int))
+    return _checked({"p": "solver"}, fem.ProblemConfig, p=_get(cp, "solver", "p", float),
+                    weighted=_get(cp, "solver", "weighted", bool))
 
 
 class Manifest:
@@ -261,7 +269,7 @@ def cmd_solve(cp, manifest: Manifest, seed: int):
     alpha = spec.alpha if spec.kind == "cusp" else None
     if cfg.p == 2.0:
         # the direct pair is solve_p's own first start, so it is solved once
-        direct = solve_p2(msh, weighted=cfg.weighted, quadrature_order=cfg.quadrature_order)
+        direct = solve_p2(msh, weighted=cfg.weighted)
         results = [solve_p(msh, cfg, restarts=restarts, seed=seed, u0=direct.u), direct]
     else:
         results = [solve_p(msh, cfg, restarts=restarts, seed=seed)]
@@ -285,9 +293,9 @@ def cmd_solve(cp, manifest: Manifest, seed: int):
 
 
 def cmd_sweep(cp, manifest: Manifest, seed: int):
-    # DomainSpec.cusp rejects an alpha that does not exceed 1
+    # float rejects an empty entry (so an empty list), DomainSpec.cusp an alpha <= 1
     alphas = _get(cp, "sweep", "alphas", lambda raw: [
-        geometry.DomainSpec.cusp(float(tok)).alpha for tok in raw.split(",") if tok.strip()])
+        geometry.DomainSpec.cusp(float(tok)).alpha for tok in raw.split(",")])
     n_lateral, n_arc, grading_q, target_h = _mesh_values(cp, "sweep")
     refinements, restarts = _counts(cp, "sweep")
     report = analysis.alpha_sweep(
@@ -430,6 +438,7 @@ def main(argv=None) -> int:
         seed = args.seed if args.seed is not None else _get(cp, "solver", "seed", int)
         manifest.add("seed", seed)
         manifest.add_config(cp)
+        check_keys(cp)
         code, reason = COMMANDS[args.command](cp, manifest, seed)
     except ConfigError as exc:
         code, kind, reason = EXIT_CONFIG, "config", str(exc)

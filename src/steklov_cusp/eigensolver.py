@@ -34,7 +34,7 @@ import numpy as np
 from . import fem
 from .fem import ProblemConfig
 from .linalg import Complement, Factor, SolveError, SparseSym, generalized_eig_sym, solve_spd
-from .mesh import DEFAULT_QUAD_ORDER, Mesh
+from .mesh import Mesh
 
 ARMIJO = 1e-4
 STALL_WINDOW = 5
@@ -402,7 +402,7 @@ def solve_p(mesh: Mesh, cfg: ProblemConfig, restarts: int = 3, seed: int = 0,
     if u0 is not None:
         starts.append(np.asarray(u0, dtype=float))
     else:
-        p2 = solve_p2(mesh, weighted=cfg.weighted, quadrature_order=cfg.quadrature_order)
+        p2 = solve_p2(mesh, weighted=cfg.weighted)
         starts.append(p2.u)
     rng = np.random.default_rng(seed)
     for _ in range(max(0, restarts - 1)):
@@ -538,22 +538,19 @@ def _schur_pencil_bottom(A: SparseSym, Bm: SparseSym, mesh: Mesh, k: int = 1):
     return vals, fields, residuals
 
 
-def solve_p2(mesh: Mesh, weighted: bool, k: int = 1,
-             quadrature_order: int = DEFAULT_QUAD_ORDER) -> EigenResult:
+def solve_p2(mesh: Mesh, weighted: bool, k: int = 1) -> EigenResult:
     """Smallest non-trivial p=2 eigenpair via the direct linear path.
 
     p2_spectrum holds the max(1, k) smallest non-trivial eigenvalues of the
     stiffness/boundary-mass pencil on the complement of the constraint.
-    quadrature_order is the boundary Gauss rule, as in ProblemConfig.
     converged means the returned pair meets WEAKFORM_RTOL: the dense
     reduction can lose the wanted pair on a strongly graded boundary mass.
     """
-    K, _, B = fem.assemble_p2(mesh, weighted=weighted, quadrature_order=quadrature_order)
+    K, _, B = fem.assemble_p2(mesh, weighted=weighted)
     vals, fields, residuals = _schur_pencil_bottom(K, B, mesh, k=max(1, k))
     lam = float(vals[0])
     u = fields[:, 0]
-    cfg = ProblemConfig(p=2.0, weighted=weighted, quadrature_order=quadrature_order)
-    cres = abs(fem.constraint_functional(mesh, cfg, u))
+    cres = abs(fem.constraint_functional(mesh, ProblemConfig(p=2.0, weighted=weighted), u))
     if not lam > 0.0:
         raise SolveError(f"non-positive p=2 eigenvalue {lam}")
     return EigenResult(eigenvalue=lam, u=u, iterations=0,

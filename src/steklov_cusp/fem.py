@@ -2,9 +2,9 @@
 and the p=2 stiffness/mass/boundary-mass matrices.
 
 Discrete fields are plain numpy vectors indexed by mesh vertices.  All
-boundary integrals use per-edge Gauss quadrature of the linear trace, with
-the weight sampled on the exact curve through each edge's (tag, parameter)
-data.
+boundary integrals use the 2-point Gauss rule on each edge, applied to the
+linear trace, with the weight sampled on the exact curve through each
+edge's (tag, parameter) data.
 
 The per-mesh arrays these read live on the Mesh, one copy each: the element
 layout (Mesh.elements) and the boundary quadrature (Mesh.boundary_quadrature).
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import Pattern, SparseSym
-from .mesh import DEFAULT_QUAD_ORDER, Mesh
+from .mesh import Mesh
 
 # 6-point symmetric triangle rule, exact through degree 4 (weights sum to 1)
 _TRI_QP = np.array([
@@ -37,17 +37,14 @@ _TRI_QW = np.array([0.223381589678011] * 3 + [0.109951743655322] * 3)
 
 @dataclass(frozen=True)
 class ProblemConfig:
-    """Exponent p, weighted/unweighted switch, boundary quadrature order."""
+    """Exponent p and the weighted/unweighted switch."""
 
     p: float = 2.0
     weighted: bool = True
-    quadrature_order: int = DEFAULT_QUAD_ORDER
 
     def __post_init__(self):
         if not self.p > 1.0:
             raise ValueError(f"p must exceed 1, got {self.p}")
-        if not 1 <= self.quadrature_order <= 5:
-            raise ValueError("quadrature_order must be in 1..5")
 
 
 def as_field(mesh: Mesh, values) -> np.ndarray:
@@ -116,13 +113,13 @@ def energy_gradient(mesh: Mesh, cfg: ProblemConfig, u, eps: float = 0.0) -> np.n
                        minlength=mesh.num_vertices)
 
 
-def _boundary_arrays(mesh: Mesh, weighted: bool, quadrature_order: int):
+def _boundary_arrays(mesh: Mesh, weighted: bool):
     """(xi, jac, w) of mesh.boundary_quadrature, with w the scalar 1.0 when
     unweighted (multiplying by 1.0 is exact).  Callers multiply them in
     their own order, because p * jac * w and p * (jac * w) differ in
     floating point.
     """
-    xi, jac, w = mesh.boundary_quadrature(quadrature_order)
+    xi, jac, w = mesh.boundary_quadrature()
     return xi, jac, w if weighted else 1.0
 
 
@@ -132,7 +129,7 @@ def _boundary_samples(mesh: Mesh, cfg: ProblemConfig, u: np.ndarray):
     Returns (xi, uq, w, jac): uq[e, q] = (1 - xi_q) u[v0_e] + xi_q u[v1_e];
     xi, w and jac come from _boundary_arrays.
     """
-    xi, jac, w = _boundary_arrays(mesh, cfg.weighted, cfg.quadrature_order)
+    xi, jac, w = _boundary_arrays(mesh, cfg.weighted)
     b = mesh.boundary
     uq = u[b.v0][:, None] * (1.0 - xi)[None, :] + u[b.v1][:, None] * xi[None, :]
     return xi, uq, w, jac
@@ -212,7 +209,7 @@ def shift_constraint(mesh: Mesh, cfg: ProblemConfig, u):
     |u_q - c|^(p-2) serves F(c) and a following dF(c) at the same c.
     u is not validated here: the caller (orthogonalize_shift) has done so.
     """
-    xi, jac, w = _boundary_arrays(mesh, cfg.weighted, cfg.quadrature_order)
+    xi, jac, w = _boundary_arrays(mesh, cfg.weighted)
     jw = jac * w
     u0, u1 = u[mesh.boundary.v0][:, None], u[mesh.boundary.v1][:, None]
     p = cfg.p
@@ -239,7 +236,7 @@ def boundary_weighted_measure(mesh: Mesh, cfg: ProblemConfig) -> float:
     Gauss abscissa has (1 - xi) + xi == 1.0, so every sample of 1 is exactly
     1.0 and so is its p-th power.
     """
-    _, jac, w = _boundary_arrays(mesh, cfg.weighted, cfg.quadrature_order)
+    _, jac, w = _boundary_arrays(mesh, cfg.weighted)
     return float(np.sum(jac * w))
 
 
@@ -298,7 +295,7 @@ def linearized_boundary_mass(mesh: Mesh, cfg: ProblemConfig, u) -> SparseSym:
     return _boundary_mass(mesh, xi, jac * w * _powers(uq, cfg.p)[1])
 
 
-def assemble_p2(mesh: Mesh, weighted: bool, quadrature_order: int = DEFAULT_QUAD_ORDER):
+def assemble_p2(mesh: Mesh, weighted: bool):
     """Stiffness K, volume mass M and (weighted) boundary mass B as SparseSym.
 
     K has the constants in its kernel; row sums of B are the weighted hat
@@ -309,6 +306,6 @@ def assemble_p2(mesh: Mesh, weighted: bool, quadrature_order: int = DEFAULT_QUAD
     areas = el.areas
     kloc = el.gram * areas[:, None, None]
     mloc = (np.ones((3, 3)) + np.eye(3))[None, :, :] * (areas / 12.0)[:, None, None]
-    xi, jac, w = _boundary_arrays(mesh, weighted, quadrature_order)
+    xi, jac, w = _boundary_arrays(mesh, weighted)
     return (_element_blocks(mesh, "triangles", kloc), _element_blocks(mesh, "triangles", mloc),
             _boundary_mass(mesh, xi, jac * w))

@@ -7,7 +7,7 @@ the (tag, parameter) pair, never interpolated from polygon vertices.
 
 A Mesh holds the one copy of each per-mesh array that the discretization
 reads, built on first use: the element layout (elements(): areas and
-hat-function gradients) and the boundary quadrature of each Gauss order
+hat-function gradients) and the 2-point Gauss rule on the boundary edges
 (boundary_quadrature(): abscissae, length times Gauss weight, and weight).
 """
 
@@ -22,30 +22,10 @@ from . import geometry
 from .geometry import BoundaryPolygon, BoundaryTag, GeometryError
 from .triangulation import triangulate_polygon
 
-# Gauss-Legendre nodes/weights on [0, 1] (sum of weights = 1)
-_GAUSS01 = {
-    1: (np.array([0.5]), np.array([1.0])),
-    2: (np.array([0.5 - 0.5 / math.sqrt(3.0), 0.5 + 0.5 / math.sqrt(3.0)]),
-        np.array([0.5, 0.5])),
-    3: (np.array([0.5 - 0.5 * math.sqrt(0.6), 0.5, 0.5 + 0.5 * math.sqrt(0.6)]),
-        np.array([5.0 / 18.0, 8.0 / 18.0, 5.0 / 18.0])),
-    4: (np.array([0.5 - 0.5 * 0.8611363115940526, 0.5 - 0.5 * 0.3399810435848563,
-                  0.5 + 0.5 * 0.3399810435848563, 0.5 + 0.5 * 0.8611363115940526]),
-        np.array([0.3478548451374538, 0.6521451548625461,
-                  0.6521451548625461, 0.3478548451374538]) / 2.0),
-    5: (np.array([0.5 - 0.5 * 0.9061798459386640, 0.5 - 0.5 * 0.5384693101056831, 0.5,
-                  0.5 + 0.5 * 0.5384693101056831, 0.5 + 0.5 * 0.9061798459386640]),
-        np.array([0.2369268850561891, 0.4786286704993665, 0.5688888888888889,
-                  0.4786286704993665, 0.2369268850561891]) / 2.0),
-}
-
-DEFAULT_QUAD_ORDER = 2
-
-
-def gauss01(order: int):
-    if order not in _GAUSS01:
-        raise ValueError(f"boundary quadrature order must be 1..5, got {order}")
-    return _GAUSS01[order]
+# 2-point Gauss-Legendre abscissae and weights on [0, 1], the rule of every
+# boundary integral
+_GAUSS_XI = np.array([0.5 - 0.5 / math.sqrt(3.0), 0.5 + 0.5 / math.sqrt(3.0)])
+_GAUSS_W = np.array([0.5, 0.5])
 
 
 @dataclass
@@ -120,24 +100,22 @@ class Mesh:
                 np.einsum("tid,tjd->tij", grads, grads))
         return self._cache["elements"]
 
-    def boundary_quadrature(self, order: int = DEFAULT_QUAD_ORDER):
-        """Gauss data on boundary edges: (xi (Q,), jac (E, Q), w (E, Q)), cached.
+    def boundary_quadrature(self):
+        """Gauss data on boundary edges: (xi (2,), jac (E, 2), w (E, 2)), cached.
 
         jac is length * Gauss weight and w the exact-curve boundary weight
         at every Gauss point; the integral of f over the boundary is
         sum(jac * w * f) with f sampled at the points (1 - xi) * v0 + xi * v1.
         """
-        key = ("bq", order)
-        if key not in self._cache:
-            xi, gw = gauss01(order)
+        if "bq" not in self._cache:
             b = self.boundary
-            params = b.p0[:, None] * (1.0 - xi)[None, :] + b.p1[:, None] * xi[None, :]
+            params = b.p0[:, None] * (1.0 - _GAUSS_XI) + b.p1[:, None] * _GAUSS_XI
             w = np.ones_like(params)
             for tag in set(b.tag):
                 idx = [i for i, t in enumerate(b.tag) if t is tag]
                 w[idx, :] = geometry.weight_on_arc(self.spec, tag, params[idx, :])
-            self._cache[key] = (xi, b.length[:, None] * gw[None, :], w)
-        return self._cache[key]
+            self._cache["bq"] = (_GAUSS_XI, b.length[:, None] * _GAUSS_W, w)
+        return self._cache["bq"]
 
     def boundary_vertex_ids(self) -> np.ndarray:
         if "bverts" not in self._cache:
@@ -317,9 +295,9 @@ def mesh_area(mesh: Mesh) -> float:
     return float(mesh.elements().areas.sum())
 
 
-def boundary_weighted_length(mesh: Mesh, order: int = DEFAULT_QUAD_ORDER) -> float:
+def boundary_weighted_length(mesh: Mesh) -> float:
     """Quadrature value of the weighted boundary length (the measure of w ds)."""
-    _, jac, w = mesh.boundary_quadrature(order)
+    _, jac, w = mesh.boundary_quadrature()
     return float(np.sum(jac * w))
 
 
@@ -367,12 +345,11 @@ def write_triangles_csv(mesh: Mesh, path):
             fh.write(f"{a},{b},{c}\n")
 
 
-def write_boundary_csv(mesh: Mesh, path, order: int = DEFAULT_QUAD_ORDER):
-    _, _, w = mesh.boundary_quadrature(order)
+def write_boundary_csv(mesh: Mesh, path):
+    _, _, w = mesh.boundary_quadrature()
     b = mesh.boundary
-    wcols = ",".join(f"w_gauss{q}" for q in range(w.shape[1]))
     with open(path, "w") as fh:
-        fh.write(f"v0,v1,tag,length,nx,ny,{wcols}\n")
+        fh.write("v0,v1,tag,length,nx,ny,w_gauss0,w_gauss1\n")
         for e in range(len(b)):
             ws = ",".join(_fmt(x) for x in w[e])
             fh.write(f"{b.v0[e]},{b.v1[e]},{b.tag[e].value},{_fmt(b.length[e])},"

@@ -139,8 +139,6 @@ class _CDT:
 
     def _add_tri(self, a, b, c):
         if orient2d(*self.pts[a], *self.pts[b], *self.pts[c]) <= 0:
-            a, b = b, a
-        if orient2d(*self.pts[a], *self.pts[b], *self.pts[c]) <= 0:
             raise GeometryError("degenerate triangle during triangulation")
         tid = self._next_tid
         self._next_tid += 1

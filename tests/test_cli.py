@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -113,6 +114,21 @@ def test_missing_alpha_exits_1(tmp_path, capsys):
     assert "error = missing config key [domain] alpha" in manifest
 
 
+def _assert_config_error(tmp_path, capsys, command, config, old, new, key):
+    """command on config with old replaced by new exits 1, and both stderr
+    and the failed run's manifest name key."""
+    assert old in config
+    out = tmp_path / "out"
+    cfgp = _write(tmp_path, "bad.ini", config.replace(old, new), out)
+    assert main([command, "--config", cfgp]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and key in err and "Traceback" not in err
+    manifest = _manifest_lines(out)
+    assert manifest[-2] == "status = failed"
+    assert manifest[-1].startswith("error = ") and key in manifest[-1]
+    assert f"command = {command}" in manifest
+
+
 OUT_OF_RANGE = [
     ("mesh", CUSP_CONFIG, "n_lateral = 12", "n_lateral = 4", "[domain] n_lateral"),
     ("mesh", CUSP_CONFIG, "n_arc = 24", "n_arc = 8", "[domain] n_arc"),
@@ -137,23 +153,57 @@ OUT_OF_RANGE = [
 @pytest.mark.parametrize("command, config, old, new, key", OUT_OF_RANGE,
                          ids=[f"{case[0]}-{case[3].replace(' ', '')}" for case in OUT_OF_RANGE])
 def test_out_of_range_value_exits_1(tmp_path, capsys, command, config, old, new, key):
-    assert old in config
+    _assert_config_error(tmp_path, capsys, command, config, old, new, key)
+
+
+INVALID = [
+    # unknown keys and sections used to be ignored, a default taking their place
+    ("mesh", CUSP_CONFIG, "n_lateral = 12", "n_laterl = 12", "[domain] n_laterl"),
+    ("solve", DISK_CONFIG, "seed = 0", "seed = 0\nquadrature_order = 2",
+     "[solver] quadrature_order"),
+    ("mesh", CUSP_CONFIG, "[output]", "[mesh]\nn_arc = 24\n\n[output]", "[mesh]"),
+    # an empty list used to run a sweep of no rows
+    ("sweep", SWEEP_CONFIG, "alphas = 1.5", "alphas = ,", "[sweep] alphas"),
+    ("solve", CUSP_CONFIG, "weighted = true", "weighted = maybe", "[solver] weighted"),
+    ("mesh", CUSP_CONFIG, "domain = cusp", "domain = square", "[domain] domain"),
+]
+
+
+@pytest.mark.parametrize("command, config, old, new, key", INVALID,
+                         ids=[f"{case[0]}-{case[4].split()[-1]}" for case in INVALID])
+def test_invalid_config_exits_1_naming_the_key(tmp_path, capsys, command, config, old, new,
+                                               key):
+    _assert_config_error(tmp_path, capsys, command, config, old, new, key)
+
+
+def test_shipped_configs_name_only_known_keys():
+    from steklov_cusp import cli
+
+    paths = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.ini"))
+    assert paths
+    for path in paths:
+        cli.check_keys(cli.load_config(path))
+
+
+def test_unreadable_config_exits_1_without_a_manifest(tmp_path, capsys):
+    headerless = tmp_path / "headerless.ini"
+    headerless.write_text("domain = cusp\n")
     out = tmp_path / "out"
-    cfgp = _write(tmp_path, "bad.ini", config.replace(old, new), out)
-    assert main([command, "--config", cfgp]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("config error: ") and key in err and "Traceback" not in err
-    manifest = _manifest_lines(out)
-    assert manifest[-2] == "status = failed"
-    assert manifest[-1].startswith("error = ") and key in manifest[-1]
-    assert f"command = {command}" in manifest
+    for argv, message in ((["solve"], "--config is required for this command"),
+                          (["mesh", "--config", str(tmp_path / "missing.ini")],
+                           "cannot read config"),
+                          (["mesh", "--config", str(headerless)], "config parse error")):
+        assert main(argv + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err, argv
+    # the output directory is only created once the config has been read
+    assert not out.exists()
 
 
 def test_cli_module_config_error_has_no_traceback(tmp_path):
     import os
     import subprocess
     import sys
-    from pathlib import Path
 
     import steklov_cusp
 

@@ -289,14 +289,14 @@ def test_solve_p_matches_p2_on_cusp(cusp15_mesh):
     assert abs(res.eigenvalue - direct.eigenvalue) / direct.eigenvalue <= 1e-3
 
 
-def test_solve_p2_honours_quadrature_order():
-    # the order-2 and order-3 answers differ by 7.8e-9 on this mesh, so the
-    # direct path must take the descent's boundary rule to agree with it
+def test_solve_p2_matches_solve_p_on_graded_cusp():
+    # the direct pencil and the p = 2 descent share the boundary rule, so on
+    # this graded weighted alpha = 2.5 mesh they agree far below 1e-10
     poly = boundary_polygon(DomainSpec.cusp(2.5), n_lateral=10, n_arc=20)
     msh = refine_uniform(triangulate(poly, 0.5))
     assert msh.num_vertices == 372
-    cfg = ProblemConfig(p=2.0, weighted=True, quadrature_order=3)
-    direct = solve_p2(msh, weighted=True, quadrature_order=3)
+    cfg = ProblemConfig(p=2.0, weighted=True)
+    direct = solve_p2(msh, weighted=True)
     res = solve_p(msh, cfg, restarts=1, seed=0)
     assert res.converged and direct.constraint_residual <= 1e-12
     assert abs(res.eigenvalue - direct.eigenvalue) <= 1e-10 * direct.eigenvalue

@@ -143,6 +143,15 @@ def test_self_intersection_detection():
         polygon_from_points(pts)
 
 
+def test_touching_vertex_detection():
+    # counter-clockwise (signed area 6), with no proper crossing: vertex
+    # (2, 0) ends segment 3 on the interior of segment 0, (0, 0)-(4, 0)
+    pts = [(0, 0), (4, 0), (4, 3), (2, 3), (2, 0)]
+    assert polygon_area(np.array(pts, dtype=float)) == pytest.approx(6.0)
+    with pytest.raises(GeometryError, match="between segments 0 and 3"):
+        polygon_from_points(pts)
+
+
 def test_weight_range_on_polygon_edges():
     spec = DomainSpec.cusp(1.5)
     poly = boundary_polygon(spec, n_lateral=16, n_arc=32)
