@@ -10,7 +10,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import fem, geometry
-from .eigensolver import _descent, _eps_schedule, solve_p
+from .eigensolver import _descent, solve_p
 from .fem import ProblemConfig
 from .linalg import Complement, Factor, SolveError, generalized_eig_sym, inverse_block
 from .mesh import Mesh, refine_uniform, triangulate
@@ -61,7 +61,7 @@ def _fp_descent(mesh: Mesh, cfg: ProblemConfig, seed: int) -> float:
     rng = np.random.default_rng(seed)
     u0 = mesh.vertices[:, 0] + 0.01 * rng.standard_normal(mesh.num_vertices)
     outcome = _descent(mesh, cfg, u0, fem.volume_pnorm, fem.volume_pnorm_gradient,
-                       Factor(K + M), _eps_schedule(cfg))
+                       Factor(K + M))
     value = fem.energy(mesh, cfg, outcome.u) / fem.volume_pnorm(mesh, cfg, outcome.u)
     if not value > 0.0:
         raise SolveError(f"non-positive constrained quotient {value}")
@@ -142,8 +142,15 @@ STABILITY_THRESHOLD = 0.05  # reporting policy of this tool, not a theory value
 
 
 def classify_trend(values, threshold: float = STABILITY_THRESHOLD) -> str:
-    """stable / decaying-to-zero / undetermined from a refinement series."""
-    vals = [v for v in values if np.isfinite(v)]
+    """stable / decaying-to-zero / undetermined from a refinement series.
+
+    A failed (non-finite) level breaks the series: only the finite values
+    after the last one are classified, so no two compared levels are more
+    than one refinement apart.
+    """
+    vals = []
+    for v in values:
+        vals = vals + [v] if np.isfinite(v) else []
     if len(vals) < 2:
         return "undetermined"
     last, prev = vals[-1], vals[-2]

@@ -8,20 +8,19 @@ constant, whose value is the unique root of a strictly decreasing scalar
 function.  Because any value-driven method goes flat near sqrt(machine eps)
 eigenvector accuracy, a stalled descent is finished by one residual-driven
 terminal phase, damped Newton on the bordered stationarity system
-(_bordered_newton); its interior elimination (_eliminate_interior) factors
-the interior block once per step and forms the boundary Schur complement
-from the forward half-solve (linalg.Factor.lower).  Every matrix here is
-assembled on the mesh's cached sparsity patterns (linalg.Pattern) and split
-into interior and boundary blocks by index arrays kept with them
-(linalg.BoundarySplit), so a Newton step sums, gathers and factors values
-only: its ordering, scatter and block layout are analysed once per mesh.
-solve_p2 is the direct
-linear path: boundary reduction of the stiffness matrix by a Schur
-complement through the refined solve_spd, restriction to the complement of
-the constraint direction (linalg.Complement), and a dense generalized
-eigensolve; it doubles as the oracle for p = 2 and as the initializer for
-the nonlinear descent.  Both paths report their residual through one
-formula, _relative_residual.
+(_bordered_newton); each step factors the interior block once and forms
+the boundary Schur complement from the forward half-solve
+(linalg.Factor.lower).  Every matrix here is assembled on the mesh's cached
+sparsity patterns (linalg.Pattern) and split into interior and boundary
+blocks by index arrays kept with them (linalg.BoundarySplit), so a Newton
+step gathers and factors values only: its ordering, scatter and block
+layout are analysed once per mesh.  solve_p2 is the direct linear path:
+boundary reduction of the stiffness matrix by a Schur complement through
+the refined solve_spd, restriction to the complement of the constraint
+direction (linalg.Complement), and a dense generalized eigensolve; it
+doubles as the oracle for p = 2 and as the initializer for the nonlinear
+descent.  Both paths report their residual through one formula,
+_relative_residual.
 """
 
 from __future__ import annotations
@@ -180,11 +179,21 @@ class _DescentOutcome:
     stalled: bool
 
 
-def _descent(mesh, cfg, u0, denom_fn, denom_grad_fn, factor, eps_schedule,
+def _eps_schedule(cfg: ProblemConfig):
+    # for p < 2 the descent runs down a regularization ladder and finishes
+    # unregularized (gradients are guarded at |grad u| = 0); the reported
+    # eigenvalue is always the eps = 0 Rayleigh re-evaluation
+    if cfg.p < 2.0:
+        return [1e-2, 1e-4, 1e-6, 0.0]
+    return [0.0]
+
+
+def _descent(mesh, cfg, u0, denom_fn, denom_grad_fn, factor,
              iteration_cap=ITERATION_CAP, stall_rtol=STALL_RTOL, on_accept=None):
     """Projected, preconditioned descent of numerator/denominator on the
     shifted-and-rescaled constraint manifold.  Returns the final iterate and
-    the non-increasing history of accepted objective values.
+    the non-increasing history of accepted objective values, one leg per
+    regularization level of _eps_schedule(cfg).
 
     The constraint is the weighted boundary orthogonality, restored after
     every step by a constant shift (orthogonalize_shift); the gradient
@@ -201,7 +210,7 @@ def _descent(mesh, cfg, u0, denom_fn, denom_grad_fn, factor, eps_schedule,
     stalled = False
     step = 1.0
 
-    for eps in eps_schedule:
+    for eps in _eps_schedule(cfg):
         value = fem.energy(mesh, cfg, u, eps)  # denominator is 1 after retract
         history.append(value)
         leg_start = len(history)
@@ -257,33 +266,24 @@ def _descent(mesh, cfg, u0, denom_fn, denom_grad_fn, factor, eps_schedule,
                            stalled=stalled)
 
 
-def _eps_schedule(cfg: ProblemConfig):
-    # for p < 2 the descent runs down a regularization ladder and finishes
-    # unregularized (gradients are guarded at |grad u| = 0); the reported
-    # eigenvalue is always the eps = 0 Rayleigh re-evaluation
-    if cfg.p < 2.0:
-        return [1e-2, 1e-4, 1e-6, 0.0]
-    return [0.0]
-
-
 def _bordered_newton(mesh, cfg, u):
     """Damped Newton on the bordered stationarity system: the terminal phase
     that finishes a stalled descent.
 
     Unknowns (du, dlam) solve H du - b dlam = -r, b^T du = 0 with
-    H = A(u) - lam (p-1) B_w(u) and r the weak-form residual vector; the
-    interior block of H equals A's (B_w lives on the boundary), so interior
+    H = A(u) - lam (p-1) B_w(u) and r the weak-form residual vector; B_w
+    lives on the boundary edges, so every entry of it lies in the
+    boundary/boundary block and H's other blocks are A's.  Interior
     elimination plus a dense bordered boundary solve handles the
-    indefiniteness directly.  H's values are A's on the mesh's triangle
-    pattern with -lam (p-1) times B_w's added at their positions in it
-    (linalg.Pattern.positions), so no step sorts or analyses a pattern: the
-    RCM ordering and block layout of H_ii, and the index arrays of its
-    blocks, come from the mesh's cached split.  Each step factors H_ii once
-    (_eliminate_interior), reduces r with one single-vector solve, solves
-    the (|Gamma| + 1)^2 bordered system, and lifts the interior part of du
-    with one more solve.  The step is then checked where it is used: if
-    |H du - b dlam + r| / |r| exceeds NEWTON_SOLVE_RTOL, SolveError carries
-    the value and the phase ends.
+    indefiniteness directly.  The blocks come from the cached splits of the
+    mesh's patterns, so no step sorts or analyses a pattern.  Each step
+    factors A_ii once, forms S = (A_gg - lam (p-1) B_w,gg) - Z^T Z with
+    Z = L^-1 P A_ig the forward half-solve (linalg.Factor.lower), reduces r
+    with one single-vector solve, solves the (|Gamma| + 1)^2 bordered
+    system, and lifts the interior part of du with one more solve.  The
+    step is then checked where it is used: if |H du - b dlam + r| / |r|
+    exceeds NEWTON_SOLVE_RTOL, SolveError carries the value and the phase
+    ends.
 
     A step is accepted only if the weak-form residual drops and the Rayleigh
     value does not grow beyond fp noise; otherwise it is damped toward the
@@ -305,23 +305,27 @@ def _bordered_newton(mesh, cfg, u):
         b = fem.boundary_pnorm_gradient(mesh, cfg, u) / p
         E = fem.linearized_energy_matrix(mesh, cfg, u, eps_mat)
         Bw = fem.linearized_boundary_mass(mesh, cfg, u)
-        # a shared entry rounds as e + (s b), as a COO sum of E and s B_w would
-        data = E.data.copy()
-        data[E.pattern.positions(Bw.pattern)] += -(value * (p - 1.0)) * Bw.data
-        H = SparseSym.on(E.pattern, data)
+        s = -(value * (p - 1.0))
         r = a - value * b
-        gamma, interior, S, factor, A_ig = _eliminate_interior(H, mesh)
+        split = E.pattern.split(mesh.boundary_vertex_ids())
+        gamma, interior = split.gamma, split.interior
+        E_ig = split.coupling(E)
+        factor = Factor(split.interior_block(E))
+        Z = factor.lower(E_ig)
         ng = len(gamma)
         bord = np.zeros((ng + 1, ng + 1))
-        bord[:ng, :ng] = S
+        # each entry of H_gg rounds as e + (s b), as a COO sum of E and s B_w would
+        bord[:ng, :ng] = (split.boundary_block(E)
+                          + s * Bw.pattern.split(gamma).boundary_block(Bw)) - Z.T @ Z
         bord[:ng, ng] = -b[gamma]
         bord[ng, :ng] = b[gamma]
-        rt = r[gamma] - A_ig.T @ factor.solve(r[interior])
+        rt = r[gamma] - E_ig.T @ factor.solve(r[interior])
         sol = np.linalg.solve(bord, np.append(-rt, 0.0))
         du = np.zeros(mesh.num_vertices)
         du[gamma] = sol[:ng]
-        du[interior] = -factor.solve(r[interior] + A_ig @ sol[:ng])
-        gap = np.linalg.norm(H.matvec(du) - sol[ng] * b + r) / np.linalg.norm(r)
+        du[interior] = -factor.solve(r[interior] + E_ig @ sol[:ng])
+        gap = (np.linalg.norm(E.matvec(du) + s * Bw.matvec(du) - sol[ng] * b + r)
+               / np.linalg.norm(r))
         if not gap <= NEWTON_SOLVE_RTOL:
             raise SolveError(f"bordered Newton step relative residual {gap:.3e} "
                              f"exceeds {NEWTON_SOLVE_RTOL:.0e}")
@@ -397,7 +401,6 @@ def solve_p(mesh: Mesh, cfg: ProblemConfig, restarts: int = 3, seed: int = 0,
     """
     K, M, _ = fem.assemble_p2(mesh, weighted=False)
     factor = Factor(K + M)
-    schedule = _eps_schedule(cfg)
     starts = []
     if u0 is not None:
         starts.append(np.asarray(u0, dtype=float))
@@ -414,7 +417,7 @@ def solve_p(mesh: Mesh, cfg: ProblemConfig, restarts: int = 3, seed: int = 0,
         # the terminal phase, which enforces the same final standard
         run_rtol = STALL_RTOL if start_idx == 0 else 1e-6
         outcome = _descent(mesh, cfg, u_init, fem.boundary_pnorm,
-                           fem.boundary_pnorm_gradient, factor, schedule,
+                           fem.boundary_pnorm_gradient, factor,
                            iteration_cap=iteration_cap, stall_rtol=run_rtol)
         result = _finalize_run(mesh, cfg, outcome.u, outcome.iterations, outcome.history)
         if outcome.stalled and result.weakform_residual > 0.1 * WEAKFORM_RTOL:
@@ -436,25 +439,6 @@ def solve_p(mesh: Mesh, cfg: ProblemConfig, restarts: int = 3, seed: int = 0,
 # -- boundary reduction and the p = 2 direct path ------------------------
 
 
-def _eliminate_interior(A: SparseSym, mesh: Mesh):
-    """Factor the interior block of A and form the boundary Schur complement.
-
-    The blocks come from the split of A's pattern at the mesh's boundary
-    vertices (linalg.Pattern.split), built once per pattern.
-    A_ii (SPD) is factored once (Factor).  With Z = L^-1 P A_ig, the
-    forward half-solve of the |Gamma| boundary columns (Factor.lower), the
-    complement is S = A_gg - Z^T Z, symmetric by construction; no column is
-    solved for in full.  Returns (gamma, interior, S, factor, A_ig): A x = r
-    reduces to S x_g = r_g - A_ig^T A_ii^-1 r_i, and the interior part is
-    x_i = A_ii^-1 (r_i - A_ig x_g), one factor.solve each.
-    """
-    split = A.pattern.split(mesh.boundary_vertex_ids())
-    A_ig = split.coupling(A)
-    factor = Factor(split.interior_block(A))
-    Z = factor.lower(A_ig)
-    return split.gamma, split.interior, split.boundary_block(A) - Z.T @ Z, factor, A_ig
-
-
 def _schur_pencil_bottom(A: SparseSym, Bm: SparseSym, mesh: Mesh, k: int = 1):
     """Bottom-k eigenpairs of the pencil A x = mu Bm x on the subspace
     Bm-orthogonal to constants.
@@ -464,8 +448,8 @@ def _schur_pencil_bottom(A: SparseSym, Bm: SparseSym, mesh: Mesh, k: int = 1):
     (linalg.Pattern.split).  Interior unknowns are eliminated by a Schur
     complement S = A_gg - A_ig^T X with X = A_ii^-1 A_ig from solve_spd (refined and
     checked to relative residual 1e-12; the eigenpairs found later are
-    sensitive to X's last bits, so the Z^T Z form of _eliminate_interior is
-    not used here), the reduced pencil is restricted to the
+    sensitive to X's last bits, so the Z^T Z form of the Newton step's
+    elimination is not used here), the reduced pencil is restricted to the
     complement of Bm @ 1 on the boundary (Complement), and the restricted
     dense pencil goes to the generalized eigensolver.  Eigenpairs are
     cleaned by reduced Rayleigh iteration until the full-pencil relative

@@ -4,7 +4,7 @@ constraint direction and a dense generalized eigensolver, in numpy alone.
 Every sparse matrix is CSR values on a Pattern, and what depends on the
 pattern alone is analysed once: the assembly's sort and grouping, and,
 derived on first use, the RCM ordering and block layout a Factor scatters
-into, the row slots of the product and the interior/boundary block split.
+into and the interior/boundary block split.
 A mesh keeps the patterns of its matrices, so assembling, splitting and
 factoring on it again is numeric work only.
 
@@ -46,15 +46,15 @@ class Pattern:
     analysed once for every matrix assembled on it.
 
     The constructor sorts the entries by row, then column, and groups the
-    duplicates: that gives the CSR structure (indptr, indices, and rows, the
-    row of each stored entry) and the sort order and group starts with which
-    assemble sums any values listed like the entries into CSR values.  What
-    depends on the pattern alone is derived on first use and kept: the
+    duplicates: that gives the CSR structure (rows and indices, the row and
+    column of each stored entry) and the sort order and group starts with
+    which assemble sums any values listed like the entries into CSR values.
+    What depends on the pattern alone is derived on first use and kept: the
     reverse Cuthill-McKee ordering and block layout every Factor of it
-    scatters into, the row slots of the matrix-vector product, and the
-    interior/boundary split (split).  A mesh keeps the patterns of its
-    matrices in its cache, so each is analysed once per mesh and freed with
-    the mesh (George & Liu 1981: analyse once, factor many times).
+    scatters into, and the interior/boundary split (split).  A mesh keeps
+    the patterns of its matrices in its cache, so each is analysed once per
+    mesh and freed with the mesh (George & Liu 1981: analyse once, factor
+    many times).
     """
 
     def __init__(self, n, rows, cols):
@@ -66,7 +66,6 @@ class Pattern:
         key = r * self.n + c
         self._starts = np.flatnonzero(np.concatenate([[len(key) > 0], key[1:] != key[:-1]]))
         self.rows, self.indices = r[self._starts], c[self._starts]
-        self.indptr = np.concatenate([[0], np.cumsum(np.bincount(self.rows, minlength=self.n))])
         self._split = None
 
     def assemble(self, vals) -> np.ndarray:
@@ -89,21 +88,6 @@ class Pattern:
         at = np.flatnonzero((i >= 0) & (j >= 0))
         return at, i[at], j[at]
 
-    def positions(self, other: "Pattern") -> np.ndarray:
-        """Positions in these CSR values of every entry of other, a pattern
-        contained in this one, in other's order."""
-        keys = other.rows * self.n + other.indices
-        at = np.searchsorted(self._keys, keys)
-        if (other.n != self.n or np.any(at == len(self._keys))
-                or not np.array_equal(self._keys[at], keys)):
-            raise ValueError("pattern is not contained in this one")
-        return at
-
-    @functools.cached_property
-    def _keys(self):
-        # row * n + column of every stored entry, ascending
-        return self.rows * self.n + self.indices
-
     def split(self, gamma) -> "BoundarySplit":
         """The BoundarySplit of this pattern at the boundary unknowns gamma,
         kept for the last gamma array passed: a mesh passes the same cached
@@ -111,17 +95,6 @@ class Pattern:
         if self._split is None or self._split.gamma is not gamma:
             self._split = BoundarySplit(self, gamma)
         return self._split
-
-    @functools.cached_property
-    def _ell(self):
-        # ELLPACK layout: slot k of every row holds its k-th entry; short
-        # rows are padded with zeros on the diagonal.  Returns the slot
-        # columns and the flat position of each stored entry among them.
-        counts = np.diff(self.indptr)
-        slot = np.arange(len(self.rows)) - self.indptr[self.rows]
-        cols = np.tile(np.arange(self.n), (int(counts.max(initial=0)), 1))
-        cols[slot, self.rows] = self.indices
-        return cols, slot * self.n + self.rows
 
     @functools.cached_property
     def _band(self):
@@ -153,12 +126,9 @@ class SparseSym:
 
     The COO constructor analyses a new pattern; SparseSym.on puts values on
     an analysed one, so matrices assembled on the same mesh share its
-    patterns and do no sorting of their own.  Matrix-vector products use a
-    copy in row slots (ELLPACK: one array per slot, padded to the longest
-    row; the layout is the pattern's, the values are cached on first use);
-    each slot is gathered into one reused buffer, so the cost stays O(n)
-    per column and the temporaries one n x m buffer for a matrix
-    right-hand side.  Instances are immutable after construction.
+    patterns and do no sorting of their own.  A matrix-vector product sums
+    each row's entries in CSR order, one column of a matrix operand at a
+    time.  Instances are immutable after construction.
     """
 
     def __init__(self, n, rows, cols, vals):
@@ -178,39 +148,18 @@ class SparseSym:
         A.pattern, A.n, A.data = pattern, pattern.n, data
         return A
 
-    @property
-    def indptr(self) -> np.ndarray:
-        return self.pattern.indptr
-
-    @property
-    def indices(self) -> np.ndarray:
-        return self.pattern.indices
-
-    @functools.cached_property
-    def _slots(self):
-        # built on the first product, so a matrix that is only factored
-        # never holds it
-        cols, at = self.pattern._ell
-        vals = np.zeros(cols.shape)
-        vals.reshape(-1)[at] = self.data
-        return cols, vals
-
     def matvec(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         X = x[:, None] if x.ndim == 1 else x
         if X.shape[0] != self.n:
             raise ValueError(f"matvec: operand has {X.shape[0]} rows, matrix is {self.n} x {self.n}")
-        out = np.zeros((self.n, X.shape[1]))
-        # one gather buffer for every slot: the same products and sums as
-        # out += vals[:, None] * X[cols], without a fresh n x m temporary.
-        # mode="clip" (the slot indices are in range by construction) lets
-        # take write into buf directly; the default mode="raise" with out=
-        # gathers into a temporary first and copies it over.
-        buf = np.empty_like(out)
-        for cols, vals in zip(*self._slots):
-            np.take(X, cols, axis=0, out=buf, mode="clip")
-            buf *= vals[:, None]
-            out += buf
+        rows, cols, _ = self.coo()
+        out = np.empty(X.shape)
+        # bincount adds each row's products in CSR order, from +0.  Columns
+        # are looped here, not through self.matvec, so that a product is one
+        # call whatever its number of columns.
+        for j, col in enumerate(np.ascontiguousarray(X.T)):
+            out[:, j] = np.bincount(rows, weights=self.data * col[cols], minlength=self.n)
         return out[:, 0] if x.ndim == 1 else out
 
     __matmul__ = matvec

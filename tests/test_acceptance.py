@@ -16,7 +16,7 @@ from steklov_cusp import (DomainSpec, ProblemConfig, boundary_polygon,
 from steklov_cusp import fem
 from steklov_cusp.analysis import alpha_sweep
 from steklov_cusp.cli import main as cli_main
-from steklov_cusp.eigensolver import _descent, _eps_schedule
+from steklov_cusp.eigensolver import _descent
 from steklov_cusp.linalg import Factor
 from helpers import bisect_root
 
@@ -123,7 +123,7 @@ def test_criterion_4_invariant_suite(cusp15_dualpath_mesh, p2_dual_path):
     cres_list = []
     K, M, _ = fem.assemble_p2(msh, weighted=False)
     out = _descent(msh, cfg, solve_p2(msh, weighted=True).u, fem.boundary_pnorm,
-                   fem.boundary_pnorm_gradient, Factor(K + M), _eps_schedule(cfg),
+                   fem.boundary_pnorm_gradient, Factor(K + M),
                    on_accept=lambda v: cres_list.append(
                        abs(constraint_functional(msh, cfg, v))))
     hist = out.history

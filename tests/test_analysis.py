@@ -111,6 +111,14 @@ def test_classify_trend():
     assert classify_trend([0.5]) == "undetermined"
     assert classify_trend([0.5, 1.0, 0.2]) == "undetermined"
     assert classify_trend([]) == "undetermined"
+    # a failed level breaks the series: levels on either side of it are not
+    # one refinement apart, so only the run after it is classified
+    nan = float("nan")
+    assert classify_trend([0.72, nan, 0.71]) == "undetermined"
+    assert classify_trend([0.5, nan, 0.3, 0.2]) == "undetermined"
+    assert classify_trend([0.5, 0.3, 0.2, nan]) == "undetermined"
+    assert classify_trend([nan, 0.5, 0.49]) == "stable"
+    assert classify_trend([1.0, nan, 0.5, 0.3, 0.2]) == "decaying-to-zero"
 
 
 def test_alpha_sweep_empty():

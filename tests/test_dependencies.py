@@ -26,11 +26,10 @@ def test_package_imports_only_stdlib_and_numpy():
     assert foreign == []
 
 
-# private names one package module may import from another: the descent and
-# its regularization ladder are shared by the eigenvalue and FP-constant
-# solvers and are not part of the public API
-PRIVATE_IMPORTS_ALLOWED = {("analysis", "eigensolver", "_descent"),
-                           ("analysis", "eigensolver", "_eps_schedule")}
+# private names one package module may import from another: the descent is
+# shared by the eigenvalue and FP-constant solvers and is not part of the
+# public API
+PRIVATE_IMPORTS_ALLOWED = {("analysis", "eigensolver", "_descent")}
 
 
 def test_no_private_names_imported_across_modules():
@@ -43,6 +42,26 @@ def test_no_private_names_imported_across_modules():
                 found |= {(path.stem, node.module, alias.name) for alias in node.names
                           if alias.name.startswith("_")}
     assert found - PRIVATE_IMPORTS_ALLOWED == set()
+
+
+def test_every_imported_name_is_used():
+    # a deletion must take its now-dead imports with it; __init__ imports
+    # only to re-export, and the __future__ import binds no name
+    files = [path for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"]
+    assert files
+    unused = []
+    for path in files:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                names = [alias.asname or alias.name for alias in node.names]
+            else:
+                continue
+            unused += [f"{path.name}:{node.lineno} {name}" for name in names if name not in used]
+    assert unused == []
 
 
 def test_all_lists_exactly_the_imported_names():

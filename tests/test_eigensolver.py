@@ -15,8 +15,7 @@ from steklov_cusp import (DomainSpec, ProblemConfig, SolveError, boundary_pnorm,
 from steklov_cusp import eigensolver, fem, linalg
 from steklov_cusp.linalg import Factor, solve_spd
 from steklov_cusp.eigensolver import (CONSTRAINT_TOL_FACTOR, SHIFT_FTOL_FACTOR, WEAKFORM_RTOL,
-                                      scalar_shift_root, _bordered_newton, _descent,
-                                      _eps_schedule)
+                                      scalar_shift_root, _bordered_newton, _descent)
 from helpers import bisect_root
 
 
@@ -345,7 +344,7 @@ def test_descent_constraint_at_every_accepted_step(disk_mesh):
 
     u0 = disk_mesh.vertices[:, 0]
     _descent(disk_mesh, cfg, u0, fem.boundary_pnorm, fem.boundary_pnorm_gradient,
-             Factor(K + M), _eps_schedule(cfg), on_accept=on_accept)
+             Factor(K + M), on_accept=on_accept)
     assert len(seen) > 0
     assert max(seen) <= 1e-8 * measure
 
@@ -377,8 +376,7 @@ def test_bordered_newton_finishes_stalled_descent(cusp15_mesh, p):
     cfg = ProblemConfig(p=p, weighted=True)
     K, M, _ = fem.assemble_p2(cusp15_mesh, weighted=False)
     out = _descent(cusp15_mesh, cfg, solve_p2(cusp15_mesh, weighted=True).u,
-                   fem.boundary_pnorm, fem.boundary_pnorm_gradient, Factor(K + M),
-                   _eps_schedule(cfg))
+                   fem.boundary_pnorm, fem.boundary_pnorm_gradient, Factor(K + M))
     assert out.stalled
     lam_in = rayleigh(cusp15_mesh, cfg, out.u)
     assert weakform_residual(cusp15_mesh, cfg, out.u, lam_in) > 0.1 * WEAKFORM_RTOL
@@ -395,7 +393,7 @@ def test_bordered_newton_finishes_stalled_descent(cusp15_mesh, p):
 def _stalled_field(mesh, cfg):
     K, M, _ = fem.assemble_p2(mesh, weighted=False)
     out = _descent(mesh, cfg, solve_p2(mesh, weighted=cfg.weighted).u, fem.boundary_pnorm,
-                   fem.boundary_pnorm_gradient, Factor(K + M), _eps_schedule(cfg))
+                   fem.boundary_pnorm_gradient, Factor(K + M))
     assert out.stalled
     return out.u
 

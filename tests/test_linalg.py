@@ -31,21 +31,25 @@ def test_sparse_roundtrip_and_matvec():
 
 
 def test_matvec_matches_slot_formula_exactly(cusp15_mesh):
-    K, M, _ = assemble_p2(cusp15_mesh, weighted=True)
+    # each row is summed from +0 in CSR order, on the triangle pattern, an
+    # interior block of it and the boundary-edge pattern of B
+    K, M, B = assemble_p2(cusp15_mesh, weighted=True)
     A = K + M
+    interior = A.pattern.split(cusp15_mesh.boundary_vertex_ids()).interior_block(A)
     rng = np.random.default_rng(13)
-    dense = A.to_dense()
-    for x in (rng.standard_normal(A.n), rng.standard_normal((A.n, 7))):
-        X = x[:, None] if x.ndim == 1 else x
-        ref = np.zeros((A.n, X.shape[1]))
-        for cols, vals in zip(*A._slots):
-            ref += vals[:, None] * X[cols]
-        got = A.matvec(x)
-        assert got.shape == x.shape
-        assert np.array_equal(got, ref[:, 0] if x.ndim == 1 else ref)
-        scale = np.abs(dense) @ np.abs(x)
-        assert np.all(np.abs(got - dense @ x) <= 1e-13 * scale)
-    # the gather clips indices, so a short operand must be refused up front
+    for S in (A, interior, B):
+        dense = S.to_dense()
+        for x in (rng.standard_normal(S.n), rng.standard_normal((S.n, 7))):
+            X = x[:, None] if x.ndim == 1 else x
+            ref = np.zeros((S.n, X.shape[1]))
+            for i, j, v in zip(*S.coo()):
+                ref[i] = ref[i] + v * X[j]
+            got = S.matvec(x)
+            assert got.shape == x.shape
+            assert np.array_equal(got, ref[:, 0] if x.ndim == 1 else ref)
+            scale = np.abs(dense) @ np.abs(x)
+            assert np.all(np.abs(got - dense @ x) <= 1e-13 * scale)
+    # an operand of the wrong length is refused, never truncated
     for x in (np.ones(A.n - 1), np.ones((A.n + 1, 2))):
         with pytest.raises(ValueError, match="rows"):
             A.matvec(x)
@@ -195,8 +199,8 @@ def test_mesh_patterns_assemble_like_the_coo_constructor(cusp15_mesh, monkeypatc
         k = idx.shape[1]
         ref = SparseSym(A.n, np.repeat(idx, k, axis=1).ravel(), np.tile(idx, (1, k)).ravel(),
                         loc.ravel())
-        for name in ("indptr", "indices", "data"):
-            assert np.array_equal(getattr(A, name), getattr(ref, name)), (cells, name)
+        for name, got, want in zip(("rows", "indices", "data"), A.coo(), ref.coo()):
+            assert np.array_equal(got, want), (cells, name)
     # one pattern per kind of cell, shared by every matrix on it
     assert seen[0][2].pattern is seen[1][2].pattern is seen[3][2].pattern
     assert seen[2][2].pattern is seen[4][2].pattern

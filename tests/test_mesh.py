@@ -138,6 +138,23 @@ def test_polygon_edge_missing_from_delaunay_rejected():
         triangulate(polygon_from_points(slit), 0.3)
 
 
+def test_encroached_segment_is_split_at_its_midpoint():
+    # the reflex vertex (1, 0.2) lies inside the diametral circle of the
+    # bottom edge, so Ruppert's rule splits that edge at (1, 0) although
+    # target_h is far above the polygon's size
+    poly = polygon_from_points([(0, 0), (2, 0), (2, 1), (1, 0.2), (0, 1)])
+    msh = triangulate(poly, 10.0)
+    meshmod.validate(msh)
+    assert np.any(np.all(msh.vertices == [1.0, 0.0], axis=1))
+    assert mesh_area(msh) == pytest.approx(shoelace(poly.points), rel=1e-12)
+    # no boundary edge is left encroached by its triangle's third vertex
+    for u, v in zip(msh.boundary.v0, msh.boundary.v1):
+        tri = next(t for t in msh.triangles if u in t and v in t)
+        w = next(x for x in tri if x not in (u, v))
+        a, b, c = msh.vertices[u], msh.vertices[v], msh.vertices[w]
+        assert np.sum((c - 0.5 * (a + b)) ** 2) >= 0.25 * np.sum((a - b) ** 2) * (1.0 - 1e-12)
+
+
 def test_walk_beyond_a_boundary_segment_names_it():
     # point location stops at a constrained edge instead of leaving the domain
     from steklov_cusp.triangulation import Segment, _CDT, _key
