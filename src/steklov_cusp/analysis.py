@@ -1,6 +1,8 @@
 """Numerical experiments: discrete Friedrichs-Poincare constants, trace-map
 spectra as a compactness diagnostic, and the alpha sweep reproducing the
 threshold behavior of the weighted versus unweighted problem.
+
+alpha_sweep returns its rows in a SweepReport; cli writes them as sweep.csv.
 """
 
 from __future__ import annotations
@@ -25,23 +27,17 @@ def fp_constant(mesh: Mesh, cfg: ProblemConfig, constraint: str = "weighted-boun
     At p = 2 the minimum comes from the dense (stiffness, mass) pencil
     restricted to the complement of the constraint direction (Complement);
     at any other p from _fp_descent, seeded by seed.
-    constraint "weighted-boundary" is the problem's own condition; "zero-mean"
-    is the p = 2 validation mode whose square-domain constant is known, and
-    asking for it at any other p raises ValueError.
+    The constraint is the problem's own boundary condition, the zero
+    integral of u w ds (w = 1 unweighted); "weighted-boundary" is the one
+    value constraint accepts.
     """
-    if constraint not in ("weighted-boundary", "zero-mean"):
+    if constraint != "weighted-boundary":
         raise ValueError(f"unknown constraint mode {constraint!r}")
     if cfg.p != 2.0:
-        if constraint == "zero-mean":
-            raise ValueError("the zero-mean constraint is a p = 2 validation mode")
         return _fp_descent(mesh, cfg, seed)
 
     K, M, B = fem.assemble_p2(mesh, weighted=cfg.weighted)
-    if constraint == "weighted-boundary":
-        direction = B.matvec(np.ones(mesh.num_vertices))
-    else:
-        direction = M.matvec(np.ones(mesh.num_vertices))
-    comp = Complement(direction)
+    comp = Complement(B.matvec(np.ones(mesh.num_vertices)))
     # restricted one at a time, so no full dense matrix outlives its
     # restriction into the eigensolve
     vals, _ = generalized_eig_sym(comp.restrict(K.to_dense()),
@@ -120,22 +116,7 @@ class SweepRow:
 
 @dataclass
 class SweepReport:
-    axis: str
     rows: list[SweepRow] = field(default_factory=list)
-    seed: int = 0
-
-    CSV_HEADER = "alpha,p,weighted,level,h_max,lambda,fp_constant,iterations,converged,trend"
-
-    def to_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write(self.CSV_HEADER + "\n")
-            for r in self.rows:
-                fh.write(",".join([
-                    f"{r.alpha:.17g}", f"{r.p:.17g}",
-                    "true" if r.weighted else "false",
-                    str(r.level), f"{r.h_max:.17g}", f"{r.eigenvalue:.17g}",
-                    f"{r.fp_constant:.17g}", str(r.iterations),
-                    "true" if r.converged else "false", r.trend]) + "\n")
 
 
 STABILITY_THRESHOLD = 0.05  # reporting policy of this tool, not a theory value
@@ -179,7 +160,7 @@ def alpha_sweep(cfg_base: ProblemConfig, alphas, refinements: int = 3,
     caught exception in its error field (an fp_constant failure on the
     mesh's weighted row only).
     """
-    report = SweepReport(axis="alpha", seed=seed)
+    report = SweepReport()
     alphas = sorted(alphas)
     for i_alpha, alpha in enumerate(alphas):
         spec = geometry.DomainSpec.cusp(alpha)

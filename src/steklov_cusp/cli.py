@@ -3,6 +3,9 @@
 Configuration is flat key = value text with sections (INI).  Outputs are
 deterministic for a fixed config and seed: CSV tables, legacy VTK files and
 a flat key = value run manifest listing every artifact with its SHA-256.
+Manifest is the one artifact writer: it builds every CSV and VTK file, writes
+it and records its digest, and prints every value, in artifacts and manifest
+alike, by one rule (_cell).
 main is the one runner: once the config is read and the output directory is
 known, it writes the manifest, which echoes the resolved config (validate's
 defaults included), for every run, ending in status = ok or in status =
@@ -11,8 +14,9 @@ failed and error = <reason>.
 Exit codes: 0 ok; 1 config error, including an unknown section or key and a
 value out of range (n_lateral >= 8, n_arc >= 16, grading_q >= 1, target_h > 0
 in [domain] and [sweep], refinements >= 1 and restarts >= 1 in [solver] and
-[sweep], alpha > 1); 2 geometry error; 3 solver error or non-convergence; 4
-validation failure.  Any other exception is a bug and is raised.
+[sweep], alpha > 1, seed >= 0 in [solver] or --seed); 2 geometry error; 3
+solver error or non-convergence; 4 validation failure.  Any other exception
+is a bug and is raised.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, fem, geometry, mesh as meshmod
-from .eigensolver import EigenResult, scalar_shift_root, solve_p, solve_p2
+from .eigensolver import scalar_shift_root, solve_p, solve_p2
 from .linalg import SolveError
 from .triangulation import check_target_h
 
@@ -42,8 +46,14 @@ class ConfigError(Exception):
     pass
 
 
-def _fmt(x) -> str:
-    return f"{float(x):.17g}"
+def _cell(x) -> str:
+    """The one print rule of artifact and manifest values: a float with 17
+    significant digits, a bool as true / false, anything else by str."""
+    if isinstance(x, (bool, np.bool_)):
+        return "true" if x else "false"
+    if isinstance(x, (float, np.floating)):
+        return f"{float(x):.17g}"
+    return str(x)
 
 
 DEFAULTS = {
@@ -184,7 +194,8 @@ def solver_config(cp) -> fem.ProblemConfig:
 
 
 class Manifest:
-    """Flat key = value run record, written even on partial failure."""
+    """Flat key = value run record, written even on partial failure, and the
+    writer of every artifact it records."""
 
     def __init__(self, out_dir: Path, command: str):
         self.out = out_dir
@@ -192,7 +203,7 @@ class Manifest:
         self.t0 = time.time()
 
     def add(self, key: str, value):
-        self.entries.append((key, str(value)))
+        self.entries.append((key, _cell(value)))
 
     def add_config(self, cp):
         for section in cp.sections():
@@ -202,14 +213,36 @@ class Manifest:
     def add_mesh(self, msh: meshmod.Mesh):
         self.add("mesh.vertices", msh.num_vertices)
         self.add("mesh.triangles", msh.num_triangles)
-        self.add("mesh.h_max", _fmt(msh.h_max))
-        self.add("mesh.h_min", _fmt(msh.h_min))
+        self.add("mesh.h_max", msh.h_max)
+        self.add("mesh.h_min", msh.h_min)
         if msh.t_star is not None:
-            self.add("mesh.t_star", _fmt(msh.t_star))
+            self.add("mesh.t_star", msh.t_star)
 
-    def add_artifact(self, path: Path):
-        digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        self.entries.append((f"artifact.{path.name}", digest))
+    def write_artifact(self, name: str, lines):
+        """Write lines to out/name and record the file's SHA-256."""
+        data = ("\n".join(lines) + "\n").encode()
+        (self.out / name).write_bytes(data)
+        self.entries.append((f"artifact.{name}", hashlib.sha256(data).hexdigest()))
+
+    def write_csv(self, name: str, header: str, rows):
+        """out/name: the header line, then each row's cells joined by commas."""
+        self.write_artifact(name, [header] + [",".join(map(_cell, row)) for row in rows])
+
+    def write_vtk(self, name: str, msh: meshmod.Mesh, title: str, u=None):
+        """Legacy ASCII VTK (DataFile 3.0, unstructured grid of type-5
+        triangles), with u as the point scalar "u" when given."""
+        n, t = msh.num_vertices, msh.num_triangles
+        lines = ["# vtk DataFile Version 3.0", title, "ASCII", "DATASET UNSTRUCTURED_GRID",
+                 f"POINTS {n} double"]
+        lines.extend(f"{_cell(x)} {_cell(y)} 0" for x, y in msh.vertices)
+        lines.append(f"CELLS {t} {4 * t}")
+        lines.extend(f"3 {a} {b} {c}" for a, b, c in msh.triangles)
+        lines.append(f"CELL_TYPES {t}")
+        lines.extend(["5"] * t)
+        if u is not None:
+            lines.extend([f"POINT_DATA {n}", "SCALARS u double 1", "LOOKUP_TABLE default"])
+            lines.extend(map(_cell, np.asarray(u, dtype=float)))
+        self.write_artifact(name, lines)
 
     def stage(self, name: str):
         self.entries.append((f"stage.{name}.seconds", f"{time.time() - self.t0:.3f}"))
@@ -229,31 +262,19 @@ def cmd_mesh(cp, manifest: Manifest, seed: int):
     meshmod.validate(msh)
     manifest.add_mesh(msh)
     if spec.kind == "cusp":
-        manifest.add("geometry.t_star", _fmt(geometry.cusp_cap_intersection(spec)))
+        manifest.add("geometry.t_star", geometry.cusp_cap_intersection(spec))
     manifest.stage("mesh")
-    files = {
-        "mesh.vtk": lambda p: meshmod.write_vtk(msh, p, title="steklov-cusp mesh"),
-        "vertices.csv": lambda p: meshmod.write_vertices_csv(msh, p),
-        "triangles.csv": lambda p: meshmod.write_triangles_csv(msh, p),
-        "boundary_edges.csv": lambda p: meshmod.write_boundary_csv(msh, p),
-    }
-    for name, writer in files.items():
-        writer(manifest.out / name)
-        manifest.add_artifact(manifest.out / name)
+    manifest.write_vtk("mesh.vtk", msh, "steklov-cusp mesh")
+    manifest.write_csv("vertices.csv", "index,x,y",
+                       ((i, x, y) for i, (x, y) in enumerate(msh.vertices)))
+    manifest.write_csv("triangles.csv", "v0,v1,v2", msh.triangles)
+    _, _, w = msh.boundary_quadrature()
+    b = msh.boundary
+    manifest.write_csv("boundary_edges.csv", "v0,v1,tag,length,nx,ny,w_gauss0,w_gauss1",
+                       ((b.v0[e], b.v1[e], b.tag[e].value, b.length[e], *b.normal[e], *w[e])
+                        for e in range(len(b))))
     manifest.stage("write")
     return EXIT_OK, ""
-
-
-RESULTS_HEADER = ("alpha,p,weighted,h_max,lambda,iterations,"
-                  "constraint_residual,weakform_residual,converged")
-
-
-def _result_row(alpha, cfg, msh, res: EigenResult) -> str:
-    return ",".join([
-        _fmt(alpha) if alpha is not None else "nan",
-        _fmt(cfg.p), "true" if cfg.weighted else "false", _fmt(msh.h_max),
-        _fmt(res.eigenvalue), str(res.iterations), _fmt(res.constraint_residual),
-        _fmt(res.weakform_residual), "true" if res.converged else "false"])
 
 
 def cmd_solve(cp, manifest: Manifest, seed: int):
@@ -266,7 +287,7 @@ def cmd_solve(cp, manifest: Manifest, seed: int):
     manifest.add_mesh(msh)
     manifest.stage("mesh")
 
-    alpha = spec.alpha if spec.kind == "cusp" else None
+    alpha = spec.alpha if spec.kind == "cusp" else float("nan")
     if cfg.p == 2.0:
         # the direct pair is solve_p's own first start, so it is solved once
         direct = solve_p2(msh, weighted=cfg.weighted)
@@ -275,17 +296,13 @@ def cmd_solve(cp, manifest: Manifest, seed: int):
         results = [solve_p(msh, cfg, restarts=restarts, seed=seed)]
     manifest.stage("solve")
 
-    csv_path = manifest.out / "results.csv"
-    with open(csv_path, "w") as fh:
-        fh.write(RESULTS_HEADER + "\n")
-        for res in results:
-            fh.write(_result_row(alpha, cfg, msh, res) + "\n")
-    manifest.add_artifact(csv_path)
-    vtk_path = manifest.out / "eigenfunction.vtk"
-    meshmod.write_vtk(msh, vtk_path, point_data={"u": results[0].u},
-                      title="steklov-cusp eigenfunction")
-    manifest.add_artifact(vtk_path)
-    manifest.add("lambda", _fmt(results[0].eigenvalue))
+    manifest.write_csv(
+        "results.csv", "alpha,p,weighted,h_max,lambda,iterations,"
+        "constraint_residual,weakform_residual,converged",
+        ((alpha, cfg.p, cfg.weighted, msh.h_max, r.eigenvalue, r.iterations,
+          r.constraint_residual, r.weakform_residual, r.converged) for r in results))
+    manifest.write_vtk("eigenfunction.vtk", msh, "steklov-cusp eigenfunction", u=results[0].u)
+    manifest.add("lambda", results[0].eigenvalue)
     manifest.stage("write")
     if not all(r.converged for r in results):
         return EXIT_SOLVER, "solver did not converge"
@@ -304,9 +321,10 @@ def cmd_sweep(cp, manifest: Manifest, seed: int):
         restarts=restarts, seed=seed,
         with_fp=_get(cp, "sweep", "with_fp", bool))
     manifest.stage("sweep")
-    csv_path = manifest.out / "sweep.csv"
-    report.to_csv(csv_path)
-    manifest.add_artifact(csv_path)
+    manifest.write_csv(
+        "sweep.csv", "alpha,p,weighted,level,h_max,lambda,fp_constant,iterations,converged,trend",
+        ((r.alpha, r.p, r.weighted, r.level, r.h_max, r.eigenvalue, r.fp_constant,
+          r.iterations, r.converged, r.trend) for r in report.rows))
     manifest.add("sweep.rows", len(report.rows))
     for i, row in enumerate(r for r in report.rows if r.error):
         manifest.add(f"sweep.failed.{i}", f"{row.mesh_id}: {row.error}")
@@ -378,11 +396,10 @@ def run_validation() -> list[dict]:
     root = scalar_shift_root(toy, toy_slope, 0.0, 4.0, ftol=1e-14)
     record("shift_root_two_point", 1.5, float(root), 1e-10)
 
-    # unit square zero-mean FP constant: 1/pi
+    # unit square FP constant: 1/pi (cos(pi x) has zero boundary integral)
     sq = geometry.polygon_from_points([(0, 0), (1, 0), (1, 1), (0, 1)])
     ms = meshmod.refine_uniform(meshmod.triangulate(sq, 0.15))
-    C = analysis.fp_constant(ms, fem.ProblemConfig(p=2.0, weighted=False),
-                             constraint="zero-mean")
+    C = analysis.fp_constant(ms, fem.ProblemConfig(p=2.0, weighted=False))
     record("square_fp_constant", 1.0 / np.pi, float(C), 0.01 / np.pi)
 
     return checks
@@ -390,13 +407,9 @@ def run_validation() -> list[dict]:
 
 def cmd_validate(cp, manifest: Manifest, seed: int):
     checks = run_validation()
-    csv_path = manifest.out / "validation.csv"
-    with open(csv_path, "w") as fh:
-        fh.write("check,expected,actual,tolerance,passed\n")
-        for c in checks:
-            fh.write(f"{c['name']},{_fmt(c['expected'])},{_fmt(c['actual'])},"
-                     f"{_fmt(c['tolerance'])},{'true' if c['passed'] else 'false'}\n")
-    manifest.add_artifact(csv_path)
+    columns = ("name", "expected", "actual", "tolerance", "passed")
+    manifest.write_csv("validation.csv", "check,expected,actual,tolerance,passed",
+                       ([c[key] for key in columns] for c in checks))
     n_failed = sum(0 if c["passed"] else 1 for c in checks)
     manifest.add("checks.total", len(checks))
     manifest.add("checks.failed", n_failed)
@@ -436,6 +449,9 @@ def main(argv=None) -> int:
         out.mkdir(parents=True, exist_ok=True)
         manifest = Manifest(out, args.command)
         seed = args.seed if args.seed is not None else _get(cp, "solver", "seed", int)
+        if seed < 0:
+            source = "--seed" if args.seed is not None else "config key [solver] seed"
+            raise ConfigError(f"invalid value {seed} for {source}: seed must be at least 0")
         manifest.add("seed", seed)
         manifest.add_config(cp)
         check_keys(cp)

@@ -1,4 +1,4 @@
-"""Triangle meshes of the cuspidal domain: construction, refinement, export.
+"""Triangle meshes of the cuspidal domain: construction and refinement.
 
 A Mesh is immutable after construction.  Boundary edges are directed so the
 domain lies on the left and carry the arc tag and exact-curve parameters of
@@ -9,6 +9,7 @@ A Mesh holds the one copy of each per-mesh array that the discretization
 reads, built on first use: the element layout (elements(): areas and
 hat-function gradients) and the 2-point Gauss rule on the boundary edges
 (boundary_quadrature(): abscissae, length times Gauss weight, and weight).
+Export lives in cli, whose Manifest writes every VTK and CSV file.
 """
 
 from __future__ import annotations
@@ -299,58 +300,3 @@ def boundary_weighted_length(mesh: Mesh) -> float:
     """Quadrature value of the weighted boundary length (the measure of w ds)."""
     _, jac, w = mesh.boundary_quadrature()
     return float(np.sum(jac * w))
-
-
-# -- export -------------------------------------------------------------
-
-
-def _fmt(x: float) -> str:
-    return f"{float(x):.17g}"
-
-
-def write_vtk(mesh: Mesh, path, point_data: dict | None = None, title: str = "mesh"):
-    """Legacy ASCII VTK (DataFile 3.0, unstructured grid of type-5 triangles)."""
-    lines = ["# vtk DataFile Version 3.0", title, "ASCII", "DATASET UNSTRUCTURED_GRID"]
-    n = mesh.num_vertices
-    lines.append(f"POINTS {n} double")
-    for x, y in mesh.vertices:
-        lines.append(f"{_fmt(x)} {_fmt(y)} 0")
-    t = mesh.num_triangles
-    lines.append(f"CELLS {t} {4 * t}")
-    for a, b, c in mesh.triangles:
-        lines.append(f"3 {a} {b} {c}")
-    lines.append(f"CELL_TYPES {t}")
-    lines.extend(["5"] * t)
-    if point_data:
-        lines.append(f"POINT_DATA {n}")
-        for name, values in point_data.items():
-            lines.append(f"SCALARS {name} double 1")
-            lines.append("LOOKUP_TABLE default")
-            lines.extend(_fmt(v) for v in np.asarray(values, dtype=float))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def write_vertices_csv(mesh: Mesh, path):
-    with open(path, "w") as fh:
-        fh.write("index,x,y\n")
-        for i, (x, y) in enumerate(mesh.vertices):
-            fh.write(f"{i},{_fmt(x)},{_fmt(y)}\n")
-
-
-def write_triangles_csv(mesh: Mesh, path):
-    with open(path, "w") as fh:
-        fh.write("v0,v1,v2\n")
-        for a, b, c in mesh.triangles:
-            fh.write(f"{a},{b},{c}\n")
-
-
-def write_boundary_csv(mesh: Mesh, path):
-    _, _, w = mesh.boundary_quadrature()
-    b = mesh.boundary
-    with open(path, "w") as fh:
-        fh.write("v0,v1,tag,length,nx,ny,w_gauss0,w_gauss1\n")
-        for e in range(len(b)):
-            ws = ",".join(_fmt(x) for x in w[e])
-            fh.write(f"{b.v0[e]},{b.v1[e]},{b.tag[e].value},{_fmt(b.length[e])},"
-                     f"{_fmt(b.normal[e, 0])},{_fmt(b.normal[e, 1])},{ws}\n")

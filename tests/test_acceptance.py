@@ -153,11 +153,10 @@ def test_criterion_4_invariant_suite(cusp15_dualpath_mesh, p2_dual_path):
 
 def test_criterion_5_fp_constant():
     t0 = time.time()
-    # unit square validation: zero-mean constant is 1/pi
+    # unit square validation: the boundary-constrained constant is 1/pi
     sq = polygon_from_points([(0, 0), (1, 0), (1, 1), (0, 1)])
     sq_mesh = refine_uniform(triangulate(sq, 0.15))
-    C_sq = fp_constant(sq_mesh, ProblemConfig(p=2.0, weighted=False),
-                       constraint="zero-mean")
+    C_sq = fp_constant(sq_mesh, ProblemConfig(p=2.0, weighted=False))
     rel_sq = abs(C_sq * np.pi - 1.0)
     assert rel_sq < 0.01
 

@@ -4,13 +4,14 @@ import pytest
 from steklov_cusp import (DomainSpec, ProblemConfig, boundary_polygon, fp_constant,
                           polygon_from_points, refine_uniform, trace_spectrum,
                           triangulate)
-from steklov_cusp.analysis import SweepReport, _fp_descent, alpha_sweep, classify_trend
+from steklov_cusp.analysis import _fp_descent, alpha_sweep, classify_trend
 
 
-def test_fp_square_zero_mean_is_inverse_pi():
+def test_fp_square_is_inverse_pi():
+    # cos(pi x) has zero boundary integral, so the boundary constraint gives 1/pi
     sq = polygon_from_points([(0, 0), (1, 0), (1, 1), (0, 1)])
     msh = refine_uniform(triangulate(sq, 0.15))
-    C = fp_constant(msh, ProblemConfig(p=2.0, weighted=False), constraint="zero-mean")
+    C = fp_constant(msh, ProblemConfig(p=2.0, weighted=False))
     assert abs(C - 1.0 / np.pi) / (1.0 / np.pi) < 0.01
 
 
@@ -30,9 +31,10 @@ def test_fp_descent_matches_pencil_at_p2(cusp15_mesh):
 def test_fp_rejects_bad_modes(cusp15_mesh):
     with pytest.raises(ValueError, match="unknown constraint"):
         fp_constant(cusp15_mesh, ProblemConfig(), constraint="nonsense")
-    # zero-mean is the p = 2 validation mode only
-    with pytest.raises(ValueError, match="zero-mean"):
-        fp_constant(cusp15_mesh, ProblemConfig(p=3.0), constraint="zero-mean")
+    # the weighted-boundary constraint is the only one
+    for p in (2.0, 3.0):
+        with pytest.raises(ValueError, match="unknown constraint mode 'zero-mean'"):
+            fp_constant(cusp15_mesh, ProblemConfig(p=p), constraint="zero-mean")
 
 
 def test_trace_spectrum_disk_stability(disk_mesh):
@@ -126,7 +128,7 @@ def test_alpha_sweep_empty():
     assert report.rows == []
 
 
-def test_alpha_sweep_rows_and_csv(tmp_path):
+def test_alpha_sweep_rows():
     report = alpha_sweep(ProblemConfig(p=2.0), alphas=[1.5], refinements=2,
                          n_lateral=10, n_arc=20, target_h=0.5, restarts=1,
                          seed=0, with_fp=False)
@@ -134,11 +136,6 @@ def test_alpha_sweep_rows_and_csv(tmp_path):
     assert len(report.rows) == 4
     assert [r.level for r in report.rows] == [0, 1, 0, 1]
     assert all(r.converged for r in report.rows)
-    path = tmp_path / "sweep.csv"
-    report.to_csv(path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == SweepReport.CSV_HEADER
-    assert len(lines) == 5
 
 
 def test_alpha_sweep_deterministic():

@@ -1,10 +1,12 @@
+import hashlib
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from steklov_cusp import DomainSpec, ProblemConfig, cusp_cap_intersection
+from steklov_cusp import (DomainSpec, ProblemConfig, boundary_polygon, cusp_cap_intersection,
+                          refine_uniform, triangulate)
 from steklov_cusp.cli import main
 
 
@@ -89,6 +91,22 @@ def test_cmd_mesh_disk(tmp_path):
         assert f"artifact.{name}" in manifest
 
 
+def test_cmd_mesh_vtk_and_csv_export(tmp_path):
+    out = tmp_path / "mesh_out"
+    assert main(["mesh", "--config", _write(tmp_path, "disk.ini", DISK_CONFIG, out)]) == 0
+    manifest = _manifest(out)
+    n, t = int(manifest["mesh.vertices"]), int(manifest["mesh.triangles"])
+    text = (out / "mesh.vtk").read_text().splitlines()
+    assert text[0] == "# vtk DataFile Version 3.0"
+    assert "DATASET UNSTRUCTURED_GRID" in text
+    assert f"POINTS {n} double" in text
+    idx = text.index(f"CELL_TYPES {t}")
+    assert all(line == "5" for line in text[idx + 1:idx + 1 + t])
+    assert (out / "vertices.csv").read_text().startswith("index,x,y")
+    assert (out / "boundary_edges.csv").read_text().splitlines()[0].startswith(
+        "v0,v1,tag,length,nx,ny,w_gauss0")
+
+
 def test_cmd_mesh_cusp_records_junction(tmp_path):
     out = tmp_path / "mesh_out"
     cfgp = _write(tmp_path, "cusp.ini", CUSP_CONFIG, out)
@@ -101,6 +119,10 @@ def test_cmd_mesh_cusp_records_junction(tmp_path):
 
 def _manifest_lines(out):
     return (out / "manifest.txt").read_text().splitlines()
+
+
+def _manifest(out):
+    return dict(line.split(" = ", 1) for line in _manifest_lines(out))
 
 
 def test_missing_alpha_exits_1(tmp_path, capsys):
@@ -147,6 +169,9 @@ OUT_OF_RANGE = [
     ("sweep", SWEEP_CONFIG, "refinements = 3", "refinements = -3", "[sweep] refinements"),
     ("sweep", SWEEP_CONFIG, "restarts = 1", "restarts = 0", "[sweep] restarts"),
     ("sweep", SWEEP_CONFIG, "restarts = 1", "restarts = -3", "[sweep] restarts"),
+    # a negative seed used to end in numpy's traceback, with no manifest status
+    ("solve", DISK_CONFIG, "seed = 0", "seed = -2", "[solver] seed"),
+    ("sweep", SWEEP_CONFIG, "seed = 0", "seed = -2", "[solver] seed"),
 ]
 
 
@@ -221,6 +246,17 @@ def test_cli_module_config_error_has_no_traceback(tmp_path):
     assert "status = failed" in _manifest_lines(out)
 
 
+def test_negative_seed_option_exits_1(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfgp = _write(tmp_path, "disk.ini", DISK_CONFIG, out)
+    assert main(["solve", "--config", cfgp, "--seed", "-1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "--seed" in err and "Traceback" not in err
+    manifest = _manifest_lines(out)
+    assert manifest[-2] == "status = failed"
+    assert manifest[-1].startswith("error = ") and "--seed" in manifest[-1]
+
+
 def test_invalid_value_exits_1(tmp_path, capsys):
     path = tmp_path / "bad.ini"
     path.write_text("[domain]\ndomain = cusp\nalpha = not_a_number\n")
@@ -256,6 +292,22 @@ def test_cmd_solve_disk_lambda_near_one(tmp_path):
     assert abs(lam_descent - 1.0) < 0.05
     assert abs(lam_descent - lam_direct) / lam_direct <= 1e-3
     assert (out / "eigenfunction.vtk").exists()
+
+
+def test_cmd_solve_on_a_refined_mesh(tmp_path):
+    # refinements = 2 solves on one refine_uniform of the base mesh
+    coarse = CUSP_CONFIG
+    for old, new in (("n_lateral = 12", "n_lateral = 8"), ("n_arc = 24", "n_arc = 16"),
+                     ("target_h = 0.4", "target_h = 0.6"), ("refinements = 1", "refinements = 2")):
+        assert old in coarse
+        coarse = coarse.replace(old, new)
+    out = tmp_path / "out"
+    assert main(["solve", "--config", _write(tmp_path, "refined.ini", coarse, out)]) == 0
+    base = triangulate(boundary_polygon(DomainSpec.cusp(2.0), n_lateral=8, n_arc=16,
+                                        grading_q=2.0), 0.6, tip_grading=2.0)
+    assert int(_manifest(out)["mesh.vertices"]) == refine_uniform(base).num_vertices
+    # the descent row and the direct p = 2 row
+    assert len((out / "results.csv").read_text().splitlines()) == 3
 
 
 def test_cmd_solve_p2_solves_the_direct_pair_once(tmp_path, monkeypatch):
@@ -473,6 +525,26 @@ def test_value_error_inside_a_solve_surfaces(tmp_path, monkeypatch):
     out = tmp_path / "out"
     with pytest.raises(ValueError, match="injected bug"):
         main(["solve", "--config", _write(tmp_path, "disk.ini", DISK_CONFIG, out)])
+
+
+TWO_LEVEL_SWEEP = SWEEP_CONFIG.replace("refinements = 3", "refinements = 2")
+
+
+@pytest.mark.parametrize("command, config", [("mesh", DISK_CONFIG), ("solve", DISK_CONFIG),
+                                             ("sweep", TWO_LEVEL_SWEEP), ("validate", None)],
+                         ids=["mesh", "solve", "sweep", "validate"])
+def test_manifest_lists_exactly_the_artifacts(tmp_path, command, config):
+    out = tmp_path / "out"
+    argv = [command, "--out", str(out)]
+    if config is not None:
+        argv += ["--config", _write(tmp_path, "run.ini", config, out)]
+    assert main(argv) == 0
+    digests = {key[len("artifact."):]: value for key, value in _manifest(out).items()
+               if key.startswith("artifact.")}
+    written = {path.name for path in out.iterdir()} - {"manifest.txt"}
+    assert digests and set(digests) == written
+    for name, digest in digests.items():
+        assert digest == hashlib.sha256((out / name).read_bytes()).hexdigest(), name
 
 
 def test_validate_full_suite_passes(tmp_path):

@@ -152,6 +152,27 @@ def test_touching_vertex_detection():
         polygon_from_points(pts)
 
 
+def test_overlapping_boxes_without_contact_are_simple():
+    # segments 1, (4, 0)-(4, 1), and 3, (1, 1)-(4, 3), have overlapping
+    # bounding boxes but do not meet
+    pts = [(0, 0), (4, 0), (4, 1), (1, 1), (4, 3), (0, 3)]
+    assert len(polygon_from_points(pts).points) == 6
+
+
+@pytest.mark.parametrize("pts, pair", [
+    # vertex (3, 1) starts segment 0 on the interior of segment 2, (3, 0)-(3, 3)
+    ([(3, 1), (3, 2), (3, 0), (3, 3), (0, 1)], "0 and 2"),
+    # vertex (2, 2) ends segment 0 on the interior of segment 3, (3, 1)-(1, 3)
+    ([(1, 1), (2, 2), (2, 1), (3, 1), (1, 3)], "0 and 3"),
+    # vertex (3, 1) starts segment 2 on the interior of segment 0, (3, 0)-(3, 3)
+    ([(3, 0), (3, 3), (3, 1), (0, 2)], "0 and 2"),
+], ids=["first-end-of-a", "second-end-of-a", "first-end-of-b"])
+def test_endpoint_touching_detection(pts, pair):
+    assert polygon_area(np.array(pts, dtype=float)) > 0.0
+    with pytest.raises(GeometryError, match=f"between segments {pair}$"):
+        polygon_from_points(pts)
+
+
 def test_weight_range_on_polygon_edges():
     spec = DomainSpec.cusp(1.5)
     poly = boundary_polygon(spec, n_lateral=16, n_arc=32)

@@ -197,21 +197,3 @@ def test_refinement_past_the_element_budget_raises(monkeypatch, disk_polygon):
 def test_nonpositive_target_h_rejected(disk_polygon):
     with pytest.raises(ValueError):
         triangulate(disk_polygon, 0.0)
-
-
-def test_vtk_and_csv_export(tmp_path, square_mesh):
-    meshmod.write_vtk(square_mesh, tmp_path / "m.vtk",
-                      point_data={"u": np.arange(square_mesh.num_vertices, dtype=float)})
-    text = (tmp_path / "m.vtk").read_text().splitlines()
-    assert text[0] == "# vtk DataFile Version 3.0"
-    assert "DATASET UNSTRUCTURED_GRID" in text
-    assert f"POINTS {square_mesh.num_vertices} double" in text
-    assert "CELL_TYPES" in " ".join(text)
-    idx = text.index(f"CELL_TYPES {square_mesh.num_triangles}")
-    assert all(t == "5" for t in text[idx + 1:idx + 1 + square_mesh.num_triangles])
-    meshmod.write_vertices_csv(square_mesh, tmp_path / "v.csv")
-    meshmod.write_triangles_csv(square_mesh, tmp_path / "t.csv")
-    meshmod.write_boundary_csv(square_mesh, tmp_path / "b.csv")
-    assert (tmp_path / "v.csv").read_text().startswith("index,x,y")
-    assert (tmp_path / "b.csv").read_text().splitlines()[0].startswith(
-        "v0,v1,tag,length,nx,ny,w_gauss0")
