@@ -12,10 +12,9 @@ from .eigensolver import (EigenResult, orthogonalize_shift, rayleigh, solve_p,
 from .fem import (ProblemConfig, assemble_p2, boundary_pnorm, constraint_functional,
                   energy, energy_gradient, volume_pnorm)
 from .geometry import (BoundaryPolygon, BoundaryTag, DomainSpec, GeometryError,
-                       boundary_polygon, cusp_cap_intersection, cusp_halfwidth,
-                       polygon_from_points)
+                       boundary_polygon, cusp_cap_intersection, polygon_from_points)
 from .linalg import SolveError, SparseSym, generalized_eig_sym, solve_spd
-from .mesh import Mesh, boundary_weighted_length, mesh_area, refine_uniform, triangulate
+from .mesh import Mesh, mesh_area, refine_uniform, triangulate
 
 __all__ = [
     "SweepReport", "SweepRow", "alpha_sweep", "fp_constant", "trace_spectrum",
@@ -24,9 +23,9 @@ __all__ = [
     "ProblemConfig", "assemble_p2", "boundary_pnorm", "constraint_functional",
     "energy", "energy_gradient", "volume_pnorm",
     "BoundaryPolygon", "BoundaryTag", "DomainSpec", "GeometryError",
-    "boundary_polygon", "cusp_cap_intersection", "cusp_halfwidth", "polygon_from_points",
+    "boundary_polygon", "cusp_cap_intersection", "polygon_from_points",
     "SolveError", "SparseSym", "generalized_eig_sym", "solve_spd",
-    "Mesh", "boundary_weighted_length", "mesh_area", "refine_uniform", "triangulate",
+    "Mesh", "mesh_area", "refine_uniform", "triangulate",
 ]
 
 __version__ = "0.1.0"

@@ -61,15 +61,6 @@ class DomainSpec:
         return DomainSpec(kind="disk", disk_radius=radius)
 
 
-def cusp_halfwidth(spec: DomainSpec, t: float) -> float:
-    """Half-width t**alpha of the cusp cross-section at height t in (0, 1]."""
-    if spec.kind != "cusp":
-        raise ValueError("cusp_halfwidth requires a cusp domain")
-    if not 0.0 < t <= 1.0:
-        raise ValueError(f"height t must lie in (0, 1], got {t}")
-    return t ** spec.alpha
-
-
 def _junction_gap(alpha: float, t: float) -> float:
     # Positive iff the lateral point (t**alpha, t) lies outside the cap disk.
     return t ** (2.0 * alpha) + (2.0 - t) ** 2 - 2.0
@@ -185,7 +176,6 @@ class BoundaryPolygon:
     points: np.ndarray
     edges: list[PolygonEdge]
     spec: DomainSpec | None = None
-    t_star: float | None = None
 
 
 def polygon_area(points: np.ndarray) -> float:
@@ -268,65 +258,34 @@ def boundary_polygon(spec: DomainSpec, n_lateral: int = 32, n_arc: int = 64,
     is sampled uniformly in angle; the left lateral curve is the mirror image.
     The tip (0, 0) is always a polygon vertex.  For the validation disk the
     result is the regular n_arc-gon inscribed in the circle.
+
+    Each arc lists the curve parameters of its vertices and of its edges'
+    ends; consecutive edge parameters give the edges.  The junction vertices
+    belong to the lateral curves and the junction edges to the cap arc.
     """
     check_sampling(n_lateral, n_arc, grading_q)
     if spec.kind == "disk":
         ang = 2.0 * math.pi * np.arange(n_arc) / n_arc
-        pts = spec.disk_radius * np.stack([np.cos(ang), np.sin(ang)], axis=1)
-        edges = [PolygonEdge(i, (i + 1) % n_arc, BoundaryTag.DISK_CIRCLE,
-                             float(ang[i]), float(ang[(i + 1) % n_arc]) if i + 1 < n_arc
-                             else 2.0 * math.pi)
-                 for i in range(n_arc)]
-        return BoundaryPolygon(points=pts, edges=edges, spec=spec)
+        arcs = [(BoundaryTag.DISK_CIRCLE, ang, [*ang, 2.0 * math.pi])]
+    else:
+        theta_r, theta_l = cap_angle_range(spec)
+        ts = cusp_cap_intersection(spec) * (np.arange(n_lateral + 1) / n_lateral) ** grading_q
+        thetas = theta_r + (theta_l - theta_r) * np.arange(1, n_arc) / n_arc
+        arcs = [(BoundaryTag.CUSP_LATERAL_RIGHT, ts, ts),
+                (BoundaryTag.CAP_ARC, thetas, [theta_r, *thetas, theta_l]),
+                (BoundaryTag.CUSP_LATERAL_LEFT, ts[:0:-1], ts[::-1])]
 
-    t_star = cusp_cap_intersection(spec)
-    theta_r, theta_l = cap_angle_range(spec)
-
-    ts = t_star * (np.arange(n_lateral + 1) / n_lateral) ** grading_q  # ts[0] = 0 is the tip
-    thetas = theta_r + (theta_l - theta_r) * np.arange(1, n_arc) / n_arc
-
-    pts = []
-    params = []
-    tags = []
-    for t in ts:
-        pts.append((t ** spec.alpha if t > 0.0 else 0.0, t))
-        params.append(float(t))
-        tags.append(BoundaryTag.CUSP_LATERAL_RIGHT)
-    for th in thetas:
-        pts.append(curve_point(spec, BoundaryTag.CAP_ARC, float(th)))
-        params.append(float(th))
-        tags.append(BoundaryTag.CAP_ARC)
-    for t in ts[::-1][:-1]:  # t_star down to the sample above the tip
-        pts.append((-(t ** spec.alpha), t))
-        params.append(float(t))
-        tags.append(BoundaryTag.CUSP_LATERAL_LEFT)
-
+    pts, ends = [], []
+    for tag, vertex_params, edge_params in arcs:
+        pts += [curve_point(spec, tag, float(s)) for s in vertex_params]
+        ends += [(tag, float(a), float(b)) for a, b in zip(edge_params[:-1], edge_params[1:])]
     points = np.array(pts, dtype=float)
     m = len(points)
-    edges = []
-    for i in range(m):
-        j = (i + 1) % m
-        if tags[i] is BoundaryTag.CUSP_LATERAL_RIGHT and tags[j] is BoundaryTag.CAP_ARC:
-            # junction vertex at t_star belongs to the lateral curve; the edge
-            # leaving it is the first cap chord
-            edges.append(PolygonEdge(i, j, BoundaryTag.CAP_ARC, theta_r, params[j]))
-        elif tags[i] is BoundaryTag.CAP_ARC and tags[j] is BoundaryTag.CUSP_LATERAL_LEFT:
-            edges.append(PolygonEdge(i, j, BoundaryTag.CAP_ARC, params[i], theta_l))
-        elif tags[i] is BoundaryTag.CAP_ARC:
-            edges.append(PolygonEdge(i, j, BoundaryTag.CAP_ARC, params[i], params[j]))
-        elif tags[i] is BoundaryTag.CUSP_LATERAL_RIGHT:
-            edges.append(PolygonEdge(i, j, BoundaryTag.CUSP_LATERAL_RIGHT, params[i], params[j]))
-        else:
-            edges.append(PolygonEdge(i, j, BoundaryTag.CUSP_LATERAL_LEFT, params[i], params[j]))
-
-    # the closing edge (last left-lateral sample back to the tip)
-    last = edges[-1]
-    edges[-1] = PolygonEdge(last.i, 0, BoundaryTag.CUSP_LATERAL_LEFT, last.p0, 0.0)
-
+    edges = [PolygonEdge(k, (k + 1) % m, *end) for k, end in enumerate(ends)]
     if polygon_area(points) <= 0.0:
         raise GeometryError("boundary polygon is not counterclockwise")
     check_simple(points)
-    return BoundaryPolygon(points=points, edges=edges, spec=spec, t_star=t_star)
+    return BoundaryPolygon(points=points, edges=edges, spec=spec)
 
 
 def polygon_from_points(points) -> BoundaryPolygon:

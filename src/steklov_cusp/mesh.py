@@ -1,8 +1,9 @@
 """Triangle meshes of the cuspidal domain: construction and refinement.
 
-A Mesh is immutable after construction.  Boundary edges are directed so the
-domain lies on the left and carry the arc tag and exact-curve parameters of
-their endpoints.  The weight is always evaluated on the exact curve through
+A Mesh is immutable after construction, and every Mesh is checked once,
+when _build_mesh builds it.  Boundary edges are directed so the domain lies
+on the left and carry the arc tag and exact-curve parameters of their
+endpoints.  The weight is always evaluated on the exact curve through
 the (tag, parameter) pair, never interpolated from polygon vertices.
 
 A Mesh holds the one copy of each per-mesh array that the discretization
@@ -70,7 +71,6 @@ class Mesh:
     triangles: np.ndarray
     boundary: BoundaryEdges
     spec: geometry.DomainSpec | None
-    t_star: float | None
     h_max: float
     h_min: float
     _cache: dict = field(default_factory=dict, repr=False)
@@ -144,9 +144,12 @@ def _edge_keys(triangles, n):
     return _pair_keys(triangles.T.ravel(), triangles[:, [1, 2, 0]].T.ravel(), n)
 
 
-def _build_mesh(vertices, triangles, segs, spec, t_star) -> Mesh:
+def _build_mesh(vertices, triangles, segs, spec) -> Mesh:
     """Mesh from vertices, CCW triangles and directed boundary segments
-    (v0, v1, tag, p0, p1), each the edge of exactly one triangle."""
+    (v0, v1, tag, p0, p1); raises GeometryError unless every triangle has
+    positive area, no edge is shared by more than 2 triangles, the segments
+    are exactly the edges used by one triangle, the mesh is a topological
+    disk (n - E + T = 1), and each segment has the domain on its left."""
     vertices = np.asarray(vertices, dtype=float)
     triangles = np.asarray(triangles, dtype=np.int64)
     n = len(vertices)
@@ -165,18 +168,24 @@ def _build_mesh(vertices, triangles, segs, spec, t_star) -> Mesh:
 
     keys, first, counts = np.unique(_edge_keys(triangles, n), return_index=True,
                                     return_counts=True)
+    if np.any(counts > 2):
+        u, w = np.divmod(keys[np.argmax(counts)], n + 1)
+        raise GeometryError(f"non-conforming mesh: edge ({u}, {w}) shared by "
+                            f"{counts.max()} triangles")
     bkey = _pair_keys(v0, v1, n)
-    pos = np.minimum(np.searchsorted(keys, bkey), len(keys) - 1)
-    if not np.array_equal(keys[pos], bkey) or np.any(counts[pos] != 1):
-        raise GeometryError("boundary edge not owned by exactly one triangle")
-    owners = first[pos] % len(triangles)
+    if not np.array_equal(np.sort(bkey), keys[counts == 1]):
+        raise GeometryError("boundary segments are not the edges used by one triangle")
+    if n - len(keys) + len(triangles) != 1:
+        raise GeometryError(f"Euler relation violated: {n} vertices - {len(keys)} edges "
+                            f"+ {len(triangles)} triangles != 1")
+    owners = first[np.searchsorted(keys, bkey)] % len(triangles)
 
     d = vertices[v1] - vertices[v0]
     length = np.hypot(d[:, 0], d[:, 1])
     normal = np.stack([d[:, 1], -d[:, 0]], axis=1) / length[:, None]
 
     # outward check against the owning triangle
-    cen = v[owners].mean(axis=1) if len(owners) else np.zeros((0, 2))
+    cen = v[owners].mean(axis=1)
     mid = 0.5 * (vertices[v0] + vertices[v1])
     inward = np.einsum("ij,ij->i", normal, cen - mid)
     if np.any(inward >= 0.0):
@@ -187,8 +196,7 @@ def _build_mesh(vertices, triangles, segs, spec, t_star) -> Mesh:
 
     boundary = BoundaryEdges(v0=v0, v1=v1, tag=tags, p0=p0, p1=p1,
                              owner=owners, length=length, normal=normal)
-    return Mesh(vertices=vertices, triangles=triangles, boundary=boundary,
-                spec=spec, t_star=t_star,
+    return Mesh(vertices=vertices, triangles=triangles, boundary=boundary, spec=spec,
                 h_max=float(elen.max()), h_min=float(elen.min()))
 
 
@@ -204,9 +212,7 @@ def triangulate(polygon: BoundaryPolygon, target_h: float,
     vertices ("polygon edge (i, j) is not an edge ...", i and j indexing
     polygon.points); there is no edge recovery.
     """
-    pts, tris, segs = triangulate_polygon(polygon, target_h, tip_grading)
-    t_star = polygon.t_star if polygon.spec is not None and polygon.spec.kind == "cusp" else None
-    return _build_mesh(pts, tris, segs, polygon.spec, t_star)
+    return _build_mesh(*triangulate_polygon(polygon, target_h, tip_grading), polygon.spec)
 
 
 def refine_uniform(mesh: Mesh) -> Mesh:
@@ -271,32 +277,8 @@ def refine_uniform(mesh: Mesh) -> Mesh:
     else:
         raise GeometryError("refinement could not restore positive orientation")
 
-    return _build_mesh(new_verts, new_tris, new_segs, mesh.spec, mesh.t_star)
-
-
-def validate(mesh: Mesh) -> None:
-    """Structural invariants: conformity, Euler relation, area consistency."""
-    n = mesh.num_vertices
-    tris = mesh.triangles
-    uniq, counts = np.unique(_edge_keys(tris, n), return_counts=True)
-    if np.any(counts > 2):
-        raise GeometryError("non-conforming mesh: edge shared by more than 2 triangles")
-    n_edges = len(uniq)
-    if n - n_edges + len(tris) != 1:
-        raise GeometryError("Euler relation violated")
-    bkey = _pair_keys(mesh.boundary.v0, mesh.boundary.v1, n)
-    once = uniq[counts == 1]
-    if sorted(bkey.tolist()) != sorted(once.tolist()):
-        raise GeometryError("boundary edges do not match the mesh boundary")
-    if np.any(mesh.elements().areas <= 0.0):
-        raise GeometryError("non-positive triangle area")
+    return _build_mesh(new_verts, new_tris, new_segs, mesh.spec)
 
 
 def mesh_area(mesh: Mesh) -> float:
     return float(mesh.elements().areas.sum())
-
-
-def boundary_weighted_length(mesh: Mesh) -> float:
-    """Quadrature value of the weighted boundary length (the measure of w ds)."""
-    _, jac, w = mesh.boundary_quadrature()
-    return float(np.sum(jac * w))

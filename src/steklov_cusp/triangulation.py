@@ -36,7 +36,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .geometry import BoundaryPolygon, BoundaryTag, GeometryError
+from .geometry import BoundaryPolygon, BoundaryTag, GeometryError, cusp_cap_intersection
 
 _MIN_ANGLE_DEG = 20.0
 ELEMENT_BUDGET = 200_000  # vertices; inserting one past it raises GeometryError
@@ -393,8 +393,6 @@ class _CDT:
         segs = []
         for k in sorted(self.constrained):
             seg = self.constrained[k]
-            if len(self._seg_tris(k)) != 1:
-                raise GeometryError("boundary segment not owned by exactly one triangle")
             u, v = k
             # direct the edge as it appears in the (CCW) owning triangle
             if k in self.half:
@@ -442,8 +440,7 @@ def triangulate_polygon(polygon: BoundaryPolygon, target_h: float,
 
     has_tip = polygon.spec is not None and polygon.spec.kind == "cusp"
     if has_tip:
-        t_star = polygon.t_star
-        r_ex = 0.5 * t_star
+        r_ex = 0.5 * cusp_cap_intersection(polygon.spec)
         grade = tip_grading
 
         def size_fn(p):

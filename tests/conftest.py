@@ -12,9 +12,7 @@ from steklov_cusp import mesh as meshmod
 @pytest.fixture(scope="session")
 def square_mesh():
     poly = polygon_from_points([(0, 0), (1, 0), (1, 1), (0, 1)])
-    msh = meshmod.triangulate(poly, 0.3)
-    meshmod.validate(msh)
-    return msh
+    return meshmod.triangulate(poly, 0.3)
 
 
 @pytest.fixture(scope="session")
@@ -24,9 +22,7 @@ def disk_polygon():
 
 @pytest.fixture(scope="session")
 def disk_mesh(disk_polygon):
-    msh = meshmod.triangulate(disk_polygon, 0.25)
-    meshmod.validate(msh)
-    return msh
+    return meshmod.triangulate(disk_polygon, 0.25)
 
 
 @pytest.fixture(scope="session")
@@ -44,14 +40,10 @@ def cusp15_polygon():
 
 @pytest.fixture(scope="session")
 def cusp15_mesh(cusp15_polygon):
-    msh = meshmod.triangulate(cusp15_polygon, 0.35)
-    meshmod.validate(msh)
-    return msh
+    return meshmod.triangulate(cusp15_polygon, 0.35)
 
 
 @pytest.fixture(scope="session")
 def cusp2_coarse_mesh():
     poly = boundary_polygon(DomainSpec.cusp(2.0), n_lateral=8, n_arc=16)
-    msh = meshmod.triangulate(poly, 0.6)
-    meshmod.validate(msh)
-    return msh
+    return meshmod.triangulate(poly, 0.6)

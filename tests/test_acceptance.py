@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from steklov_cusp import (DomainSpec, ProblemConfig, boundary_polygon,
-                          boundary_pnorm, boundary_weighted_length,
                           constraint_functional, energy, energy_gradient,
                           fp_constant, orthogonalize_shift, polygon_from_points,
                           rayleigh, refine_uniform, solve_p, solve_p2,
@@ -119,7 +118,7 @@ def test_criterion_4_invariant_suite(cusp15_dualpath_mesh, p2_dual_path):
     assert worst_scale <= 1e-12
 
     # monotone descent and per-iterate constraint preservation
-    measure = boundary_weighted_length(msh)
+    measure = fem.boundary_weighted_measure(msh, ProblemConfig())
     cres_list = []
     K, M, _ = fem.assemble_p2(msh, weighted=False)
     out = _descent(msh, cfg, solve_p2(msh, weighted=True).u, fem.boundary_pnorm,

@@ -59,7 +59,7 @@ def test_trace_spectrum_permutation_invariance(disk_mesh):
         inv[msh.triangles],
         [(int(inv[b.v0[e]]), int(inv[b.v1[e]]), b.tag[e], float(b.p0[e]),
           float(b.p1[e])) for e in range(len(b))],
-        msh.spec, msh.t_star)
+        msh.spec)
     s0 = trace_spectrum(msh, weighted=False, k=8)
     s1 = trace_spectrum(permuted, weighted=False, k=8)
     assert np.allclose(s0, s1, rtol=1e-10)

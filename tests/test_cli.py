@@ -2,7 +2,6 @@ import hashlib
 import math
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from steklov_cusp import (DomainSpec, ProblemConfig, boundary_polygon, cusp_cap_intersection,

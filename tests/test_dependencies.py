@@ -2,7 +2,8 @@ import ast
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "steklov_cusp"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "steklov_cusp"
 
 
 def test_package_imports_only_stdlib_and_numpy():
@@ -45,9 +46,11 @@ def test_no_private_names_imported_across_modules():
 
 
 def test_every_imported_name_is_used():
-    # a deletion must take its now-dead imports with it; __init__ imports
-    # only to re-export, and the __future__ import binds no name
-    files = [path for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"]
+    # a deletion must take its now-dead imports with it, in the package and
+    # in its tests; __init__ imports only to re-export, and the __future__
+    # import binds no name
+    files = [path for path in sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py"))
+             if path.name != "__init__.py"]
     assert files
     unused = []
     for path in files:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from steklov_cusp import (DomainSpec, ProblemConfig, SolveError, boundary_pnorm,
-                          boundary_polygon, boundary_weighted_length, constraint_functional,
+                          boundary_polygon, constraint_functional,
                           orthogonalize_shift, rayleigh, refine_uniform, solve_p,
                           solve_p2, triangulate, weakform_residual)
 from steklov_cusp import eigensolver, fem, linalg
@@ -180,7 +180,7 @@ def test_shift_p2_weighted_mean(cusp15_mesh):
     u = rng.standard_normal(msh.num_vertices)
     shifted = orthogonalize_shift(msh, cfg, u)
     ones = np.ones(msh.num_vertices)
-    mean = constraint_functional(msh, cfg, u) / boundary_weighted_length(msh)
+    mean = constraint_functional(msh, cfg, u) / fem.boundary_weighted_measure(msh, ProblemConfig())
     assert np.allclose(u - shifted, mean * ones, atol=1e-11)
 
 
@@ -203,7 +203,7 @@ def test_shift_enforces_constraint(cusp15_mesh):
     rng = np.random.default_rng(10)
     u = rng.standard_normal(cusp15_mesh.num_vertices)
     shifted = orthogonalize_shift(cusp15_mesh, cfg, u)
-    measure = boundary_weighted_length(cusp15_mesh)
+    measure = fem.boundary_weighted_measure(cusp15_mesh, ProblemConfig())
     assert abs(constraint_functional(cusp15_mesh, cfg, shifted)) <= 1e-12 * measure
 
 
@@ -228,7 +228,7 @@ def test_solve_p2_result_contract(cusp15_mesh):
     assert res.converged
     cfg = ProblemConfig(p=2.0, weighted=True)
     assert boundary_pnorm(cusp15_mesh, cfg, res.u) == pytest.approx(1.0, abs=1e-10)
-    measure = boundary_weighted_length(cusp15_mesh)
+    measure = fem.boundary_weighted_measure(cusp15_mesh, ProblemConfig())
     assert res.constraint_residual <= 1e-8 * measure
     assert res.weakform_residual <= 1e-8
 
@@ -336,7 +336,7 @@ def test_solve_p_result_contract(disk_mesh):
 def test_descent_constraint_at_every_accepted_step(disk_mesh):
     cfg = ProblemConfig(p=2.5, weighted=False)
     K, M, _ = fem.assemble_p2(disk_mesh, weighted=False)
-    measure = boundary_weighted_length(disk_mesh)
+    measure = fem.boundary_weighted_measure(disk_mesh, ProblemConfig())
     seen = []
 
     def on_accept(u):

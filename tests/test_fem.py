@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from steklov_cusp import (DomainSpec, ProblemConfig, assemble_p2, boundary_pnorm,
-                          boundary_polygon, constraint_functional, energy,
-                          energy_gradient, boundary_weighted_length, volume_pnorm)
+from steklov_cusp import (ProblemConfig, assemble_p2, boundary_pnorm, constraint_functional,
+                          energy, energy_gradient, volume_pnorm)
 from steklov_cusp import fem
 
 
@@ -82,7 +81,7 @@ def test_boundary_pnorm_weighted_cusp_matches_length(cusp15_mesh):
     cfg = ProblemConfig(p=2.0, weighted=True)
     ones = np.ones(cusp15_mesh.num_vertices)
     assert boundary_pnorm(cusp15_mesh, cfg, ones) == pytest.approx(
-        boundary_weighted_length(cusp15_mesh), abs=1e-12)
+        fem.boundary_weighted_measure(cusp15_mesh, ProblemConfig()), abs=1e-12)
 
 
 @pytest.mark.parametrize("p", [1.5, 2.0, 2.7])
@@ -96,7 +95,7 @@ def test_constraint_positive_constant(cusp15_mesh):
     cfg = ProblemConfig(p=2.5, weighted=True)
     c = 1.7
     val = constraint_functional(cusp15_mesh, cfg, c * np.ones(cusp15_mesh.num_vertices))
-    expect = c ** 1.5 * boundary_weighted_length(cusp15_mesh)
+    expect = c ** 1.5 * fem.boundary_weighted_measure(cusp15_mesh, ProblemConfig())
     assert val == pytest.approx(expect, rel=1e-12)
 
 
@@ -169,7 +168,7 @@ def test_p2_matrix_invariants(cusp15_mesh):
     assert np.abs(K.matvec(ones)).max() <= 1e-12
     assert ones @ M.matvec(ones) == pytest.approx(mesh_area(msh), abs=1e-12)
     assert ones @ B.matvec(ones) == pytest.approx(
-        boundary_weighted_length(msh), abs=1e-12)
+        fem.boundary_weighted_measure(msh, ProblemConfig()), abs=1e-12)
     # row sums of B are the weighted hat-function boundary integrals
     cfg = ProblemConfig(p=2.0, weighted=True)
     hat = fem.boundary_pnorm_gradient(msh, cfg, ones) / 2.0

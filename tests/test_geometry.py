@@ -4,25 +4,15 @@ import numpy as np
 import pytest
 
 from steklov_cusp import (BoundaryTag, DomainSpec, GeometryError, boundary_polygon,
-                          cusp_cap_intersection, cusp_halfwidth, polygon_from_points)
-from steklov_cusp.geometry import cap_angle_range, polygon_area, weight_on_arc
+                          cusp_cap_intersection, polygon_from_points)
+from steklov_cusp.geometry import cap_angle_range, curve_point, polygon_area, weight_on_arc
 
 from helpers import exact_cusp_area, junction_height, shoelace
 
 
-def test_halfwidth_direct_substitution():
-    assert cusp_halfwidth(DomainSpec.cusp(2.0), 0.5) == pytest.approx(0.25, abs=1e-15)
-    assert cusp_halfwidth(DomainSpec.cusp(1.5), 0.81) == pytest.approx(0.729, abs=1e-12)
-
-
-def test_halfwidth_domain_errors():
-    spec = DomainSpec.cusp(2.0)
+def test_cusp_exponent_must_exceed_one():
     with pytest.raises(ValueError):
-        cusp_halfwidth(spec, 0.0)
-    with pytest.raises(ValueError):
-        cusp_halfwidth(spec, 1.5)
-    with pytest.raises(ValueError):
-        DomainSpec.cusp(1.0)  # exponent must exceed 1
+        DomainSpec.cusp(1.0)
 
 
 def test_junction_large_alpha_closed_form():
@@ -99,6 +89,22 @@ def test_cusp_polygon_grading_samples():
     assert np.allclose(ts, expect, atol=1e-15)
     assert np.all(np.diff(ts) > 0.0)
     assert poly.points[0, 0] == 0.0 and poly.points[0, 1] == 0.0
+
+
+@pytest.mark.parametrize("spec, grading_q", [
+    *[pytest.param(DomainSpec.cusp(alpha), q, id=f"cusp{alpha:g}-q{q:g}")
+      for alpha in (1.1, 1.5, 2.5, 5.0) for q in (1.0, 2.0, 3.0)],
+    *[pytest.param(DomainSpec.disk(r), 2.0, id=f"disk{r:g}") for r in (1.0, 1.5)]])
+def test_polygon_edge_record_reproduces_its_vertices(spec, grading_q):
+    # every edge's (tag, p0, p1) lands on both of its vertices, tip and
+    # junctions included, and the edges chain once around the polygon
+    poly = boundary_polygon(spec, n_lateral=10, n_arc=20, grading_q=grading_q)
+    m = len(poly.points)
+    assert [(e.i, e.j) for e in poly.edges] == [(k, (k + 1) % m) for k in range(m)]
+    for e in poly.edges:
+        for vertex, param in ((e.i, e.p0), (e.j, e.p1)):
+            assert np.abs(np.subtract(curve_point(spec, e.tag, param),
+                                      poly.points[vertex])).max() <= 1e-15, (e, vertex)
 
 
 def test_polygon_vertex_count_and_orientation():

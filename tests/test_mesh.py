@@ -5,11 +5,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from steklov_cusp import (BoundaryTag, DomainSpec, GeometryError, boundary_polygon,
-                          boundary_weighted_length, mesh_area, polygon_from_points,
-                          refine_uniform, triangulate)
+from steklov_cusp import (BoundaryTag, DomainSpec, GeometryError, ProblemConfig,
+                          boundary_polygon, cusp_cap_intersection, mesh_area,
+                          polygon_from_points, refine_uniform, triangulate)
 from steklov_cusp import cli, triangulation
 from steklov_cusp import mesh as meshmod
+from steklov_cusp.fem import boundary_weighted_measure
 
 from helpers import exact_weighted_boundary_length, shoelace, tri_min_angle
 
@@ -39,7 +40,7 @@ def test_cusp_mesh_area_and_hmin_near_tip(cusp15_polygon, cusp15_mesh):
 
 
 def test_quality_outside_tip_zone(cusp15_mesh):
-    t_star = cusp15_mesh.t_star
+    t_star = cusp_cap_intersection(cusp15_mesh.spec)
     V = cusp15_mesh.vertices
     for tri in cusp15_mesh.triangles:
         pts = V[tri]
@@ -57,13 +58,63 @@ def test_euler_relation(disk_mesh, cusp15_mesh, square_mesh):
 
 
 def test_boundary_edges_cover_and_ownership(cusp15_mesh):
-    meshmod.validate(cusp15_mesh)  # covers conformity + coverage
     b = cusp15_mesh.boundary
     # outward normals against owner centroids
     cen = cusp15_mesh.vertices[cusp15_mesh.triangles[b.owner]].mean(axis=1)
     mid = 0.5 * (cusp15_mesh.vertices[b.v0] + cusp15_mesh.vertices[b.v1])
     dots = np.einsum("ij,ij->i", b.normal, cen - mid)
     assert np.all(dots < 0.0)
+
+
+def _mesh_arrays(msh):
+    b = msh.boundary
+    segs = [(int(b.v0[e]), int(b.v1[e]), b.tag[e], float(b.p0[e]), float(b.p1[e]))
+            for e in range(len(b))]
+    # a triangle that owns no boundary edge, so all of its edges are interior
+    inner = int(np.setdiff1d(np.arange(msh.num_triangles), b.owner)[0])
+    return msh.vertices.copy(), msh.triangles.copy(), segs, inner
+
+
+def _flip_first(v, t, segs, inner):
+    t[0] = t[0, ::-1]
+    return v, t, segs
+
+
+def _list_twice(v, t, segs, inner):
+    return v, np.vstack([t, t[inner]]), segs
+
+
+def _drop_segment(v, t, segs, inner):
+    return v, t, segs[1:]
+
+
+def _reverse_segment(v, t, segs, inner):
+    v0, v1, tag, p0, p1 = segs[0]
+    return v, t, [(v1, v0, tag, p1, p0)] + segs[1:]
+
+
+def _drop_inner_triangle(v, t, segs, inner):
+    return v, np.delete(t, inner, axis=0), segs
+
+
+def _add_unused_vertex(v, t, segs, inner):
+    return np.vstack([v, [[0.25, 0.25]]]), t, segs
+
+
+@pytest.mark.parametrize("defect, message", [
+    (_flip_first, "triangle 0 has non-positive area"),
+    (_list_twice, r"non-conforming mesh: edge \(\d+, \d+\) shared by 3 triangles"),
+    (_drop_segment, "boundary segments are not the edges used by one triangle"),
+    (_drop_inner_triangle, "boundary segments are not the edges used by one triangle"),
+    (_add_unused_vertex, "Euler relation violated"),
+    (_reverse_segment, "boundary normal points into the domain"),
+], ids=["flipped-triangle", "triangle-listed-twice", "dropped-segment",
+        "non-boundary-edge-used-once", "unused-vertex", "reversed-segment"])
+def test_build_mesh_rejects_each_defect(square_mesh, defect, message):
+    v, t, segs, inner = _mesh_arrays(square_mesh)
+    meshmod._build_mesh(v, t, segs, None)  # the arrays as they are build a mesh
+    with pytest.raises(GeometryError, match=message):
+        meshmod._build_mesh(*defect(v, t, segs, inner), None)
 
 
 def test_refine_single_triangle_area():
@@ -87,16 +138,15 @@ def test_refine_keeps_old_vertices(cusp15_mesh):
     n = cusp15_mesh.num_vertices
     assert np.array_equal(ref.vertices[:n], cusp15_mesh.vertices)
     assert ref.num_vertices > n
-    meshmod.validate(ref)
 
 
 def test_weighted_length_monotone_to_exact(cusp15_mesh):
     exact = exact_weighted_boundary_length(1.5)
-    vals = [boundary_weighted_length(cusp15_mesh)]
+    vals = [boundary_weighted_measure(cusp15_mesh, ProblemConfig())]
     msh = cusp15_mesh
     for _ in range(3):
         msh = refine_uniform(msh)
-        vals.append(boundary_weighted_length(msh))
+        vals.append(boundary_weighted_measure(msh, ProblemConfig()))
     assert all(b > a for a, b in zip(vals, vals[1:]))
     assert all(v <= exact + 1e-9 for v in vals)
     assert abs(vals[-1] - exact) < abs(vals[0] - exact)
@@ -105,7 +155,7 @@ def test_weighted_length_monotone_to_exact(cusp15_mesh):
 def test_weighted_length_rate_on_disk(disk_mesh_chain):
     # smooth boundary data: quadrature error decays at second order or better
     exact = 2.0 * math.pi
-    errs = [abs(boundary_weighted_length(m) - exact) for m in disk_mesh_chain]
+    errs = [abs(boundary_weighted_measure(m, ProblemConfig()) - exact) for m in disk_mesh_chain]
     rate = math.log2(errs[0] / errs[1])
     rate2 = math.log2(errs[1] / errs[2])
     assert rate >= 1.9 and rate2 >= 1.9
@@ -144,7 +194,6 @@ def test_encroached_segment_is_split_at_its_midpoint():
     # target_h is far above the polygon's size
     poly = polygon_from_points([(0, 0), (2, 0), (2, 1), (1, 0.2), (0, 1)])
     msh = triangulate(poly, 10.0)
-    meshmod.validate(msh)
     assert np.any(np.all(msh.vertices == [1.0, 0.0], axis=1))
     assert mesh_area(msh) == pytest.approx(shoelace(poly.points), rel=1e-12)
     # no boundary edge is left encroached by its triangle's third vertex
@@ -177,14 +226,13 @@ def test_shipped_config_base_meshes_validate():
     assert paths
     for path in paths:
         cp = cli.load_config(path)
-        meshmod.validate(cli.build_base_mesh(cp, cli.build_domain(cp)))
+        cli.build_base_mesh(cp, cli.build_domain(cp))
     cp = cli.load_config(configs / "sweep.ini")
     grading = cp.getfloat("domain", "grading_q")
     for alpha in cp.get("sweep", "alphas").split(","):
         poly = boundary_polygon(DomainSpec.cusp(float(alpha)), cp.getint("sweep", "n_lateral"),
                                 cp.getint("sweep", "n_arc"), grading)
-        meshmod.validate(triangulate(poly, cp.getfloat("sweep", "target_h"),
-                                     tip_grading=grading))
+        triangulate(poly, cp.getfloat("sweep", "target_h"), tip_grading=grading)
 
 
 def test_refinement_past_the_element_budget_raises(monkeypatch, disk_polygon):
