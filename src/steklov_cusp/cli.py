@@ -260,8 +260,6 @@ def cmd_mesh(cp, manifest: Manifest, seed: int):
     spec = build_domain(cp)
     msh = build_base_mesh(cp, spec)
     manifest.add_mesh(msh)
-    if spec.kind == "cusp":
-        manifest.add("geometry.t_star", geometry.cusp_cap_intersection(spec))
     manifest.stage("mesh")
     manifest.write_vtk("mesh.vtk", msh, "steklov-cusp mesh")
     manifest.write_csv("vertices.csv", "index,x,y",

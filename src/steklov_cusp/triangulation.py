@@ -2,7 +2,7 @@
 
 Incremental Bowyer-Watson insertion into a super-triangle, exterior
 removal, then refinement driven by a local size law and a minimum-angle
-bound.  Predicates are floating point with an exact rational fallback, so
+bound.  Predicates are floating point with an exact integer fallback, so
 near-degenerate slivers inside the cusp channel are handled consistently.
 
 Adjacency is one map of directed half-edges, half[(u, v)] = tid for each
@@ -32,14 +32,33 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .geometry import BoundaryPolygon, BoundaryTag, GeometryError, cusp_cap_intersection
 
 _MIN_ANGLE_DEG = 20.0
+_MIN_COS = math.cos(math.radians(_MIN_ANGLE_DEG))
 ELEMENT_BUDGET = 200_000  # vertices; inserting one past it raises GeometryError
+
+# Shewchuk's ccwerrboundA and iccerrboundA (Discrete Comput. Geom. 18, 1997).
+# They assume no product underflows or overflows, so a float determinant is
+# trusted only while its permanent lies in [_TINY, inf).
+_EPS = 2.0 ** -53
+_CCW_BOUND = (3.0 + 16.0 * _EPS) * _EPS
+_ICC_BOUND = (10.0 + 96.0 * _EPS) * _EPS
+_TINY = 2.0 ** -960
+
+
+def _as_integers(*xs):
+    """The doubles xs as integers over one shared power-of-two denominator."""
+    ratios = [x.as_integer_ratio() for x in xs]
+    den = max(d for _, d in ratios)
+    return [n * (den // d) for n, d in ratios]
+
+
+def _sign(exact):
+    return 1e-30 if exact > 0 else -1e-30 if exact < 0 else 0.0
 
 
 def orient2d(ax, ay, bx, by, cx, cy):
@@ -48,21 +67,16 @@ def orient2d(ax, ay, bx, by, cx, cy):
     detright = (ay - cy) * (bx - cx)
     det = detleft - detright
     detsum = abs(detleft) + abs(detright)
-    if abs(det) >= 3.33e-16 * detsum:
+    if _TINY <= detsum < math.inf and abs(det) >= _CCW_BOUND * detsum:
         return det
-    if det == 0.0 and detsum == 0.0:
-        return 0.0
-    exact = (Fraction(ax) - Fraction(cx)) * (Fraction(by) - Fraction(cy)) \
-        - (Fraction(ay) - Fraction(cy)) * (Fraction(bx) - Fraction(cx))
-    if exact > 0:
-        return 1e-30
-    if exact < 0:
-        return -1e-30
-    return 0.0
+    ax, ay, bx, by, cx, cy = _as_integers(ax, ay, bx, by, cx, cy)
+    return _sign((ax - cx) * (by - cy) - (ay - cy) * (bx - cx))
 
 
 def incircle(ax, ay, bx, by, cx, cy, dx, dy):
-    """Positive iff d lies strictly inside the circumcircle of CCW (a, b, c)."""
+    """Positive iff d lies strictly inside the circumcircle of CCW (a, b, c).
+    Not certified when coordinate differences span hundreds of binary orders
+    of magnitude: a product may then underflow while the permanent does not."""
     adx, ady = ax - dx, ay - dy
     bdx, bdy = bx - dx, by - dy
     cdx, cdy = cx - dx, cy - dy
@@ -75,20 +89,13 @@ def incircle(ax, ay, bx, by, cx, cy, dx, dy):
     perm = (ad2 * (abs(bdx * cdy) + abs(bdy * cdx))
             + bd2 * (abs(adx * cdy) + abs(ady * cdx))
             + cd2 * (abs(adx * bdy) + abs(ady * bdx)))
-    if abs(det) >= 1.1e-15 * perm:
+    if _TINY <= perm < math.inf and abs(det) >= _ICC_BOUND * perm:
         return det
-    fa = (Fraction(ax) - Fraction(dx), Fraction(ay) - Fraction(dy))
-    fb = (Fraction(bx) - Fraction(dx), Fraction(by) - Fraction(dy))
-    fc = (Fraction(cx) - Fraction(dx), Fraction(cy) - Fraction(dy))
-    f2 = [v[0] * v[0] + v[1] * v[1] for v in (fa, fb, fc)]
-    exact = (f2[0] * (fb[0] * fc[1] - fb[1] * fc[0])
-             - f2[1] * (fa[0] * fc[1] - fa[1] * fc[0])
-             + f2[2] * (fa[0] * fb[1] - fa[1] * fb[0]))
-    if exact > 0:
-        return 1e-30
-    if exact < 0:
-        return -1e-30
-    return 0.0
+    ax, ay, bx, by, cx, cy, dx, dy = _as_integers(ax, ay, bx, by, cx, cy, dx, dy)
+    adx, ady, bdx, bdy, cdx, cdy = ax - dx, ay - dy, bx - dx, by - dy, cx - dx, cy - dy
+    return _sign((adx * adx + ady * ady) * (bdx * cdy - bdy * cdx)
+                 - (bdx * bdx + bdy * bdy) * (adx * cdy - ady * cdx)
+                 + (cdx * cdx + cdy * cdy) * (adx * bdy - ady * bdx))
 
 
 def _circumcenter(a, b, c):
@@ -302,42 +309,59 @@ class _CDT:
             raise GeometryError(f"segment ({k[0]},{k[1]}) too short to split")
         return pid
 
+    def _segment_circles(self):
+        """Sorted segment keys and arrays (mx, my, r2) of their _diametral."""
+        keys = sorted(self.constrained)
+        return keys, np.array([self._diametral(k) for k in keys]).T
+
+    def _first_encroached(self, p, circles):
+        """The first segment in sorted order whose diametral circle holds p
+        strictly, or None.  Python's float ** need not round as numpy's does,
+        so numpy shortlists with a margin and ** confirms in order."""
+        keys, (mx, my, r2) = circles
+        near = np.flatnonzero((p[0] - mx) ** 2 + (p[1] - my) ** 2 < r2 * (1.0 + 2.0 ** -40))
+        for k in (keys[i] for i in near):
+            cx, cy, cr2 = self._diametral(k)
+            if (p[0] - cx) ** 2 + (p[1] - cy) ** 2 < cr2:
+                return k
+        return None
+
+    def _judge(self, tid, size_fn, exempt_fn):
+        """The verdict on triangle tid: "size", "quality" or None (good or exempt)."""
+        a, b, c = self.tris[tid]
+        pa, pb, pc = self.pts[a], self.pts[b], self.pts[c]
+        if exempt_fn(pa) and exempt_fn(pb) and exempt_fn(pc):
+            return None
+        l2 = [(p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2 for p, q in ((pa, pb), (pb, pc), (pc, pa))]
+        lmax = math.sqrt(max(l2))
+        cen = ((pa[0] + pb[0] + pc[0]) / 3.0, (pa[1] + pb[1] + pc[1]) / 3.0)
+        if lmax > size_fn(cen):
+            return "size"
+        # min angle via max cosine; angle i sits between edges i->j, i->k
+        sides = [math.sqrt(x) for x in l2]  # |ab|, |bc|, |ca|
+        verts = (pa, pb, pc)
+        for i in range(3):
+            p0, p1, p2 = verts[i], verts[(i + 1) % 3], verts[(i + 2) % 3]
+            n1, n2 = sides[i], sides[(i + 2) % 3]
+            if n1 == 0.0 or n2 == 0.0:
+                return "quality"
+            dot = (p1[0] - p0[0]) * (p2[0] - p0[0]) + (p1[1] - p0[1]) * (p2[1] - p0[1])
+            if dot / (n1 * n2) > _MIN_COS:
+                return "quality"
+        return None
+
     def refine(self, size_fn, exempt_fn):
         """Ruppert loop: split encroached segments, then fix undersized or
         skinny triangles by circumcenter insertion (or by splitting the
         segment that blocks the circumcenter); a bad triangle without a
-        circumcenter, or blocked by an exempt segment, is skipped."""
-        min_cos = math.cos(math.radians(_MIN_ANGLE_DEG))
+        circumcenter, or blocked by an exempt segment, is skipped.
 
-        def tri_bad(tid):
-            a, b, c = self.tris[tid]
-            pa, pb, pc = self.pts[a], self.pts[b], self.pts[c]
-            if exempt_fn(pa) and exempt_fn(pb) and exempt_fn(pc):
-                return None
-            l2 = []
-            for p, q in ((pa, pb), (pb, pc), (pc, pa)):
-                l2.append((p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2)
-            lmax = math.sqrt(max(l2))
-            cen = ((pa[0] + pb[0] + pc[0]) / 3.0, (pa[1] + pb[1] + pc[1]) / 3.0)
-            if lmax > size_fn(cen):
-                return "size"
-            # min angle via max cosine; angle i sits between edges i->j, i->k
-            sides = [math.sqrt(x) for x in l2]  # |ab|, |bc|, |ca|
-            verts = (pa, pb, pc)
-            for i in range(3):
-                p0 = verts[i]
-                p1 = verts[(i + 1) % 3]
-                p2 = verts[(i + 2) % 3]
-                d1 = (p1[0] - p0[0], p1[1] - p0[1])
-                d2 = (p2[0] - p0[0], p2[1] - p0[1])
-                n1 = sides[i]
-                n2 = sides[(i + 2) % 3]
-                if n1 == 0.0 or n2 == 0.0:
-                    return "quality"
-                cosang = (d1[0] * d2[0] + d1[1] * d2[1]) / (n1 * n2)
-                if cosang > min_cos:
-                    return "quality"
-            return None
+        A verdict depends only on the triangle's vertices, which never move,
+        and ids are never reused, so each id is judged once.  The segment
+        circles change only when a segment is split, so only a split drops
+        their table."""
+        verdicts = {}  # tid -> _judge(tid)
+        circles = None  # _segment_circles(), or None after a split
 
         while True:
             changed = False
@@ -352,30 +376,30 @@ class _CDT:
                 length = math.hypot(pu[0] - pv[0], pu[1] - pv[1])
                 if length > size_fn(mid) or self._seg_encroached(k):
                     self._split_segment(k)
+                    circles = None
                     changed = True
             # then triangles
             for tid in sorted(self.tris):
                 if tid not in self.tris:
                     continue
-                reason = tri_bad(tid)
-                if reason is None:
+                if tid not in verdicts:
+                    verdicts[tid] = self._judge(tid, size_fn, exempt_fn)
+                if verdicts[tid] is None:
                     continue
                 a, b, c = self.tris[tid]
                 cc = _circumcenter(self.pts[a], self.pts[b], self.pts[c])
-                target = None
                 if cc is None:
                     continue
                 # a circumcenter that encroaches a constrained segment splits
                 # that segment instead (the first one in sorted order)
-                for k in sorted(self.constrained):
-                    mx, my, r2 = self._diametral(k)
-                    if (cc[0] - mx) ** 2 + (cc[1] - my) ** 2 < r2:
-                        target = k
-                        break
+                if circles is None:
+                    circles = self._segment_circles()
+                target = self._first_encroached(cc, circles)
                 if target is not None:
                     if exempt_fn(self._diametral(target)[:2]):
                         continue
                     self._split_segment(target)
+                    circles = None
                 else:
                     self.insert_point(cc, hint=tid)
                 changed = True

@@ -1,10 +1,12 @@
 """Independent oracles used by the tests: adaptive quadrature, bisection,
-characteristic-polynomial eigenvalues, exact areas of the cusp domain.
+characteristic-polynomial eigenvalues, exact areas of the cusp domain,
+rational geometric predicates.
 
 Everything here is deliberately disjoint from the package's own numerics.
 """
 
 import math
+from fractions import Fraction
 from itertools import permutations
 
 import numpy as np
@@ -130,3 +132,23 @@ def tri_min_angle(pa, pb, pc):
         cosang = float(v1 @ v2) / (np.linalg.norm(v1) * np.linalg.norm(v2))
         angles.append(math.degrees(math.acos(max(-1.0, min(1.0, cosang)))))
     return min(angles)
+
+
+def orient2d_sign(ax, ay, bx, by, cx, cy):
+    """Exact sign (-1, 0, 1) of the orientation of (a, b, c), in rationals."""
+    ax, ay, bx, by, cx, cy = map(Fraction, (ax, ay, bx, by, cx, cy))
+    exact = (ax - cx) * (by - cy) - (ay - cy) * (bx - cx)
+    return (exact > 0) - (exact < 0)
+
+
+def incircle_sign(ax, ay, bx, by, cx, cy, dx, dy):
+    """Exact sign (-1, 0, 1) of the incircle determinant of d against
+    (a, b, c), in rationals."""
+    fa = (Fraction(ax) - Fraction(dx), Fraction(ay) - Fraction(dy))
+    fb = (Fraction(bx) - Fraction(dx), Fraction(by) - Fraction(dy))
+    fc = (Fraction(cx) - Fraction(dx), Fraction(cy) - Fraction(dy))
+    f2 = [v[0] * v[0] + v[1] * v[1] for v in (fa, fb, fc)]
+    exact = (f2[0] * (fb[0] * fc[1] - fb[1] * fc[0])
+             - f2[1] * (fa[0] * fc[1] - fa[1] * fc[0])
+             + f2[2] * (fa[0] * fb[1] - fa[1] * fb[0]))
+    return (exact > 0) - (exact < 0)

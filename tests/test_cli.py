@@ -110,9 +110,9 @@ def test_cmd_mesh_cusp_records_junction(tmp_path):
     out = tmp_path / "mesh_out"
     cfgp = _write(tmp_path, "cusp.ini", CUSP_CONFIG, out)
     assert main(["mesh", "--config", cfgp]) == 0
-    manifest = dict(line.split(" = ", 1) for line in
-                    (out / "manifest.txt").read_text().splitlines())
-    t_star = float(manifest["geometry.t_star"])
+    manifest = _manifest(out)
+    assert "geometry.t_star" not in manifest
+    t_star = float(manifest["mesh.t_star"])
     assert abs(t_star - cusp_cap_intersection(DomainSpec.cusp(2.0))) <= 1e-12
 
 

@@ -11,8 +11,10 @@ from steklov_cusp import (BoundaryTag, DomainSpec, GeometryError, ProblemConfig,
 from steklov_cusp import cli, triangulation
 from steklov_cusp import mesh as meshmod
 from steklov_cusp.fem import boundary_weighted_measure
+from steklov_cusp.triangulation import _CDT, incircle, orient2d
 
-from helpers import exact_weighted_boundary_length, shoelace, tri_min_angle
+from helpers import (exact_weighted_boundary_length, incircle_sign, orient2d_sign, shoelace,
+                     tri_min_angle)
 
 
 def test_square_area_exact(square_mesh):
@@ -206,7 +208,7 @@ def test_encroached_segment_is_split_at_its_midpoint():
 
 def test_walk_beyond_a_boundary_segment_names_it():
     # point location stops at a constrained edge instead of leaving the domain
-    from steklov_cusp.triangulation import Segment, _CDT, _key
+    from steklov_cusp.triangulation import Segment, _key
     square = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
     cdt = _CDT(square)
     ids = [cdt.insert_point(p) for p in square]
@@ -245,3 +247,139 @@ def test_refinement_past_the_element_budget_raises(monkeypatch, disk_polygon):
 def test_nonpositive_target_h_rejected(disk_polygon):
     with pytest.raises(ValueError):
         triangulate(disk_polygon, 0.0)
+
+
+# -- predicates against the rational oracle ------------------------------------
+
+# exact power-of-two rescalings into the subnormals, then decimal ones to
+# 1e-300 and 1e300 (the oracle judges the rescaled doubles themselves)
+_SCALES = (2.0 ** -1074, 2.0 ** -1060, 1e-300, 1e-150, 1e150, 1e300)
+
+
+def _variants(groups):
+    """Each group of points as a flat list of floats, its one-ulp
+    perturbations of every coordinate in both directions, and the rescalings
+    of all of those."""
+    flats = []
+    for group in groups:
+        flat = [float(v) for v in np.ravel(group)]
+        flats.append(flat)
+        for i in range(len(flat)):
+            for towards in (-np.inf, np.inf):
+                flats.append(flat[:i] + [float(np.nextafter(flat[i], towards))] + flat[i + 1:])
+    return flats + [[v * s for v in flat] for flat in flats for s in _SCALES]
+
+
+def _degenerate_groups(size):
+    """Groups of `size` points: cocircular regular 64-gon vertices, collinear
+    lateral samples next to the alpha = 3 cusp tip, and integer configurations
+    (one degenerate, one not) that the 2**-1074 scale makes subnormal."""
+    disk = boundary_polygon(DomainSpec.disk(1.0), n_arc=64).points
+    tip = boundary_polygon(DomainSpec.cusp(3.0), n_lateral=48, n_arc=96, grading_q=4.0).points
+    groups = [disk[[(i + j * step) % 64 for j in range(size)]]
+              for i in range(0, 64, 8) for step in (1, 13)]
+    groups += [tip[i:i + size] for i in range(1, 9)]
+    if size == 3:
+        groups += [[(0, 0), (3, 1), (6, 2)], [(0, 0), (3, 1), (7, 2)]]
+    else:
+        groups += [[(0, 0), (4, 0), (4, 4), (0, 4)], [(0, 0), (4, 0), (4, 5), (0, 4)]]
+    return groups
+
+
+def test_orient2d_matches_rational_oracle():
+    cases = _variants(_degenerate_groups(3))
+    zero = 0
+    for c in cases:
+        exact = orient2d_sign(*c)
+        assert np.sign(orient2d(*c)) == exact, c
+        zero += exact == 0
+    assert zero > 0 and len(cases) - zero > 0
+
+
+def test_incircle_matches_rational_oracle():
+    cases = _variants(_degenerate_groups(4))
+    zero = 0
+    for c in cases:
+        exact = incircle_sign(*c)
+        assert np.sign(incircle(*c)) == exact, c
+        zero += exact == 0
+    assert zero > 0 and len(cases) - zero > 0
+
+
+# 3.33e-16 and 1.1e-15 are Shewchuk's bounds rounded down: a float
+# determinant between them and the bound is within error of the wrong sign
+_CCW_GAP = (3.33e-16, (3.0 + 16.0 * 2.0 ** -53) * 2.0 ** -53)
+_ICC_GAP = (1.1e-15, (10.0 + 96.0 * 2.0 ** -53) * 2.0 ** -53)
+
+
+def test_orient2d_in_the_filter_gap_matches_oracle():
+    # points c rounded from the segment ab: a seeded search for |det|/detsum
+    # in the gap, evaluated as orient2d evaluates it
+    rng = np.random.default_rng(11)
+    a, b = rng.random((2, 400_000, 2))
+    c = a + rng.random((400_000, 1)) * (b - a)
+    detleft = (a[:, 0] - c[:, 0]) * (b[:, 1] - c[:, 1])
+    detright = (a[:, 1] - c[:, 1]) * (b[:, 0] - c[:, 0])
+    ratio = np.abs(detleft - detright) / (np.abs(detleft) + np.abs(detright))
+    found = np.flatnonzero((ratio >= _CCW_GAP[0]) & (ratio < _CCW_GAP[1]))
+    assert len(found) >= 10
+    for i in found:
+        args = [float(v) for v in (*a[i], *b[i], *c[i])]
+        ax, ay, bx, by, cx, cy = args
+        left, right = (ax - cx) * (by - cy), (ay - cy) * (bx - cx)
+        assert _CCW_GAP[0] <= abs(left - right) / (abs(left) + abs(right)) < _CCW_GAP[1]
+        assert np.sign(orient2d(*args)) == orient2d_sign(*args), args
+
+
+def test_incircle_in_the_filter_gap_matches_oracle():
+    # four points rounded from one circle: a seeded search for |det|/perm
+    # in the gap, evaluated as incircle evaluates it
+    rng = np.random.default_rng(12)
+    n = 100_000
+    angle = 2.0 * np.pi * rng.random((n, 4))
+    center, radius = rng.random((n, 1, 2)), 0.1 + rng.random((n, 1, 1))
+    pts = center + radius * np.stack([np.cos(angle), np.sin(angle)], axis=-1)
+    d = pts[:, 3]
+    (adx, ady), (bdx, bdy), (cdx, cdy) = [(pts[:, j, 0] - d[:, 0], pts[:, j, 1] - d[:, 1])
+                                          for j in range(3)]
+    ad2, bd2, cd2 = adx * adx + ady * ady, bdx * bdx + bdy * bdy, cdx * cdx + cdy * cdy
+    det = (ad2 * (bdx * cdy - bdy * cdx) - bd2 * (adx * cdy - ady * cdx)
+           + cd2 * (adx * bdy - ady * bdx))
+    perm = (ad2 * (np.abs(bdx * cdy) + np.abs(bdy * cdx))
+            + bd2 * (np.abs(adx * cdy) + np.abs(ady * cdx))
+            + cd2 * (np.abs(adx * bdy) + np.abs(ady * bdx)))
+    found = np.flatnonzero((np.abs(det) >= _ICC_GAP[0] * perm) & (np.abs(det) < _ICC_GAP[1] * perm))
+    assert len(found) >= 10
+    for i in found:
+        args = [float(v) for v in pts[i].ravel()]
+        assert np.sign(incircle(*args)) == incircle_sign(*args), args
+
+
+# -- refinement work ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name, target_h", [("disk_polygon", 0.25), ("cusp15_polygon", 0.35)])
+def test_refine_judges_each_triangle_once(request, monkeypatch, name, target_h):
+    # a verdict depends only on a triangle's vertices, so refine judges each
+    # id once; the segment circles change only on a split
+    judged, counts = [], {"tables": 0, "splits": 0}
+    judge, circles, split = _CDT._judge, _CDT._segment_circles, _CDT._split_segment
+
+    def counting_judge(self, tid, *args):
+        judged.append(tid)
+        return judge(self, tid, *args)
+
+    def counting_circles(self):
+        counts["tables"] += 1
+        return circles(self)
+
+    def counting_split(self, k):
+        counts["splits"] += 1
+        return split(self, k)
+
+    monkeypatch.setattr(_CDT, "_judge", counting_judge)
+    monkeypatch.setattr(_CDT, "_segment_circles", counting_circles)
+    monkeypatch.setattr(_CDT, "_split_segment", counting_split)
+    triangulate(request.getfixturevalue(name), target_h)
+    assert judged and len(set(judged)) == len(judged)
+    assert 0 < counts["tables"] <= counts["splits"] + 1
