@@ -300,6 +300,9 @@ def cmd_solve(cp, manifest: Manifest, seed: int):
           r.constraint_residual, r.weakform_residual, r.converged) for r in results))
     manifest.write_vtk("eigenfunction.vtk", msh, "steklov-cusp eigenfunction", u=results[0].u)
     manifest.add("lambda", results[0].eigenvalue)
+    for row, r in enumerate(results, 1):
+        manifest.add(f"results.row{row}.newton_steps", r.newton_steps)
+        manifest.add(f"results.row{row}.descent_stop", r.descent_stop)
     manifest.stage("write")
     if not all(r.converged for r in results):
         return EXIT_SOLVER, "solver did not converge"

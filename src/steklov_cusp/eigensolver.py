@@ -8,8 +8,10 @@ constant, whose value is the unique root of a strictly decreasing scalar
 function.  Because any value-driven method goes flat near sqrt(machine eps)
 eigenvector accuracy, a stalled descent is finished by one residual-driven
 terminal phase, damped Newton on the bordered stationarity system
-(_bordered_newton); each step factors the interior block once and forms
-the boundary Schur complement from the forward half-solve
+(_bordered_newton), which the descent is offered once, at the first stall
+of its weak-form residual (long before its value stalls); a declined offer
+leaves the descent's bits.  Each Newton step factors the interior block
+once and forms the boundary Schur complement from the forward half-solve
 (linalg.Factor.lower).  Every matrix here is assembled on the mesh's cached
 sparsity patterns (linalg.Pattern) and split into interior and boundary
 blocks by index arrays kept with them (linalg.BoundarySplit), so a Newton
@@ -54,8 +56,11 @@ class EigenResult:
     with the constraint-multiplier direction removed, divided by the scale
     of its two sides.  constraint_residual is |constraint functional| in
     absolute terms.  energy_history records the accepted objective values of
-    the descent (non-increasing); the steps of the terminal Newton phase
-    that may follow only count toward iterations.
+    the descent (non-increasing); iterations counts the descent steps plus
+    the newton_steps of the terminal phase.  descent_stop says what ended
+    the descent: "residual stall" (Newton's result at the offer was taken),
+    "value stall", "zero slope", "line search", "iteration cap", or "direct"
+    for solve_p2.
     """
 
     eigenvalue: float
@@ -66,6 +71,8 @@ class EigenResult:
     weakform_residual: float = 0.0
     converged: bool = True
     p2_spectrum: np.ndarray | None = None
+    newton_steps: int = 0
+    descent_stop: str = ""
 
 
 def rayleigh(mesh: Mesh, cfg: ProblemConfig, u) -> float:
@@ -176,7 +183,12 @@ class _DescentOutcome:
     u: np.ndarray
     history: list
     iterations: int
-    stalled: bool
+    stop: str
+    finished: EigenResult | None = None  # finish's result, when the offer was taken
+
+    @property
+    def stalled(self) -> bool:
+        return self.stop not in ("iteration cap", "residual stall")
 
 
 def _eps_schedule(cfg: ProblemConfig):
@@ -189,7 +201,7 @@ def _eps_schedule(cfg: ProblemConfig):
 
 
 def _descent(mesh, cfg, u0, denom_fn, denom_grad_fn, factor,
-             iteration_cap=ITERATION_CAP, stall_rtol=STALL_RTOL, on_accept=None):
+             iteration_cap=ITERATION_CAP, stall_rtol=STALL_RTOL, on_accept=None, finish=None):
     """Projected, preconditioned descent of numerator/denominator on the
     shifted-and-rescaled constraint manifold.  Returns the final iterate and
     the non-increasing history of accepted objective values, one leg per
@@ -202,19 +214,25 @@ def _descent(mesh, cfg, u0, denom_fn, denom_grad_fn, factor,
     at every step; the caller builds it once, so solve_p shares one factor
     among all its starts.  on_accept(u) is called after every accepted step
     (used by tests to monitor per-iterate invariants).
+
+    finish, if given, is offered the field once, at the first residual stall
+    of the eps = 0 leg: no weak-form residual (from the step's own gradients)
+    of the last STALL_WINDOW iterates is below half the smallest before them.
+    finish(outcome, value) returns a result to stop with, or None to
+    decline; a declined offer leaves the descent untouched.
     """
     p = cfg.p
     u = _retract(mesh, cfg, np.asarray(u0, dtype=float), denom_fn)
     history = []
+    residuals = []
     total_iters = 0
-    stalled = False
     step = 1.0
 
     for eps in _eps_schedule(cfg):
         value = fem.energy(mesh, cfg, u, eps)  # denominator is 1 after retract
         history.append(value)
         leg_start = len(history)
-        stalled = False
+        stop = "iteration cap"
         while total_iters < iteration_cap:
             g_num = fem.energy_gradient(mesh, cfg, u, eps)
             g_den = denom_grad_fn(mesh, cfg, u)
@@ -222,13 +240,22 @@ def _descent(mesh, cfg, u0, denom_fn, denom_grad_fn, factor,
             # component a constant shift can absorb (zero for the boundary
             # denominator at feasible points, nonzero for the volume one)
             gdir = (p - 1.0) * fem.constraint_gradient_direction(mesh, cfg, u)
+            if finish is not None and eps == 0.0:
+                residuals.append(_relative_residual(g_num, g_den, value, gdir))
+                if (len(residuals) > STALL_WINDOW and min(residuals[-STALL_WINDOW:])
+                        >= 0.5 * min(residuals[:-STALL_WINDOW])):
+                    offered = _DescentOutcome(u, list(history), total_iters, "residual stall")
+                    offered.finished = finish(offered, value)
+                    if offered.finished is not None:
+                        return offered
+                    finish = None
             gdir_sum = float(gdir.sum())
             if gdir_sum != 0.0:
                 g = g - (float(g.sum()) / gdir_sum) * gdir
             d = factor.solve(g)
             slope = float(g @ d)
             if slope <= 1e-18 * max(1.0, abs(value)):
-                stalled = True
+                stop = "zero slope"
                 break
             accepted = False
             s = min(2.0 * step, 1e3)
@@ -248,7 +275,7 @@ def _descent(mesh, cfg, u0, denom_fn, denom_grad_fn, factor,
                 # happens when the achievable decrease is below fp resolution
                 if slope > 1e8 * max(1.0, abs(value)):
                     raise SolveError("line search failed at a non-stationary point")
-                stalled = True
+                stop = "line search"
                 break
             u = trial
             value = t_value
@@ -260,10 +287,9 @@ def _descent(mesh, cfg, u0, denom_fn, denom_grad_fn, factor,
             if len(history) - leg_start >= STALL_WINDOW:
                 drop = history[-1 - STALL_WINDOW] - history[-1]
                 if drop < stall_rtol * max(abs(history[-1]), 1e-300):
-                    stalled = True
+                    stop = "value stall"
                     break
-    return _DescentOutcome(u=u, history=history, iterations=total_iters,
-                           stalled=stalled)
+    return _DescentOutcome(u=u, history=history, iterations=total_iters, stop=stop)
 
 
 def _bordered_newton(mesh, cfg, u):
@@ -368,7 +394,7 @@ def _bordered_newton(mesh, cfg, u):
     return u, value, steps, res
 
 
-def _finalize_run(mesh, cfg, u, iterations, history) -> EigenResult:
+def _finalize_run(mesh, cfg, u, outcome, newton_steps=0) -> EigenResult:
     lam = rayleigh(mesh, cfg, u)
     res = weakform_residual(mesh, cfg, u, lam)
     cres = abs(fem.constraint_functional(mesh, cfg, u))
@@ -379,9 +405,15 @@ def _finalize_run(mesh, cfg, u, iterations, history) -> EigenResult:
     # counts only if it already meets the standard
     converged = (res <= WEAKFORM_RTOL
                  and cres <= CONSTRAINT_TOL_FACTOR * measure)
-    return EigenResult(eigenvalue=lam, u=u, iterations=iterations,
-                       energy_history=history, constraint_residual=cres,
-                       weakform_residual=res, converged=converged)
+    return EigenResult(eigenvalue=lam, u=u, iterations=outcome.iterations + newton_steps,
+                       energy_history=outcome.history, constraint_residual=cres,
+                       weakform_residual=res, converged=converged,
+                       newton_steps=newton_steps, descent_stop=outcome.stop)
+
+
+def _newton_finish(mesh, cfg, outcome) -> EigenResult:
+    u, _, steps, _ = _bordered_newton(mesh, cfg, outcome.u)
+    return _finalize_run(mesh, cfg, u, outcome, steps)
 
 
 def solve_p(mesh: Mesh, cfg: ProblemConfig, restarts: int = 3, seed: int = 0,
@@ -389,12 +421,15 @@ def solve_p(mesh: Mesh, cfg: ProblemConfig, restarts: int = 3, seed: int = 0,
     """Minimize the Rayleigh quotient on the admissible set.
 
     The first run starts from the p = 2 eigenfunction of the same weighted
-    problem; the remaining restarts start from seeded random fields.  A run
-    whose descent stalls above 0.1 * WEAKFORM_RTOL is finished by the
-    terminal bordered-Newton phase.  iteration_cap bounds the work of each
-    run: a descent that reaches it is returned as it stands, without the
-    terminal phase, and is converged only if it already meets the residual
-    standard.  The smallest converged eigenvalue wins; the problem is
+    problem; the remaining restarts start from seeded random fields.  At its
+    first residual stall a run's descent offers its field to the terminal
+    bordered-Newton phase once, and stops with Newton's result if that is
+    converged and no higher than the descent's value at the offer; else it
+    goes on with the bits it would have had.  A run whose descent stalls
+    above 0.1 * WEAKFORM_RTOL is finished by the terminal phase.
+    iteration_cap bounds the work of each run: a descent that reaches it is
+    returned as it stands, without the terminal phase, and is converged
+    only if it already meets the residual standard.  The smallest converged eigenvalue wins; the problem is
     non-convex for p != 2, so the result is a minimizer candidate, not a
     certified global minimum.  The descent runs its own regularization
     (a ladder of eps down to 0 for p < 2, none for p >= 2).
@@ -411,6 +446,10 @@ def solve_p(mesh: Mesh, cfg: ProblemConfig, restarts: int = 3, seed: int = 0,
     for _ in range(max(0, restarts - 1)):
         starts.append(rng.standard_normal(mesh.num_vertices))
 
+    def offer(outcome, value):
+        result = _newton_finish(mesh, cfg, outcome)
+        return result if result.converged and result.eigenvalue <= value else None
+
     best = None
     for start_idx, u_init in enumerate(starts):
         # random restarts are basin probes: they stall earlier and rely on
@@ -418,13 +457,10 @@ def solve_p(mesh: Mesh, cfg: ProblemConfig, restarts: int = 3, seed: int = 0,
         run_rtol = STALL_RTOL if start_idx == 0 else 1e-6
         outcome = _descent(mesh, cfg, u_init, fem.boundary_pnorm,
                            fem.boundary_pnorm_gradient, factor,
-                           iteration_cap=iteration_cap, stall_rtol=run_rtol)
-        result = _finalize_run(mesh, cfg, outcome.u, outcome.iterations, outcome.history)
+                           iteration_cap=iteration_cap, stall_rtol=run_rtol, finish=offer)
+        result = outcome.finished or _finalize_run(mesh, cfg, outcome.u, outcome)
         if outcome.stalled and result.weakform_residual > 0.1 * WEAKFORM_RTOL:
-            # energy_history keeps documenting the descent only
-            u, _, steps, _ = _bordered_newton(mesh, cfg, outcome.u)
-            result = _finalize_run(mesh, cfg, u, outcome.iterations + steps,
-                                   outcome.history)
+            result = _newton_finish(mesh, cfg, outcome)
         if best is None:
             best = result
         elif result.converged and not best.converged:
@@ -541,4 +577,4 @@ def solve_p2(mesh: Mesh, weighted: bool, k: int = 1) -> EigenResult:
                        energy_history=[lam], constraint_residual=cres,
                        weakform_residual=float(residuals[0]),
                        converged=bool(residuals[0] <= WEAKFORM_RTOL),
-                       p2_spectrum=vals)
+                       p2_spectrum=vals, descent_stop="direct")

@@ -304,9 +304,15 @@ def test_cmd_solve_on_a_refined_mesh(tmp_path):
     assert main(["solve", "--config", _write(tmp_path, "refined.ini", coarse, out)]) == 0
     base = triangulate(boundary_polygon(DomainSpec.cusp(2.0), n_lateral=8, n_arc=16,
                                         grading_q=2.0), 0.6, tip_grading=2.0)
-    assert int(_manifest(out)["mesh.vertices"]) == refine_uniform(base).num_vertices
-    # the descent row and the direct p = 2 row
+    manifest = _manifest(out)
+    assert int(manifest["mesh.vertices"]) == refine_uniform(base).num_vertices
+    # the descent row and the direct p = 2 row, each with how its run ended
     assert len((out / "results.csv").read_text().splitlines()) == 3
+    assert manifest["results.row1.descent_stop"] in (
+        "residual stall", "value stall", "zero slope", "line search", "iteration cap")
+    assert int(manifest["results.row1.newton_steps"]) >= 0
+    assert manifest["results.row2.descent_stop"] == "direct"
+    assert manifest["results.row2.newton_steps"] == "0"
 
 
 def test_cmd_solve_p2_solves_the_direct_pair_once(tmp_path, monkeypatch):

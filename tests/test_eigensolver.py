@@ -390,6 +390,84 @@ def test_bordered_newton_finishes_stalled_descent(cusp15_mesh, p):
     assert value <= lam_in * (1.0 + 1e-6)
 
 
+def _disk(n_arc, target_h):
+    poly = boundary_polygon(DomainSpec.disk(1.0), n_lateral=n_arc // 2, n_arc=n_arc,
+                            grading_q=2.0)
+    return triangulate(poly, target_h, tip_grading=2.0)
+
+
+@pytest.fixture(scope="module")
+def disk64_mesh():
+    # the benchmark's eigen_p disk: 32/64 samples, h = 0.25, no refinement
+    return _disk(64, 0.25)
+
+
+def test_offer_at_the_residual_stall_finishes_the_disk(disk64_mesh):
+    # the descent's residual stalls near 3e-5 within a few dozen steps, and
+    # its value only after about 900 more; the offer ends the descent there
+    res = solve_p(disk64_mesh, ProblemConfig(p=2.5, weighted=False), restarts=1)
+    assert res.converged and res.descent_stop == "residual stall"
+    assert res.eigenvalue == pytest.approx(1.086678460540222, rel=1e-12)
+    assert 0 < res.newton_steps < res.iterations
+    assert res.iterations - res.newton_steps <= 50
+
+
+def test_descent_residual_is_the_weakform_residual(disk64_mesh, monkeypatch):
+    # the stall rule reads the residual weakform_residual reports, from the
+    # gradients the step already holds
+    cfg = ProblemConfig(p=2.5, weighted=False)
+    seen, offered = [], []
+    relative_residual = eigensolver._relative_residual
+
+    def recording(*args):
+        seen.append(relative_residual(*args))
+        return seen[-1]
+
+    def finish(outcome, value):
+        offered.append((outcome.u, seen[-1]))
+        return outcome
+
+    monkeypatch.setattr(eigensolver, "_relative_residual", recording)
+    K, M, _ = fem.assemble_p2(disk64_mesh, weighted=False)
+    out = _descent(disk64_mesh, cfg, solve_p2(disk64_mesh, weighted=False).u,
+                   fem.boundary_pnorm, fem.boundary_pnorm_gradient, Factor(K + M),
+                   finish=finish)
+    monkeypatch.undo()
+    assert len(offered) == 1 and out.stop == "residual stall" and out.finished is out
+    u, residual = offered[0]
+    expected = weakform_residual(disk64_mesh, cfg, u, rayleigh(disk64_mesh, cfg, u))
+    assert residual == pytest.approx(expected, rel=1e-12)
+
+
+def test_declined_offer_returns_the_bits_of_the_plain_descent(monkeypatch):
+    # on the 48-gon at p = 2.5 Newton from the residual stall does not reach
+    # the standard, so the offer is declined and the run must equal the
+    # descent without finish, finished by the terminal phase at its stall
+    mesh = _disk(48, 0.3)
+    cfg = ProblemConfig(p=2.5, weighted=False)
+    K, M, _ = fem.assemble_p2(mesh, weighted=False)
+    out = _descent(mesh, cfg, solve_p2(mesh, weighted=False).u, fem.boundary_pnorm,
+                   fem.boundary_pnorm_gradient, Factor(K + M))
+    assert out.stalled
+    u, _, steps, _ = _bordered_newton(mesh, cfg, out.u)
+    old = eigensolver._finalize_run(mesh, cfg, u, out, steps)
+
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return _bordered_newton(*args)
+
+    monkeypatch.setattr(eigensolver, "_bordered_newton", counting)
+    new = solve_p(mesh, cfg, restarts=1)
+    assert len(calls) == 2  # the declined offer and the terminal phase
+    assert new.descent_stop == out.stop != "residual stall"
+    assert new.eigenvalue == old.eigenvalue
+    assert np.array_equal(new.u, old.u)
+    assert new.iterations == old.iterations and new.newton_steps == steps
+    assert new.converged
+
+
 def _stalled_field(mesh, cfg):
     K, M, _ = fem.assemble_p2(mesh, weighted=False)
     out = _descent(mesh, cfg, solve_p2(mesh, weighted=cfg.weighted).u, fem.boundary_pnorm,
