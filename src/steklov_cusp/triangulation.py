@@ -5,6 +5,11 @@ removal, then refinement driven by a local size law and a minimum-angle
 bound.  Predicates are floating point with an exact integer fallback, so
 near-degenerate slivers inside the cusp channel are handled consistently.
 
+The constrained segments are the polygon's own directed edge records
+(geometry.PolygonEdge, domain on the left), keyed by their sorted vertex
+pair.  A split's two halves keep the record's tag and direction, and the new
+vertex takes the mean of the end parameters.
+
 Adjacency is one map of directed half-edges, half[(u, v)] = tid for each
 edge of each CCW triangle, so the neighbour across (u, v) is half[(v, u)].
 Triangle ids only grow, and the triangles on a segment are taken in
@@ -31,11 +36,10 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import BoundaryPolygon, BoundaryTag, GeometryError, cusp_cap_intersection
+from .geometry import BoundaryPolygon, GeometryError, PolygonEdge, cusp_cap_intersection
 
 _MIN_ANGLE_DEG = 20.0
 _MIN_COS = math.cos(math.radians(_MIN_ANGLE_DEG))
@@ -109,21 +113,14 @@ def _circumcenter(a, b, c):
     return ux, uy
 
 
-@dataclass
-class Segment:
-    tag: BoundaryTag
-    pu: float
-    pv: float
-
-
 def _key(u, v):
     return (u, v) if u < v else (v, u)
 
 
 class _CDT:
     """tris: id -> CCW vertex triple; half: directed edge -> id of its
-    triangle; constrained: segment (min, max) -> Segment.  Vertices 0-2 are
-    the super-triangle's, which remove_exterior drops with the exterior."""
+    triangle; constrained: segment (min, max) -> its PolygonEdge.  Vertices
+    0-2 are the super-triangle's, which remove_exterior drops with the exterior."""
 
     def __init__(self, points):
         pts = [tuple(map(float, p)) for p in points]
@@ -137,7 +134,7 @@ class _CDT:
         self.dedupe_tol = 1e-13 * span
         self.tris: dict[int, tuple[int, int, int]] = {}
         self.half: dict[tuple[int, int], int] = {}
-        self.constrained: dict[tuple[int, int], Segment] = {}
+        self.constrained: dict[tuple[int, int], PolygonEdge] = {}
         self._next_tid = 0
         self._last_tid = None
         self._add_tri(0, 1, 2)
@@ -230,8 +227,9 @@ class _CDT:
                     dead.add(nb)
                     queue.append(nb)
 
+        dead = sorted(dead)
         boundary = []
-        for tid in sorted(dead):
+        for tid in dead:
             a, b, c = self.tris[tid]
             for u, v in ((a, b), (b, c), (c, a)):
                 if _key(u, v) == split_key:
@@ -249,18 +247,18 @@ class _CDT:
             raise GeometryError(f"refinement exceeded the element "
                                 f"budget ({ELEMENT_BUDGET} vertices)")
         self.pts.append((float(p[0]), float(p[1])))
-        for tid in sorted(dead):
+        for tid in dead:
             self._remove_tri(tid)
         for u, v in boundary:
             self._add_tri(u, v, pid)
 
         if split_key is not None:
-            # pid is the newest vertex, so it is the larger end of both halves
-            seg = self.constrained.pop(split_key)
-            u, v = split_key
-            pm = 0.5 * (seg.pu + seg.pv)
-            self.constrained[u, pid] = Segment(seg.tag, seg.pu, pm)
-            self.constrained[v, pid] = Segment(seg.tag, seg.pv, pm)
+            # both halves keep the segment's direction; pid is the newest
+            # vertex, so it is the larger end of both keys
+            e = self.constrained.pop(split_key)
+            pm = 0.5 * (e.p0 + e.p1)
+            self.constrained[e.i, pid] = PolygonEdge(e.i, pid, e.tag, e.p0, pm)
+            self.constrained[e.j, pid] = PolygonEdge(pid, e.j, e.tag, pm, e.p1)
         return pid
 
     # -- exterior removal ---------------------------------------------------
@@ -367,8 +365,6 @@ class _CDT:
             changed = False
             # segments first: size and encroachment
             for k in sorted(self.constrained):
-                if k not in self.constrained:
-                    continue
                 mid = self._diametral(k)[:2]
                 if exempt_fn(mid):
                     continue
@@ -414,15 +410,8 @@ class _CDT:
         pts = np.array([self.pts[v] for v in used], dtype=float)
         tris = np.array([[remap[v] for v in self.tris[t]] for t in sorted(self.tris)],
                         dtype=np.int64)
-        segs = []
-        for k in sorted(self.constrained):
-            seg = self.constrained[k]
-            u, v = k
-            # direct the edge as it appears in the (CCW) owning triangle
-            if k in self.half:
-                segs.append((remap[u], remap[v], seg.tag, seg.pu, seg.pv))
-            else:
-                segs.append((remap[v], remap[u], seg.tag, seg.pv, seg.pu))
+        segs = [(remap[e.i], remap[e.j], e.tag, e.p0, e.p1)
+                for _, e in sorted(self.constrained.items())]
         return pts, tris, segs
 
 
@@ -436,20 +425,17 @@ def triangulate_polygon(polygon: BoundaryPolygon, target_h: float,
                         tip_grading: float = 2.0):
     """CDT plus graded Ruppert refinement of a boundary polygon.
 
-    Returns (points, triangles, segments) where segments carry the arc tag
-    and the curve parameters at both endpoints, directed so the domain lies
-    on the left.  Every polygon edge must already be an edge of the Delaunay
-    triangulation of the polygon vertices; a polygon edge that is not raises
-    GeometryError.
+    Returns (points, triangles, segments), each segment (i, j, tag, p0, p1)
+    directed as its polygon edge, so the domain lies on its left.  Every
+    polygon edge must already be an edge of the Delaunay triangulation of the
+    polygon vertices; a polygon edge that is not raises GeometryError.
     """
     check_target_h(target_h)
     if tip_grading < 1.0:
         raise ValueError("tip_grading must be at least 1")
 
     cdt = _CDT(polygon.points)
-    ids = []
-    for p in polygon.points:
-        ids.append(cdt.insert_point((float(p[0]), float(p[1]))))
+    ids = [cdt.insert_point((float(p[0]), float(p[1]))) for p in polygon.points]
     if len(set(ids)) != len(polygon.points):
         raise GeometryError("duplicate vertices in the boundary polygon")
     for e in polygon.edges:
@@ -458,27 +444,20 @@ def triangulate_polygon(polygon: BoundaryPolygon, target_h: float,
             raise GeometryError(
                 f"polygon edge ({e.i}, {e.j}) is not an edge of the Delaunay "
                 "triangulation of the polygon vertices")
-        cdt.constrained[_key(a, b)] = Segment(e.tag, e.p0 if a < b else e.p1,
-                                              e.p1 if a < b else e.p0)
+        cdt.constrained[_key(a, b)] = PolygonEdge(a, b, e.tag, e.p0, e.p1)
     cdt.remove_exterior()
 
-    has_tip = polygon.spec is not None and polygon.spec.kind == "cusp"
-    if has_tip:
-        r_ex = 0.5 * cusp_cap_intersection(polygon.spec)
-        grade = tip_grading
-
-        def size_fn(p):
-            d = math.hypot(p[0], p[1])
-            return target_h * min(1.0, d) ** (grade - 1.0)
-
-        def exempt_fn(p):
-            return math.hypot(p[0], p[1]) < r_ex
+    # one tip law: without a cusp, grade 1 sizes by target_h and r_ex 0 exempts nothing
+    if polygon.spec is not None and polygon.spec.kind == "cusp":
+        grade, r_ex = tip_grading, 0.5 * cusp_cap_intersection(polygon.spec)
     else:
-        def size_fn(p):
-            return target_h
+        grade, r_ex = 1.0, 0.0
 
-        def exempt_fn(p):
-            return False
+    def size_fn(p):
+        return target_h * min(1.0, math.hypot(p[0], p[1])) ** (grade - 1.0)
+
+    def exempt_fn(p):
+        return math.hypot(p[0], p[1]) < r_ex
 
     cdt.refine(size_fn, exempt_fn)
     return cdt.extract()

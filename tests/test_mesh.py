@@ -11,6 +11,7 @@ from steklov_cusp import (BoundaryTag, DomainSpec, GeometryError, ProblemConfig,
 from steklov_cusp import cli, triangulation
 from steklov_cusp import mesh as meshmod
 from steklov_cusp.fem import boundary_weighted_measure
+from steklov_cusp.geometry import PolygonEdge
 from steklov_cusp.triangulation import _CDT, incircle, orient2d
 
 from helpers import (exact_weighted_boundary_length, incircle_sign, orient2d_sign, shoelace,
@@ -128,6 +129,30 @@ def test_refine_single_triangle_area():
     assert mesh_area(ref) == pytest.approx(mesh_area(msh), abs=1e-14)
 
 
+def test_boundary_parameters_chain_along_each_arc(disk_mesh):
+    # walking the boundary, an edge that ends where the next edge of the
+    # same tag starts ends at that edge's start parameter (the disk circle
+    # modulo 2 pi): split halves keep their segment's direction
+    bases = [disk_mesh] + [
+        triangulate(boundary_polygon(DomainSpec.cusp(alpha), 12, 24, 2.0), 0.4, tip_grading=2.0)
+        for alpha in (1.25, 2.5, 3.0)]
+    joints = 0
+    for msh in bases + [refine_uniform(m) for m in bases]:
+        b = msh.boundary
+        nxt = {int(v): f for f, v in enumerate(b.v0)}
+        assert len(nxt) == len(b)
+        for e in range(len(b)):
+            f = nxt[int(b.v1[e])]
+            if b.tag[e] is not b.tag[f]:
+                continue
+            gap = b.p1[e] - b.p0[f]
+            if b.tag[e] is BoundaryTag.DISK_CIRCLE:
+                gap %= 2.0 * math.pi
+            assert gap == 0.0, (msh.num_vertices, e, f, b.p1[e], b.p0[f])
+            joints += 1
+    assert joints > 600
+
+
 def test_refine_disk_projects_to_circle(disk_mesh):
     ref = refine_uniform(disk_mesh)
     bv = ref.boundary_vertex_ids()
@@ -208,12 +233,13 @@ def test_encroached_segment_is_split_at_its_midpoint():
 
 def test_walk_beyond_a_boundary_segment_names_it():
     # point location stops at a constrained edge instead of leaving the domain
-    from steklov_cusp.triangulation import Segment, _key
+    from steklov_cusp.triangulation import _key
     square = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
     cdt = _CDT(square)
     ids = [cdt.insert_point(p) for p in square]
     for i in range(4):
-        cdt.constrained[_key(ids[i], ids[(i + 1) % 4])] = Segment(BoundaryTag.SEGMENT, 0.0, 1.0)
+        a, b = ids[i], ids[(i + 1) % 4]
+        cdt.constrained[_key(a, b)] = PolygonEdge(a, b, BoundaryTag.SEGMENT, 0.0, 1.0)
     cdt.remove_exterior()
     right = _key(ids[1], ids[2])
     with pytest.raises(GeometryError, match=re.escape(f"constrained edge {right}")):
