@@ -14,7 +14,8 @@ import numpy as np
 from . import fem, geometry
 from .eigensolver import _descent, solve_p
 from .fem import ProblemConfig
-from .linalg import Complement, Factor, SolveError, generalized_eig_sym, inverse_block
+from .linalg import (Complement, Factor, SolveError, generalized_eig_sym,
+                     generalized_eigvals_sym, inverse_block)
 from .mesh import Mesh, refine_uniform, triangulate
 
 
@@ -25,8 +26,9 @@ def fp_constant(mesh: Mesh, cfg: ProblemConfig, constraint: str = "weighted-boun
 
     Computed as m^(-1/p) where m minimizes energy over the volume p-norm.
     At p = 2 the minimum comes from the dense (stiffness, mass) pencil
-    restricted to the complement of the constraint direction (Complement);
-    at any other p from _fp_descent, seeded by seed.
+    restricted to the complement of the constraint direction (Complement),
+    solved for its values only in eigh's 5 n^2 doubles
+    (generalized_eigvals_sym); at any other p from _fp_descent, seeded by seed.
     The constraint is the problem's own boundary condition, the zero
     integral of u w ds (w = 1 unweighted); "weighted-boundary" is the one
     value constraint accepts.
@@ -38,10 +40,9 @@ def fp_constant(mesh: Mesh, cfg: ProblemConfig, constraint: str = "weighted-boun
 
     K, M, B = fem.assemble_p2(mesh, weighted=cfg.weighted)
     comp = Complement(B.matvec(np.ones(mesh.num_vertices)))
-    # restricted one at a time, so no full dense matrix outlives its
-    # restriction into the eigensolve
-    vals, _ = generalized_eig_sym(comp.restrict(K.to_dense()),
-                                  comp.restrict(M.to_dense()), 1)
+    # each dense matrix is built when the reduction needs it
+    vals = generalized_eigvals_sym(lambda: comp.restrict(K.to_dense()),
+                                   lambda: comp.restrict(M.to_dense()))
     mu = float(vals[0])
     if not mu > 0.0:
         raise SolveError(f"non-positive constrained pencil minimum {mu}")

@@ -402,7 +402,11 @@ class Complement:
     def _reflect(self, X):
         if X.ndim == 1:
             return X - (self._beta * float(self._v @ X)) * self._v
-        return X - self._beta * np.outer(self._v, self._v @ X)
+        # one n x n temporary; (-b o) + X rounds as X - b o does
+        out = np.outer(self._v, self._v @ X)
+        out *= -self._beta
+        out += X
+        return out
 
     def restrict(self, A: np.ndarray) -> np.ndarray:
         return self._reflect(self._reflect(A).T)[1:, 1:]
@@ -450,31 +454,25 @@ def _equilibrated_cholesky(B: np.ndarray, name: str):
 
 def _symmetric_part(A) -> np.ndarray:
     A = np.asarray(A, dtype=float)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise ValueError(f"matrix of shape {A.shape} is not square")
     S = A + A.T
     S *= 0.5
     return S
 
 
-def generalized_eig_sym(A: np.ndarray, B: np.ndarray, k: int | None = None):
-    """k smallest eigenpairs of A x = lambda B x for symmetric A, SPD B.
-
-    Reduces with the equilibrated Cholesky factor of B to a standard
-    symmetric problem, solves it densely, and back-transforms the first k
-    eigenvectors only.  Eigenvalues come out ascending, and bit-identical
-    for every k; eigenvectors B-orthonormal with a deterministic sign
-    convention.  Each n x n temporary is released once it has been used,
-    so at most three n x n arrays live beside the inputs (LAPACK's own
-    eigensolver workspace aside).
-    """
-    n = len(A)
-    if np.shape(A) != (n, n) or np.shape(B) != (n, n):
-        raise ValueError("A and B must be square and of equal size")
-    if k is None:
-        k = n
-    Bs = _symmetric_part(B)
+def _cholesky_reduction(make_a, make_b):
+    """(scale, Linv, C) reducing A x = lambda B x to C y = lambda y with
+    x = diag(scale) Linv^T y: Linv inverts the equilibrated Cholesky factor
+    of sym(B) and C = sym(Linv diag(scale) sym(A) diag(scale) Linv^T).
+    make_b, then make_a, is called once for its input, and each input and
+    temporary is freed after its last use."""
+    Bs = _symmetric_part(make_b())
     scale, L = _equilibrated_cholesky(Bs, "B")
     del Bs
-    As = _symmetric_part(A)
+    As = _symmetric_part(make_a())
+    if As.shape != L.shape:
+        raise ValueError("A and B must be of equal size")
     As *= scale[:, None]
     As *= scale[None, :]
     Linv = np.linalg.inv(L)
@@ -482,7 +480,23 @@ def generalized_eig_sym(A: np.ndarray, B: np.ndarray, k: int | None = None):
     C = Linv @ As
     del As
     C = C @ Linv.T
-    C = _symmetric_part(C)
+    return scale, Linv, _symmetric_part(C)
+
+
+def generalized_eig_sym(A: np.ndarray, B: np.ndarray, k: int | None = None):
+    """k smallest eigenpairs of A x = lambda B x for symmetric A, SPD B.
+
+    Reduces with the equilibrated Cholesky factor of B to a standard
+    symmetric problem (_cholesky_reduction), solves it densely, and
+    back-transforms the first k eigenvectors only.  Eigenvalues come out
+    ascending, and bit-identical for every k; eigenvectors B-orthonormal
+    with a deterministic sign convention.  eigh runs beside A, B and Linv
+    (kept for the back-transform) on C, its copy, the eigenvectors and 2 n^2
+    of LAPACK workspace: 8 n^2 doubles (6.0 n^2 beside A and B, measured).
+    """
+    if k is None:
+        k = len(A)
+    scale, Linv, C = _cholesky_reduction(lambda: A, lambda: B)
     w, Y = np.linalg.eigh(C)
     del C
     V = scale[:, None] * (Linv.T @ Y[:, :k])
@@ -496,6 +510,16 @@ def generalized_eig_sym(A: np.ndarray, B: np.ndarray, k: int | None = None):
     signs[signs == 0.0] = 1.0
     V *= signs
     return w[:k].copy(), V
+
+
+def generalized_eigvals_sym(make_a, make_b) -> np.ndarray:
+    """All eigenvalues of A x = lambda B x, ascending: generalized_eig_sym's
+    bit for bit (eigh, not eigvalsh).  make_a and make_b return A and B
+    (_cholesky_reduction); when they build them, no input outlives its
+    reduction and no factor is kept, so the peak is eigh's 5 n^2 doubles.
+    """
+    C = _cholesky_reduction(make_a, make_b)[2]  # Linv dies with the tuple
+    return np.linalg.eigh(C)[0]
 
 
 def inverse_block(P: SparseSym, idx) -> np.ndarray:

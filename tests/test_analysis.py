@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -26,6 +31,65 @@ def test_fp_descent_matches_pencil_at_p2(cusp15_mesh):
     Cp = fp_constant(cusp15_mesh, cfg)
     Cd = _fp_descent(cusp15_mesh, cfg, seed=0)
     assert abs(Cp - Cd) / Cp <= 1e-6
+
+
+@pytest.mark.parametrize("name", ["cusp15_mesh", "disk_mesh", "square_mesh"])
+@pytest.mark.parametrize("weighted", [True, False])
+def test_fp_p2_keeps_the_bits_of_the_full_eigensolve(request, name, weighted):
+    # the values-only path against the formulation it replaced: both inputs
+    # restricted first, then generalized_eig_sym's smallest value
+    from steklov_cusp import assemble_p2, generalized_eig_sym
+    from steklov_cusp.linalg import Complement
+
+    msh = request.getfixturevalue(name)
+    K, M, B = assemble_p2(msh, weighted=weighted)
+    comp = Complement(B.matvec(np.ones(msh.num_vertices)))
+    mu = generalized_eig_sym(comp.restrict(K.to_dense()), comp.restrict(M.to_dense()), 1)[0][0]
+    C = fp_constant(msh, ProblemConfig(p=2.0, weighted=weighted))
+    assert np.float64(C).tobytes() == np.float64(mu ** -0.5).tobytes()
+
+
+_FP_PEAK_RUN = """
+import resource
+from steklov_cusp import (DomainSpec, ProblemConfig, boundary_polygon, fp_constant,
+                          refine_uniform, triangulate)
+
+def sweep_mesh(levels):
+    msh = triangulate(boundary_polygon(DomainSpec.cusp(2.5), 12, 24, 2.0), 0.4, tip_grading=2.0)
+    for _ in range(levels):
+        msh = refine_uniform(msh)
+    return msh
+
+cfg = ProblemConfig(p=2.0, weighted=True)
+fp_constant(sweep_mesh(0), cfg)
+msh = sweep_mesh(2)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+fp_constant(msh, cfg)
+after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(msh.num_vertices, (after - before) * 1024)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in kilobytes on Linux")
+def test_fp_p2_peak_memory_is_eighs_floor():
+    # process peak growth over one p = 2 FP constant on the alpha = 2.5
+    # level-2 sweep mesh, BLAS warmed up on its base mesh first.  eigh's
+    # floor is 5 n^2 doubles (C, eigh's copy, its eigenvectors, LAPACK's
+    # 2 n^2 workspace); measured 5.3 n^2 with 2 OpenBLAS threads, and
+    # 8.3 n^2 with the restricted inputs and Linv held through eigh, as
+    # generalized_eig_sym holds them.
+    # tracemalloc cannot see LAPACK's workspace, so a fresh process's
+    # ru_maxrss is measured.
+    import steklov_cusp
+
+    src = str(Path(steklov_cusp.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2",
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", _FP_PEAK_RUN], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    n, growth = (int(x) for x in out.split())
+    assert n == 1977
+    assert growth <= 6.5 * 8 * n * n, growth / (8 * n * n)
 
 
 def test_fp_rejects_bad_modes(cusp15_mesh):

@@ -7,7 +7,7 @@ import pytest
 from steklov_cusp import (DomainSpec, ProblemConfig, SolveError, SparseSym, assemble_p2,
                           boundary_polygon, generalized_eig_sym, solve_p2, solve_spd, triangulate)
 from steklov_cusp import fem
-from steklov_cusp.linalg import Complement, Factor, inverse_block
+from steklov_cusp.linalg import Complement, Factor, generalized_eigvals_sym, inverse_block
 
 from helpers import charpoly_eigenvalues
 
@@ -358,10 +358,29 @@ def test_eig_first_k_pairs_match_the_full_solve():
         assert np.allclose(V.T @ B @ V, np.eye(k), atol=1e-12)
 
 
+def test_eigvals_match_the_full_solve_bit_for_bit():
+    rng = np.random.default_rng(37)
+    n = 50
+    A, B = _random_pencil(rng, n)
+    made = []
+    vals = generalized_eigvals_sym(lambda: made.append("A") or A.copy(),
+                                   lambda: made.append("B") or B.copy())
+    assert made == ["B", "A"]
+    assert vals.tobytes() == generalized_eig_sym(A, B)[0].tobytes()
+    with pytest.raises(ValueError, match="not square"):
+        generalized_eigvals_sym(lambda: A, lambda: B[:, :1])
+    with pytest.raises(ValueError, match="not square"):
+        generalized_eigvals_sym(lambda: A[:, :1], lambda: B)
+    with pytest.raises(ValueError, match="of equal size"):
+        generalized_eig_sym(A[:-1, :-1], B)
+
+
 def test_eig_working_set_is_bounded():
-    # the dense reduction keeps at most three n x n arrays alive beside the
-    # two inputs; six n x n doubles leaves one to spare.  tracemalloc sees
-    # numpy's arrays, not the workspace LAPACK allocates inside eigh.
+    # beside the two inputs, at most three n x n numpy arrays are alive at
+    # once (Linv, C and eigh's eigenvectors); six n x n doubles leaves one
+    # to spare.  tracemalloc sees numpy's arrays only: eigh's copy of C and
+    # LAPACK's 2 n^2 workspace bring the process peak to 8 n^2, the inputs
+    # included (6.0 n^2 measured beside them at n = 1976).
     import tracemalloc
 
     n = 400
@@ -419,3 +438,20 @@ def test_complement_restrict_and_lift(lead):
     A = rng.standard_normal((n, n))
     A = A + A.T
     assert np.allclose(comp.restrict(A), Q.T @ A @ Q, atol=1e-13)
+
+
+def test_complement_restrict_keeps_the_bits_of_the_two_temporary_reflection(cusp15_mesh):
+    # restrict reflects with one n x n temporary, (-beta o) + X; the
+    # formula it replaced, X - beta o, rounds the same in IEEE arithmetic
+    def old_restrict(comp, A):
+        def reflect(X):
+            return X - comp._beta * np.outer(comp._v, comp._v @ X)
+        return reflect(reflect(A).T)[1:, 1:]
+
+    rng = np.random.default_rng(19)
+    A = rng.standard_normal((60, 60))
+    K, M, B = assemble_p2(cusp15_mesh, weighted=True)
+    for d, X in ((rng.standard_normal(60), A),
+                 (B.matvec(np.ones(cusp15_mesh.num_vertices)), K.to_dense())):
+        comp = Complement(d)
+        assert comp.restrict(X).tobytes() == old_restrict(comp, X).tobytes()
