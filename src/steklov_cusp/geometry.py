@@ -5,7 +5,8 @@ and the open disk of radius sqrt(2) centered at (0, 2).  For alpha > 1 the
 lateral curves enter the disk before y = 1, so the actual boundary consists of
 the two lateral curves up to the junction height t_star and the part of the
 circle outside the channel (the "cap arc").  A validation disk centered at the
-origin is supported as a second domain kind.
+origin is supported as a second domain kind.  The exact orientation and
+incircle predicates here serve both the polygon check and the triangulator.
 """
 
 from __future__ import annotations
@@ -61,11 +62,6 @@ class DomainSpec:
         return DomainSpec(kind="disk", disk_radius=radius)
 
 
-def _junction_gap(alpha: float, t: float) -> float:
-    # Positive iff the lateral point (t**alpha, t) lies outside the cap disk.
-    return t ** (2.0 * alpha) + (2.0 - t) ** 2 - 2.0
-
-
 def cusp_cap_intersection(spec: DomainSpec) -> float:
     """Smallest height t_star in (0, 1) where the lateral curve meets the cap circle.
 
@@ -77,8 +73,8 @@ def cusp_cap_intersection(spec: DomainSpec) -> float:
         raise ValueError("cusp_cap_intersection requires a cusp domain")
     a = spec.alpha
 
-    def gap(t):
-        return _junction_gap(a, t)
+    def gap(t):  # positive iff the lateral point (t**a, t) lies outside the cap disk
+        return t ** (2.0 * a) + (2.0 - t) ** 2 - 2.0
 
     def dgap(t):
         return 2.0 * a * t ** (2.0 * a - 1.0) - 2.0 * (2.0 - t)
@@ -183,39 +179,106 @@ def polygon_area(points: np.ndarray) -> float:
     return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
 
 
+# Shewchuk's ccwerrboundA and iccerrboundA (Discrete Comput. Geom. 18, 1997).
+# They assume no product underflows or overflows, so a float determinant is
+# trusted only while its permanent lies in [_TINY, inf).
+_EPS = 2.0 ** -53
+_CCW_BOUND = (3.0 + 16.0 * _EPS) * _EPS
+_ICC_BOUND = (10.0 + 96.0 * _EPS) * _EPS
+_TINY = 2.0 ** -960
+
+
+def _as_integers(*xs):
+    """The doubles xs as integers over one shared power-of-two denominator."""
+    ratios = [x.as_integer_ratio() for x in xs]
+    den = max(d for _, d in ratios)
+    return [n * (den // d) for n, d in ratios]
+
+
+def _sign(exact):
+    return 1e-30 if exact > 0 else -1e-30 if exact < 0 else 0.0
+
+
+def orient2d(ax, ay, bx, by, cx, cy):
+    """Sign of twice the signed area of (a, b, c); exact fallback on doubt."""
+    detleft = (ax - cx) * (by - cy)
+    detright = (ay - cy) * (bx - cx)
+    det = detleft - detright
+    detsum = abs(detleft) + abs(detright)
+    if _TINY <= detsum < math.inf and abs(det) >= _CCW_BOUND * detsum:
+        return det
+    ax, ay, bx, by, cx, cy = _as_integers(ax, ay, bx, by, cx, cy)
+    return _sign((ax - cx) * (by - cy) - (ay - cy) * (bx - cx))
+
+
+def incircle(ax, ay, bx, by, cx, cy, dx, dy):
+    """Positive iff d lies strictly inside the circumcircle of CCW (a, b, c).
+    Not certified when coordinate differences span hundreds of binary orders
+    of magnitude: a product may then underflow while the permanent does not."""
+    adx, ady = ax - dx, ay - dy
+    bdx, bdy = bx - dx, by - dy
+    cdx, cdy = cx - dx, cy - dy
+    ad2 = adx * adx + ady * ady
+    bd2 = bdx * bdx + bdy * bdy
+    cd2 = cdx * cdx + cdy * cdy
+    det = (ad2 * (bdx * cdy - bdy * cdx)
+           - bd2 * (adx * cdy - ady * cdx)
+           + cd2 * (adx * bdy - ady * bdx))
+    perm = (ad2 * (abs(bdx * cdy) + abs(bdy * cdx))
+            + bd2 * (abs(adx * cdy) + abs(ady * cdx))
+            + cd2 * (abs(adx * bdy) + abs(ady * bdx)))
+    if _TINY <= perm < math.inf and abs(det) >= _ICC_BOUND * perm:
+        return det
+    ax, ay, bx, by, cx, cy, dx, dy = _as_integers(ax, ay, bx, by, cx, cy, dx, dy)
+    adx, ady, bdx, bdy, cdx, cdy = ax - dx, ay - dy, bx - dx, by - dy, cx - dx, cy - dy
+    return _sign((adx * adx + ady * ady) * (bdx * cdy - bdy * cdx)
+                 - (bdx * bdx + bdy * bdy) * (adx * cdy - ady * cdx)
+                 + (cdx * cdx + cdy * cdy) * (adx * bdy - ady * bdx))
+
+
 def _segments_intersect(p, q, r, s) -> bool:
     # Proper or improper intersection of segments pq and rs.
-    def orient(a, b, c):
-        return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+    d1, d2 = orient2d(*r, *s, *p), orient2d(*r, *s, *q)
+    d3, d4 = orient2d(*p, *q, *r), orient2d(*p, *q, *s)
+    if (d1 > 0 > d2 or d1 < 0 < d2) and (d3 > 0 > d4 or d3 < 0 < d4):
+        return True
+    # or an end of one lies on the other: collinear and inside its box
+    return any(d == 0 and min(a[0], b[0]) <= c[0] <= max(a[0], b[0])
+               and min(a[1], b[1]) <= c[1] <= max(a[1], b[1])
+               for d, a, b, c in ((d1, r, s, p), (d2, r, s, q), (d3, p, q, r), (d4, p, q, s)))
 
-    d1 = orient(r, s, p)
-    d2 = orient(r, s, q)
-    d3 = orient(p, q, r)
-    d4 = orient(p, q, s)
-    if ((d1 > 0 > d2) or (d1 < 0 < d2)) and ((d3 > 0 > d4) or (d3 < 0 < d4)):
-        return True
 
-    def on_seg(a, b, c):
-        return (min(a[0], b[0]) <= c[0] <= max(a[0], b[0])
-                and min(a[1], b[1]) <= c[1] <= max(a[1], b[1]))
-
-    if d1 == 0 and on_seg(r, s, p):
-        return True
-    if d2 == 0 and on_seg(r, s, q):
-        return True
-    if d3 == 0 and on_seg(p, q, r):
-        return True
-    if d4 == 0 and on_seg(p, q, s):
-        return True
-    return False
+def _check_resolvable(points: np.ndarray) -> None:
+    """Raise GeometryError naming two vertices within 1e-13 of the polygon's
+    span, max(x range, y range, 1), of each other in both coordinates: sorted
+    by x, vertices are compared at growing shifts until none is that close in x."""
+    span = max(*np.ptp(points, axis=0), 1.0)
+    tol = 1e-13 * span
+    order = np.argsort(points[:, 0], kind="stable")
+    x, y = points[order].T
+    for k in range(1, len(points)):
+        near = x[k:] - x[:-k] <= tol
+        if not near.any():
+            return
+        hits = np.flatnonzero(near & (np.abs(y[k:] - y[:-k]) <= tol))
+        if len(hits):
+            i, j = sorted(order[[hits[0], hits[0] + k]])
+            (xi, yi), (xj, yj) = points[i], points[j]
+            raise GeometryError(
+                f"polygon vertices {i} ({xi:.6g}, {yi:.6g}) and {j} ({xj:.6g}, {yj:.6g}) "
+                f"are {math.hypot(xi - xj, yi - yj):.3g} apart, within 1e-13 of the "
+                f"polygon's span {span:.6g}: sample the tip more coarsely "
+                "(lower n_lateral or grading_q)")
 
 
 def check_simple(points: np.ndarray) -> None:
-    """Raise GeometryError naming the offending pair if the polygon self-intersects.
+    """Raise GeometryError naming the offending pair if two vertices are too
+    close to resolve (_check_resolvable) or the polygon self-intersects.
 
     Bounding boxes are screened vectorized in chunks; only overlapping
-    non-adjacent pairs get the exact segment test.
+    non-adjacent pairs get the exact segment test (orient2d).
     """
+    _check_resolvable(points)
     m = len(points)
     seg = np.stack([points, np.roll(points, -1, axis=0)], axis=1)
     lo = seg.min(axis=1)
@@ -233,7 +296,7 @@ def check_simple(points: np.ndarray) -> None:
         keep = b_idx > a_idx + 1
         keep &= ~((a_idx == 0) & (b_idx == m - 1))
         for a, b in zip(a_idx[keep], b_idx[keep]):
-            if _segments_intersect(seg[a, 0], seg[a, 1], seg[b, 0], seg[b, 1]):
+            if _segments_intersect(*seg[a].tolist(), *seg[b].tolist()):
                 raise GeometryError(
                     f"polygon self-intersection between segments {a} and {b}")
 
@@ -279,21 +342,21 @@ def boundary_polygon(spec: DomainSpec, n_lateral: int = 32, n_arc: int = 64,
     for tag, vertex_params, edge_params in arcs:
         pts += [curve_point(spec, tag, float(s)) for s in vertex_params]
         ends += [(tag, float(a), float(b)) for a, b in zip(edge_params[:-1], edge_params[1:])]
-    points = np.array(pts, dtype=float)
-    m = len(points)
-    edges = [PolygonEdge(k, (k + 1) % m, *end) for k, end in enumerate(ends)]
-    if polygon_area(points) <= 0.0:
-        raise GeometryError("boundary polygon is not counterclockwise")
-    check_simple(points)
-    return BoundaryPolygon(points=points, edges=edges, spec=spec)
+    return _validated(np.array(pts, dtype=float), ends, spec)
 
 
 def polygon_from_points(points) -> BoundaryPolygon:
     """Wrap a raw counterclockwise point list (weight 1, straight segments)."""
     pts = np.asarray(points, dtype=float)
-    m = len(pts)
-    edges = [PolygonEdge(i, (i + 1) % m, BoundaryTag.SEGMENT, 0.0, 1.0) for i in range(m)]
-    if polygon_area(pts) <= 0.0:
+    return _validated(pts, [(BoundaryTag.SEGMENT, 0.0, 1.0)] * len(pts), None)
+
+
+def _validated(points: np.ndarray, ends, spec) -> BoundaryPolygon:
+    """The polygon whose edge k runs from vertex k to k + 1 (mod m) with
+    ends[k] = (tag, p0, p1), once it is counterclockwise and check_simple passes."""
+    if polygon_area(points) <= 0.0:
         raise GeometryError("polygon is not counterclockwise")
-    check_simple(pts)
-    return BoundaryPolygon(points=pts, edges=edges, spec=None)
+    check_simple(points)
+    m = len(points)
+    edges = [PolygonEdge(k, (k + 1) % m, *end) for k, end in enumerate(ends)]
+    return BoundaryPolygon(points=points, edges=edges, spec=spec)

@@ -207,10 +207,9 @@ def triangulate(polygon: BoundaryPolygon, target_h: float,
     All polygon edges appear as mesh edges.  Away from the cusp tip the
     minimum angle is at least 20 degrees and edge lengths stay below target_h;
     near the tip the polygon grading takes over (see triangulation module).
-    Raises GeometryError if two polygon vertices coincide, or if a polygon
-    edge is not an edge of the Delaunay triangulation of the polygon
-    vertices ("polygon edge (i, j) is not an edge ...", i and j indexing
-    polygon.points); there is no edge recovery.
+    Raises GeometryError if a polygon edge is not an edge of the Delaunay
+    triangulation of the polygon vertices ("polygon edge (i, j) is not an
+    edge ...", i and j indexing polygon.points); there is no edge recovery.
     """
     return _build_mesh(*triangulate_polygon(polygon, target_h, tip_grading), polygon.spec)
 

@@ -2,8 +2,9 @@
 
 Incremental Bowyer-Watson insertion into a super-triangle, exterior
 removal, then refinement driven by a local size law and a minimum-angle
-bound.  Predicates are floating point with an exact integer fallback, so
-near-degenerate slivers inside the cusp channel are handled consistently.
+bound.  The predicates are geometry's exact orient2d and incircle, so
+near-degenerate slivers inside the cusp channel are handled consistently,
+and a point is the same vertex as another only if their coordinates are.
 
 The constrained segments are the polygon's own directed edge records
 (geometry.PolygonEdge, domain on the left), keyed by their sorted vertex
@@ -13,7 +14,7 @@ vertex takes the mean of the end parameters.
 Adjacency is one map of directed half-edges, half[(u, v)] = tid for each
 edge of each CCW triangle, so the neighbour across (u, v) is half[(v, u)].
 Triangle ids only grow, and the triangles on a segment are taken in
-ascending id, so vertex dedupe and segment splits see them in a fixed order.
+ascending id, so segment splits see them in a fixed order.
 
 There is no edge recovery: each polygon edge must already be an edge of
 the Delaunay triangulation of the polygon vertices, and one that is not
@@ -39,67 +40,12 @@ from collections import deque
 
 import numpy as np
 
-from .geometry import BoundaryPolygon, GeometryError, PolygonEdge, cusp_cap_intersection
+from .geometry import (BoundaryPolygon, GeometryError, PolygonEdge, cusp_cap_intersection,
+                       incircle, orient2d)
 
 _MIN_ANGLE_DEG = 20.0
 _MIN_COS = math.cos(math.radians(_MIN_ANGLE_DEG))
 ELEMENT_BUDGET = 200_000  # vertices; inserting one past it raises GeometryError
-
-# Shewchuk's ccwerrboundA and iccerrboundA (Discrete Comput. Geom. 18, 1997).
-# They assume no product underflows or overflows, so a float determinant is
-# trusted only while its permanent lies in [_TINY, inf).
-_EPS = 2.0 ** -53
-_CCW_BOUND = (3.0 + 16.0 * _EPS) * _EPS
-_ICC_BOUND = (10.0 + 96.0 * _EPS) * _EPS
-_TINY = 2.0 ** -960
-
-
-def _as_integers(*xs):
-    """The doubles xs as integers over one shared power-of-two denominator."""
-    ratios = [x.as_integer_ratio() for x in xs]
-    den = max(d for _, d in ratios)
-    return [n * (den // d) for n, d in ratios]
-
-
-def _sign(exact):
-    return 1e-30 if exact > 0 else -1e-30 if exact < 0 else 0.0
-
-
-def orient2d(ax, ay, bx, by, cx, cy):
-    """Sign of twice the signed area of (a, b, c); exact fallback on doubt."""
-    detleft = (ax - cx) * (by - cy)
-    detright = (ay - cy) * (bx - cx)
-    det = detleft - detright
-    detsum = abs(detleft) + abs(detright)
-    if _TINY <= detsum < math.inf and abs(det) >= _CCW_BOUND * detsum:
-        return det
-    ax, ay, bx, by, cx, cy = _as_integers(ax, ay, bx, by, cx, cy)
-    return _sign((ax - cx) * (by - cy) - (ay - cy) * (bx - cx))
-
-
-def incircle(ax, ay, bx, by, cx, cy, dx, dy):
-    """Positive iff d lies strictly inside the circumcircle of CCW (a, b, c).
-    Not certified when coordinate differences span hundreds of binary orders
-    of magnitude: a product may then underflow while the permanent does not."""
-    adx, ady = ax - dx, ay - dy
-    bdx, bdy = bx - dx, by - dy
-    cdx, cdy = cx - dx, cy - dy
-    ad2 = adx * adx + ady * ady
-    bd2 = bdx * bdx + bdy * bdy
-    cd2 = cdx * cdx + cdy * cdy
-    det = (ad2 * (bdx * cdy - bdy * cdx)
-           - bd2 * (adx * cdy - ady * cdx)
-           + cd2 * (adx * bdy - ady * bdx))
-    perm = (ad2 * (abs(bdx * cdy) + abs(bdy * cdx))
-            + bd2 * (abs(adx * cdy) + abs(ady * cdx))
-            + cd2 * (abs(adx * bdy) + abs(ady * bdx)))
-    if _TINY <= perm < math.inf and abs(det) >= _ICC_BOUND * perm:
-        return det
-    ax, ay, bx, by, cx, cy, dx, dy = _as_integers(ax, ay, bx, by, cx, cy, dx, dy)
-    adx, ady, bdx, bdy, cdx, cdy = ax - dx, ay - dy, bx - dx, by - dy, cx - dx, cy - dy
-    return _sign((adx * adx + ady * ady) * (bdx * cdy - bdy * cdx)
-                 - (bdx * bdx + bdy * bdy) * (adx * cdy - ady * cdx)
-                 + (cdx * cdx + cdy * cdy) * (adx * bdy - ady * bdx))
 
 
 def _circumcenter(a, b, c):
@@ -123,15 +69,11 @@ class _CDT:
     0-2 are the super-triangle's, which remove_exterior drops with the exterior."""
 
     def __init__(self, points):
-        pts = [tuple(map(float, p)) for p in points]
-        xs = [p[0] for p in pts]
-        ys = [p[1] for p in pts]
-        cx, cy = (min(xs) + max(xs)) / 2.0, (min(ys) + max(ys)) / 2.0
-        span = max(max(xs) - min(xs), max(ys) - min(ys), 1.0)
-        big = 16.0 * span
+        lo, hi = np.min(points, axis=0).tolist(), np.max(points, axis=0).tolist()
+        cx, cy = (lo[0] + hi[0]) / 2.0, (lo[1] + hi[1]) / 2.0
+        big = 16.0 * max(hi[0] - lo[0], hi[1] - lo[1], 1.0)
         self.pts: list[tuple[float, float]] = [
             (cx - big, cy - big), (cx + big, cy - big), (cx, cy + big)]
-        self.dedupe_tol = 1e-13 * span
         self.tris: dict[int, tuple[int, int, int]] = {}
         self.half: dict[tuple[int, int], int] = {}
         self.constrained: dict[tuple[int, int], PolygonEdge] = {}
@@ -197,17 +139,18 @@ class _CDT:
     # -- Bowyer-Watson insertion -------------------------------------------
 
     def insert_point(self, p, hint=None, split_key=None):
-        """Insert p; returns its vertex id.  split_key names a constrained
-        segment being split at p (p must lie on it)."""
+        """Insert p; returns its vertex id, or that of the vertex already
+        at p.  split_key names a constrained segment being split at p (p
+        must lie on it)."""
+        p = (float(p[0]), float(p[1]))
         if split_key is not None:
             seeds = self._seg_tris(split_key)
         else:
             seeds = [self._locate(p, hint)]
-        # dedupe against nearby vertices
+        # a vertex at p is a corner of the closed triangle that holds p
         for tid in seeds:
             for v in self.tris[tid]:
-                q = self.pts[v]
-                if abs(q[0] - p[0]) <= self.dedupe_tol and abs(q[1] - p[1]) <= self.dedupe_tol:
+                if self.pts[v] == p:
                     return v
 
         dead = set(seeds)
@@ -237,16 +180,11 @@ class _CDT:
                 nb = self.half.get((v, u))
                 if nb is None or nb not in dead:
                     boundary.append((u, v))
-        for u, v in boundary:
-            for w in (u, v):
-                q = self.pts[w]
-                if abs(q[0] - p[0]) <= self.dedupe_tol and abs(q[1] - p[1]) <= self.dedupe_tol:
-                    return w
         pid = len(self.pts)
         if pid >= ELEMENT_BUDGET:
             raise GeometryError(f"refinement exceeded the element "
                                 f"budget ({ELEMENT_BUDGET} vertices)")
-        self.pts.append((float(p[0]), float(p[1])))
+        self.pts.append(p)
         for tid in dead:
             self._remove_tri(tid)
         for u, v in boundary:
@@ -435,9 +373,7 @@ def triangulate_polygon(polygon: BoundaryPolygon, target_h: float,
         raise ValueError("tip_grading must be at least 1")
 
     cdt = _CDT(polygon.points)
-    ids = [cdt.insert_point((float(p[0]), float(p[1]))) for p in polygon.points]
-    if len(set(ids)) != len(polygon.points):
-        raise GeometryError("duplicate vertices in the boundary polygon")
+    ids = [cdt.insert_point(p) for p in polygon.points]
     for e in polygon.edges:
         a, b = ids[e.i], ids[e.j]
         if not cdt._seg_tris((a, b)):

@@ -33,6 +33,18 @@ def test_fp_descent_matches_pencil_at_p2(cusp15_mesh):
     assert abs(Cp - Cd) / Cp <= 1e-6
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "the p < 2 FP descent ends at a seed-dependent stall: 0.7783384 at seed 0, "
+    "0.7812233 at seed 1 (README, Numerical notes); remove this mark once it converges"))
+def test_fp_p15_does_not_depend_on_the_seed():
+    # the largest C cannot depend on where the descent starts
+    poly = boundary_polygon(DomainSpec.cusp(2.5), n_lateral=10, n_arc=20)
+    msh = refine_uniform(triangulate(poly, 0.5))
+    cfg = ProblemConfig(p=1.5, weighted=True)
+    c0, c1 = (fp_constant(msh, cfg, seed=seed) for seed in (0, 1))
+    assert abs(c0 - c1) <= 1e-6 * c0
+
+
 @pytest.mark.parametrize("name", ["cusp15_mesh", "disk_mesh", "square_mesh"])
 @pytest.mark.parametrize("weighted", [True, False])
 def test_fp_p2_keeps_the_bits_of_the_full_eigensolve(request, name, weighted):

@@ -266,7 +266,7 @@ def test_invalid_value_exits_1(tmp_path, capsys):
 @pytest.mark.parametrize("command", ["mesh", "solve"])
 def test_geometry_error_exits_2(tmp_path, capsys, command):
     # 128 tip-graded lateral samples at q = 3 put the two samples next to
-    # the tip on the same point
+    # the tip, distinct points, closer than 1e-13 of the polygon's span
     out = tmp_path / "out"
     text = (CUSP_CONFIG.replace("n_lateral = 12", "n_lateral = 128")
             .replace("n_arc = 24", "n_arc = 16").replace("grading_q = 2.0", "grading_q = 3.0"))
@@ -274,7 +274,10 @@ def test_geometry_error_exits_2(tmp_path, capsys, command):
     assert main([command, "--config", cfgp]) == 2
     manifest = (out / "manifest.txt").read_text().splitlines()
     assert "status = failed" in manifest
-    assert "error = duplicate vertices in the boundary polygon" in manifest
+    error = next(line for line in manifest if line.startswith("error = "))
+    assert error.startswith("error = polygon vertices 1 (")
+    assert error.endswith("within 1e-13 of the polygon's span 3.41421: sample the tip more "
+                          "coarsely (lower n_lateral or grading_q)")
     assert "geometry error" in capsys.readouterr().err
 
 

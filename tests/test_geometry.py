@@ -1,13 +1,15 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from steklov_cusp import (BoundaryTag, DomainSpec, GeometryError, boundary_polygon,
                           cusp_cap_intersection, polygon_from_points)
-from steklov_cusp.geometry import cap_angle_range, curve_point, polygon_area, weight_on_arc
+from steklov_cusp.geometry import (_check_resolvable, cap_angle_range, check_simple, curve_point,
+                                   orient2d, polygon_area, weight_on_arc)
 
-from helpers import exact_cusp_area, junction_height, shoelace
+from helpers import exact_cusp_area, junction_height, orient2d_sign, shoelace
 
 
 def test_cusp_exponent_must_exceed_one():
@@ -92,8 +94,9 @@ def test_cusp_polygon_grading_samples():
 
 
 @pytest.mark.parametrize("spec, grading_q", [
+    # alpha = 5 at q = 3 is refused (test_unresolvable_tip_sampling_is_refused)
     *[pytest.param(DomainSpec.cusp(alpha), q, id=f"cusp{alpha:g}-q{q:g}")
-      for alpha in (1.1, 1.5, 2.5, 5.0) for q in (1.0, 2.0, 3.0)],
+      for alpha in (1.1, 1.5, 2.5, 5.0) for q in (1.0, 2.0, 3.0) if (alpha, q) != (5.0, 3.0)],
     *[pytest.param(DomainSpec.disk(r), 2.0, id=f"disk{r:g}") for r in (1.0, 1.5)]])
 def test_polygon_edge_record_reproduces_its_vertices(spec, grading_q):
     # every edge's (tag, p0, p1) lands on both of its vertices, tip and
@@ -177,6 +180,78 @@ def test_endpoint_touching_detection(pts, pair):
     assert polygon_area(np.array(pts, dtype=float)) > 0.0
     with pytest.raises(GeometryError, match=f"between segments {pair}$"):
         polygon_from_points(pts)
+
+
+@pytest.mark.parametrize("alpha, grading_q, n_lateral, n_arc", [
+    pytest.param(4.0, 3.0, 12, 24, id="cusp4-q3-n12"),
+    pytest.param(5.0, 3.0, 10, 20, id="cusp5-q3-n10")])
+def test_unresolvable_tip_sampling_is_refused(alpha, grading_q, n_lateral, n_arc):
+    # the first samples of the two lateral curves, (+-t1**alpha, t1), are
+    # distinct but closer than 1e-13 of the span in both coordinates
+    spec = DomainSpec.cusp(alpha)
+    t1 = cusp_cap_intersection(spec) * (1.0 / n_lateral) ** grading_q
+    x1, last = t1 ** alpha, 2 * n_lateral + n_arc - 1
+    assert 0.0 < 2.0 * x1 < 1e-13
+    with pytest.raises(GeometryError) as err:
+        boundary_polygon(spec, n_lateral, n_arc, grading_q)
+    assert str(err.value) == (
+        f"polygon vertices 1 ({x1:.6g}, {t1:.6g}) and {last} ({-x1:.6g}, {t1:.6g}) are "
+        f"{2.0 * x1:.3g} apart, within 1e-13 of the polygon's span "
+        f"{2.0 + math.sqrt(2.0):.6g}: sample the tip more coarsely "
+        "(lower n_lateral or grading_q)")
+
+
+@pytest.mark.parametrize("pts, pair", [
+    ([(0, 0), (1, 0), (1, 0), (1, 1), (0, 1)], "1 (1, 0) and 2 (1, 0) are 0 apart"),
+    ([(0, 0), (2, 0), (1, 1), (2, 2), (0, 2), (1, 1)], "2 (1, 1) and 5 (1, 1) are 0 apart"),
+], ids=["consecutive", "apart"])
+def test_repeated_vertex_is_refused(pts, pair):
+    with pytest.raises(GeometryError, match=re.escape(f"polygon vertices {pair}, within 1e-13")):
+        polygon_from_points(pts)
+
+
+def test_resolvability_window_matches_all_pairs():
+    # the sort-and-window test refuses iff some pair of all m^2 lies within
+    # the tolerance (1e-13 at span 1) in both coordinates; one planted pair
+    # per trial is offset by about the tolerance in x, in y or in both, and
+    # four more vertices share its x to within the tolerance
+    rng = np.random.default_rng(5)
+    offsets = np.array([0.0, 0.5e-13, 0.99e-13, 1.01e-13, 3e-13])
+    refused = 0
+    for _ in range(300):
+        pts = rng.random((40, 2))
+        i, j, *crowd = rng.choice(40, size=6, replace=False)
+        pts[j] = pts[i] + rng.choice(offsets, size=2) * rng.choice([-1.0, 1.0], size=2)
+        pts[crowd, 0] = pts[i, 0] + rng.uniform(-1e-13, 1e-13, size=4)
+        d = np.abs(pts[:, None, :] - pts[None, :, :])
+        close = np.any(np.triu(np.all(d <= 1e-13, axis=2), k=1))
+        try:
+            _check_resolvable(pts)
+        except GeometryError:
+            assert close
+            refused += 1
+        else:
+            assert not close
+    assert 0 < refused < 300
+
+
+@pytest.mark.parametrize("y", [0.3, 0.4, 0.5, 0.6, 0.7])
+def test_subnormal_touch_is_judged_by_orient2d(y):
+    # x in units of the smallest subnormal, so every product in the float
+    # orientation of a = (0, 0), b = (2s, 1), c = (s, y) rounds to a multiple
+    # of s: it reads 0 at y = 0.3, 0.4, 0.6 and 0.7, though c lies on the
+    # segment ab only at y = 0.5.  Segment 2, e-c, ends at c, and e lies
+    # right of ab, so the polygon is simple iff c lies strictly right of ab.
+    s = 2.0 ** -1074
+    a, b, e, c = (0.0, 0.0), (2 * s, 1.0), (4 * s, 0.45), (s, y)
+    exact = orient2d_sign(*a, *b, *c)
+    assert np.sign(orient2d(*a, *b, *c)) == exact
+    pts = np.array([a, b, e, c])
+    if exact < 0:
+        check_simple(pts)
+    else:
+        with pytest.raises(GeometryError, match="between segments 0 and 2$"):
+            check_simple(pts)
 
 
 def test_weight_range_on_polygon_edges():

@@ -11,8 +11,8 @@ from steklov_cusp import (BoundaryTag, DomainSpec, GeometryError, ProblemConfig,
 from steklov_cusp import cli, triangulation
 from steklov_cusp import mesh as meshmod
 from steklov_cusp.fem import boundary_weighted_measure
-from steklov_cusp.geometry import PolygonEdge
-from steklov_cusp.triangulation import _CDT, incircle, orient2d
+from steklov_cusp.geometry import PolygonEdge, curve_point, incircle, orient2d
+from steklov_cusp.triangulation import _CDT
 
 from helpers import (exact_weighted_boundary_length, incircle_sign, orient2d_sign, shoelace,
                      tri_min_angle)
@@ -246,6 +246,26 @@ def test_walk_beyond_a_boundary_segment_names_it():
         cdt._locate((2.0, 0.5))
 
 
+def test_insert_point_dedupes_exact_repeats_only():
+    # the first lateral samples of the alpha = 4, q = 3 cusp at 12/24 samples
+    # are 2.7e-14 apart, under 1e-13 of the span: boundary_polygon refuses
+    # that sampling, while the triangulator keeps the two as vertices
+    spec = DomainSpec.cusp(4.0)
+    with pytest.raises(GeometryError, match="lower n_lateral or grading_q"):
+        boundary_polygon(spec, n_lateral=12, n_arc=24, grading_q=3.0)
+    t1 = cusp_cap_intersection(spec) / 12.0 ** 3
+    right = curve_point(spec, BoundaryTag.CUSP_LATERAL_RIGHT, t1)
+    left = curve_point(spec, BoundaryTag.CUSP_LATERAL_LEFT, t1)
+    assert 0.0 < right[0] - left[0] < 1e-13
+    square = [(-1.0, -1.0), (1.0, -1.0), (1.0, 1.0), (-1.0, 1.0)]
+    cdt = _CDT(square)
+    ids = [cdt.insert_point(p) for p in square + [right, left]]
+    assert len(set(ids)) == 6
+    assert cdt.insert_point(left) == ids[-1]
+    assert cdt.insert_point(np.array(right)) == ids[-2]
+    assert len(cdt.pts) == 3 + 6
+
+
 def test_shipped_config_base_meshes_validate():
     # every base polygon the shipped configs mesh has each of its edges in
     # the Delaunay triangulation of its vertices, which triangulate needs
@@ -299,9 +319,14 @@ def _variants(groups):
 def _degenerate_groups(size):
     """Groups of `size` points: cocircular regular 64-gon vertices, collinear
     lateral samples next to the alpha = 3 cusp tip, and integer configurations
-    (one degenerate, one not) that the 2**-1074 scale makes subnormal."""
+    (one degenerate, one not) that the 2**-1074 scale makes subnormal.  The
+    lateral samples are boundary_polygon's at 48 samples and grading 4, taken
+    from the curve: the polygon itself is refused, its two samples next to
+    the tip being too close to resolve."""
     disk = boundary_polygon(DomainSpec.disk(1.0), n_arc=64).points
-    tip = boundary_polygon(DomainSpec.cusp(3.0), n_lateral=48, n_arc=96, grading_q=4.0).points
+    spec = DomainSpec.cusp(3.0)
+    tip = np.array([curve_point(spec, BoundaryTag.CUSP_LATERAL_RIGHT, float(t))
+                    for t in cusp_cap_intersection(spec) * (np.arange(49) / 48) ** 4.0])
     groups = [disk[[(i + j * step) % 64 for j in range(size)]]
               for i in range(0, 64, 8) for step in (1, 13)]
     groups += [tip[i:i + size] for i in range(1, 9)]
