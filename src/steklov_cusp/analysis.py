@@ -14,8 +14,7 @@ import numpy as np
 from . import fem, geometry
 from .eigensolver import _descent, solve_p
 from .fem import ProblemConfig
-from .linalg import (Complement, Factor, SolveError, generalized_eig_sym,
-                     generalized_eigvals_sym, inverse_block)
+from .linalg import Complement, Factor, SolveError, generalized_eig_sym, inverse_block
 from .mesh import Mesh, refine_uniform, triangulate
 
 
@@ -27,8 +26,10 @@ def fp_constant(mesh: Mesh, cfg: ProblemConfig, constraint: str = "weighted-boun
     Computed as m^(-1/p) where m minimizes energy over the volume p-norm.
     At p = 2 the minimum comes from the dense (stiffness, mass) pencil
     restricted to the complement of the constraint direction (Complement),
-    solved for its values only in eigh's 5 n^2 doubles
-    (generalized_eigvals_sym); at any other p from _fp_descent, seeded by seed.
+    solved for its values only (generalized_eig_sym with k = 0): the two
+    restricted matrices are passed as temporaries, which the eigensolver
+    frees after their last use, so the peak is eigh's 5 n^2 doubles; at any
+    other p from _fp_descent, seeded by seed.
     The constraint is the problem's own boundary condition, the zero
     integral of u w ds (w = 1 unweighted); "weighted-boundary" is the one
     value constraint accepts.
@@ -40,9 +41,7 @@ def fp_constant(mesh: Mesh, cfg: ProblemConfig, constraint: str = "weighted-boun
 
     K, M, B = fem.assemble_p2(mesh, weighted=cfg.weighted)
     comp = Complement(B.matvec(np.ones(mesh.num_vertices)))
-    # each dense matrix is built when the reduction needs it
-    vals = generalized_eigvals_sym(lambda: comp.restrict(K.to_dense()),
-                                   lambda: comp.restrict(M.to_dense()))
+    vals, _ = generalized_eig_sym(comp.restrict(K.to_dense()), comp.restrict(M.to_dense()), 0)
     mu = float(vals[0])
     if not mu > 0.0:
         raise SolveError(f"non-positive constrained pencil minimum {mu}")
@@ -90,7 +89,7 @@ def trace_spectrum(mesh: Mesh, weighted: bool, k: int = 10) -> np.ndarray:
     K, M, B = fem.assemble_p2(mesh, weighted=weighted)
     gamma = mesh.boundary_vertex_ids()
     G = inverse_block(K + M, gamma)
-    vals, _ = generalized_eig_sym(G @ B.pattern.split(gamma).boundary_block(B) @ G, G)
+    vals, _ = generalized_eig_sym(G @ B.pattern.split(gamma).boundary_block(B) @ G, G, 0)
     top = np.maximum(vals, 0.0)[::-1][:k]
     if not np.all(np.isfinite(top)):
         raise SolveError("trace spectrum produced non-finite values")
@@ -123,7 +122,7 @@ class SweepReport:
 STABILITY_THRESHOLD = 0.05  # reporting policy of this tool, not a theory value
 
 
-def classify_trend(values, threshold: float = STABILITY_THRESHOLD) -> str:
+def classify_trend(values) -> str:
     """stable / decaying-to-zero / undetermined from a refinement series.
 
     A failed (non-finite) level breaks the series: only the finite values
@@ -136,11 +135,11 @@ def classify_trend(values, threshold: float = STABILITY_THRESHOLD) -> str:
     if len(vals) < 2:
         return "undetermined"
     last, prev = vals[-1], vals[-2]
-    if prev != 0.0 and abs(last - prev) / abs(prev) <= threshold:
+    if prev != 0.0 and abs(last - prev) / abs(prev) <= STABILITY_THRESHOLD:
         return "stable"
     decreasing = all(b < a for a, b in zip(vals, vals[1:]))
     if decreasing and len(vals) >= 3 and prev != 0.0 \
-            and (prev - last) / abs(prev) > threshold:
+            and (prev - last) / abs(prev) > STABILITY_THRESHOLD:
         return "decaying-to-zero"
     return "undetermined"
 

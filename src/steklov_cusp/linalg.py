@@ -17,8 +17,8 @@ Factor.lower) and, refined and residual-checked through solve_spd, for
 solve_p2's.  The spectral paths restrict a pencil to the complement of
 their constraint direction (Complement, a Householder reflector) and reduce
 it to a dense eigensolve (equilibrated Cholesky factor of B, then a
-standard symmetric eigensolve; only the eigenvectors asked for are
-back-transformed).
+standard symmetric eigensolve, generalized_eig_sym: every eigenvalue, and
+only the eigenvectors asked for back-transformed, none for k = 0).
 
 The trace spectrum's pencil B x = sigma P x has B supported on the boundary
 vertices Gamma, so its non-zero spectrum is that of the |Gamma| x |Gamma|
@@ -461,16 +461,30 @@ def _symmetric_part(A) -> np.ndarray:
     return S
 
 
-def _cholesky_reduction(make_a, make_b):
-    """(scale, Linv, C) reducing A x = lambda B x to C y = lambda y with
-    x = diag(scale) Linv^T y: Linv inverts the equilibrated Cholesky factor
-    of sym(B) and C = sym(Linv diag(scale) sym(A) diag(scale) Linv^T).
-    make_b, then make_a, is called once for its input, and each input and
-    temporary is freed after its last use."""
-    Bs = _symmetric_part(make_b())
+def generalized_eig_sym(A: np.ndarray, B: np.ndarray, k: int | None = None):
+    """Every eigenvalue of A x = lambda B x for symmetric A, SPD B, and the
+    eigenvectors of the k smallest (all for None, an (n, 0) array for 0).
+
+    Reduces with the equilibrated Cholesky factor of B to a standard
+    symmetric problem C y = lambda y, C = sym(Linv diag(s) sym(A) diag(s)
+    Linv^T), solves it densely, and back-transforms the first k
+    eigenvectors only.  Eigenvalues come out ascending, and bit-identical
+    for every k; eigenvectors B-orthonormal with a deterministic sign
+    convention.  Each input and temporary is freed after its last use, B
+    kept only for the eigenvectors' normalization, and at k = 0 Linv goes
+    before eigh: with the inputs passed as temporaries, whose references
+    the callee then holds alone, the peak is eigh's 5 n^2 doubles (C, its
+    copy, its eigenvectors and 2 n^2 of LAPACK workspace).  For k > 0 eigh
+    also runs beside Linv and B: 8 n^2 doubles with the inputs held (6.0
+    n^2 beside them, measured).
+    """
+    Bs = _symmetric_part(B)
+    if k == 0:
+        del B
     scale, L = _equilibrated_cholesky(Bs, "B")
     del Bs
-    As = _symmetric_part(make_a())
+    As = _symmetric_part(A)
+    del A
     if As.shape != L.shape:
         raise ValueError("A and B must be of equal size")
     As *= scale[:, None]
@@ -480,23 +494,10 @@ def _cholesky_reduction(make_a, make_b):
     C = Linv @ As
     del As
     C = C @ Linv.T
-    return scale, Linv, _symmetric_part(C)
-
-
-def generalized_eig_sym(A: np.ndarray, B: np.ndarray, k: int | None = None):
-    """k smallest eigenpairs of A x = lambda B x for symmetric A, SPD B.
-
-    Reduces with the equilibrated Cholesky factor of B to a standard
-    symmetric problem (_cholesky_reduction), solves it densely, and
-    back-transforms the first k eigenvectors only.  Eigenvalues come out
-    ascending, and bit-identical for every k; eigenvectors B-orthonormal
-    with a deterministic sign convention.  eigh runs beside A, B and Linv
-    (kept for the back-transform) on C, its copy, the eigenvectors and 2 n^2
-    of LAPACK workspace: 8 n^2 doubles (6.0 n^2 beside A and B, measured).
-    """
-    if k is None:
-        k = len(A)
-    scale, Linv, C = _cholesky_reduction(lambda: A, lambda: B)
+    C = _symmetric_part(C)
+    if k == 0:
+        del Linv
+        return np.linalg.eigh(C)[0], np.zeros((len(C), 0))
     w, Y = np.linalg.eigh(C)
     del C
     V = scale[:, None] * (Linv.T @ Y[:, :k])
@@ -509,17 +510,7 @@ def generalized_eig_sym(A: np.ndarray, B: np.ndarray, k: int | None = None):
     signs = np.sign(V[lead, np.arange(V.shape[1])])
     signs[signs == 0.0] = 1.0
     V *= signs
-    return w[:k].copy(), V
-
-
-def generalized_eigvals_sym(make_a, make_b) -> np.ndarray:
-    """All eigenvalues of A x = lambda B x, ascending: generalized_eig_sym's
-    bit for bit (eigh, not eigvalsh).  make_a and make_b return A and B
-    (_cholesky_reduction); when they build them, no input outlives its
-    reduction and no factor is kept, so the peak is eigh's 5 n^2 doubles.
-    """
-    C = _cholesky_reduction(make_a, make_b)[2]  # Linv dies with the tuple
-    return np.linalg.eigh(C)[0]
+    return w, V
 
 
 def inverse_block(P: SparseSym, idx) -> np.ndarray:

@@ -48,8 +48,8 @@ def test_fp_p15_does_not_depend_on_the_seed():
 @pytest.mark.parametrize("name", ["cusp15_mesh", "disk_mesh", "square_mesh"])
 @pytest.mark.parametrize("weighted", [True, False])
 def test_fp_p2_keeps_the_bits_of_the_full_eigensolve(request, name, weighted):
-    # the values-only path against the formulation it replaced: both inputs
-    # restricted first, then generalized_eig_sym's smallest value
+    # the values-only solve (k = 0) against one that also back-transforms
+    # the first eigenvector: the smallest value keeps its bits
     from steklov_cusp import assemble_p2, generalized_eig_sym
     from steklov_cusp.linalg import Complement
 
@@ -87,9 +87,10 @@ def test_fp_p2_peak_memory_is_eighs_floor():
     # process peak growth over one p = 2 FP constant on the alpha = 2.5
     # level-2 sweep mesh, BLAS warmed up on its base mesh first.  eigh's
     # floor is 5 n^2 doubles (C, eigh's copy, its eigenvectors, LAPACK's
-    # 2 n^2 workspace); measured 5.3 n^2 with 2 OpenBLAS threads, and
-    # 8.3 n^2 with the restricted inputs and Linv held through eigh, as
-    # generalized_eig_sym holds them.
+    # 2 n^2 workspace).  generalized_eig_sym holds the two restricted inputs,
+    # passed as temporaries, and at k = 0 frees them after their last use
+    # and Linv before eigh; held through eigh, they and Linv give 8.3 n^2
+    # (measured), so the bound below sees their release.
     # tracemalloc cannot see LAPACK's workspace, so a fresh process's
     # ru_maxrss is measured.
     import steklov_cusp
