@@ -11,12 +11,16 @@ known, it writes the manifest, which echoes the resolved config (validate's
 defaults included), for every run, ending in status = ok or in status =
 failed and error = <reason>.
 
+Every setting has one home: mesh, solve and sweep mesh from [domain] and
+solve from [solver]; [sweep] adds only alphas and with_fp.  domain = disk is
+the unit validation disk.
+
 Exit codes: 0 ok; 1 config error, including an unknown section or key and a
 value out of range (n_lateral >= 8, n_arc >= 16, grading_q >= 1, target_h > 0
-in [domain] and [sweep], refinements >= 1 and restarts >= 1 in [solver] and
-[sweep], alpha > 1, seed >= 0 in [solver] or --seed); 2 geometry error; 3
-solver error or non-convergence; 4 validation failure.  Any other exception
-is a bug and is raised.
+and alpha > 1 in [domain], p > 1, refinements >= 1, restarts >= 1 and seed >= 0
+in [solver] or --seed, every alpha > 1 in [sweep]); 2 geometry error; 3 solver
+error or non-convergence; 4 validation failure.  Any other exception is a bug
+and is raised.
 """
 
 from __future__ import annotations
@@ -59,7 +63,6 @@ def _cell(x) -> str:
 DEFAULTS = {
     "domain": {
         "domain": "cusp",
-        "disk_radius": "1.0",
         "n_lateral": "24",
         "n_arc": "48",
         "grading_q": "2.0",
@@ -74,12 +77,7 @@ DEFAULTS = {
     },
     "sweep": {
         "alphas": "1.25,1.5,1.75,2.5",
-        "refinements": "3",
         "with_fp": "true",
-        "n_lateral": "12",
-        "n_arc": "24",
-        "target_h": "0.4",
-        "restarts": "1",
     },
     "output": {
         "output_dir": "steklov_out",
@@ -120,27 +118,25 @@ def _get(cp, section, key, conv):
     except (configparser.NoSectionError, configparser.NoOptionError):
         raise ConfigError(f"missing config key [{section}] {key}") from None
     try:
-        if conv is bool:
-            if raw.lower() in ("true", "1", "yes", "on"):
-                return True
-            if raw.lower() in ("false", "0", "no", "off"):
-                return False
-            raise ValueError("not a boolean")
-        return conv(raw)
+        if conv is not bool:
+            return conv(raw)
+        if raw.lower() in cp.BOOLEAN_STATES:
+            return cp.BOOLEAN_STATES[raw.lower()]
+        raise ValueError("not a boolean")
     except ValueError as exc:
         raise ConfigError(
             f"invalid value {raw!r} for config key [{section}] {key}: {exc}") from None
 
 
-def _checked(sections: dict, check, *args, **kwargs):
+def _checked(section: str, check, *args, **kwargs):
     """check(...) with its range ValueError, whose message starts with the
-    argument's name (= its config key), as a ConfigError naming sections[key]."""
+    argument's name (= its config key), as a ConfigError naming [section] key."""
     try:
         return check(*args, **kwargs)
     except ValueError as exc:
         key = str(exc).split()[0]
         raise ConfigError(
-            f"invalid value for config key [{sections[key]}] {key}: {exc}") from None
+            f"invalid value for config key [{section}] {key}: {exc}") from None
 
 
 def build_domain(cp) -> geometry.DomainSpec:
@@ -149,47 +145,42 @@ def build_domain(cp) -> geometry.DomainSpec:
         return _get(cp, "domain", "alpha",  # no default: must be explicit
                     lambda raw: geometry.DomainSpec.cusp(float(raw)))
     if kind == "disk":
-        return _get(cp, "domain", "disk_radius",
-                    lambda raw: geometry.DomainSpec.disk(float(raw)))
+        return geometry.DomainSpec.disk()
     raise ConfigError(f"invalid value {kind!r} for config key [domain] domain")
 
 
-def _mesh_values(cp, section):
-    """(n_lateral, n_arc, grading_q, target_h) of the meshes built from
-    [section]; grading_q is [domain]'s for every command.  The ranges are
-    geometry.check_sampling's and triangulation.check_target_h's."""
-    n_lateral = _get(cp, section, "n_lateral", int)
-    n_arc = _get(cp, section, "n_arc", int)
+def _mesh_values(cp):
+    """[domain] (n_lateral, n_arc, grading_q, target_h), in the ranges of
+    geometry.check_sampling and triangulation.check_target_h."""
+    n_lateral = _get(cp, "domain", "n_lateral", int)
+    n_arc = _get(cp, "domain", "n_arc", int)
     grading_q = _get(cp, "domain", "grading_q", float)
-    target_h = _get(cp, section, "target_h", float)
-    sections = {"n_lateral": section, "n_arc": section, "grading_q": "domain",
-                "target_h": section}
-    _checked(sections, geometry.check_sampling, n_lateral, n_arc, grading_q)
-    _checked(sections, check_target_h, target_h)
+    target_h = _get(cp, "domain", "target_h", float)
+    _checked("domain", geometry.check_sampling, n_lateral, n_arc, grading_q)
+    _checked("domain", check_target_h, target_h)
     return n_lateral, n_arc, grading_q, target_h
 
 
-def _check_counts(**counts):
-    for key, value in counts.items():
-        if value < 1:
-            raise ValueError(f"{key} must be at least 1")
+def _count(raw):
+    count = int(raw)
+    if count < 1:
+        raise ValueError("must be at least 1")
+    return count
 
 
-def _counts(cp, section):
-    """([section] refinements, [section] restarts), each at least 1."""
-    counts = {key: _get(cp, section, key, int) for key in ("refinements", "restarts")}
-    _checked(dict.fromkeys(counts, section), _check_counts, **counts)
-    return counts["refinements"], counts["restarts"]
+def _counts(cp):
+    """[solver] (refinements, restarts), each at least 1."""
+    return _get(cp, "solver", "refinements", _count), _get(cp, "solver", "restarts", _count)
 
 
 def build_base_mesh(cp, spec: geometry.DomainSpec) -> meshmod.Mesh:
-    n_lateral, n_arc, grading_q, target_h = _mesh_values(cp, "domain")
+    n_lateral, n_arc, grading_q, target_h = _mesh_values(cp)
     poly = geometry.boundary_polygon(spec, n_lateral, n_arc, grading_q)
     return meshmod.triangulate(poly, target_h, tip_grading=grading_q)
 
 
 def solver_config(cp) -> fem.ProblemConfig:
-    return _checked({"p": "solver"}, fem.ProblemConfig, p=_get(cp, "solver", "p", float),
+    return _checked("solver", fem.ProblemConfig, p=_get(cp, "solver", "p", float),
                     weighted=_get(cp, "solver", "weighted", bool))
 
 
@@ -277,7 +268,7 @@ def cmd_mesh(cp, manifest: Manifest, seed: int):
 def cmd_solve(cp, manifest: Manifest, seed: int):
     spec = build_domain(cp)
     cfg = solver_config(cp)
-    refinements, restarts = _counts(cp, "solver")
+    refinements, restarts = _counts(cp)
     msh = build_base_mesh(cp, spec)
     for _ in range(refinements - 1):
         msh = meshmod.refine_uniform(msh)
@@ -313,8 +304,8 @@ def cmd_sweep(cp, manifest: Manifest, seed: int):
     # float rejects an empty entry (so an empty list), DomainSpec.cusp an alpha <= 1
     alphas = _get(cp, "sweep", "alphas", lambda raw: [
         geometry.DomainSpec.cusp(float(tok)).alpha for tok in raw.split(",")])
-    n_lateral, n_arc, grading_q, target_h = _mesh_values(cp, "sweep")
-    refinements, restarts = _counts(cp, "sweep")
+    n_lateral, n_arc, grading_q, target_h = _mesh_values(cp)
+    refinements, restarts = _counts(cp)
     report = analysis.alpha_sweep(
         solver_config(cp), alphas, refinements=refinements,
         n_lateral=n_lateral, n_arc=n_arc, grading_q=grading_q, target_h=target_h,

@@ -48,7 +48,7 @@ CONSTRAINT_TOL_FACTOR = 1e-8
 WEAKFORM_RTOL = 1e-6
 
 
-@dataclass
+@dataclass(eq=False)
 class EigenResult:
     """Minimizer data: eigenvalue, eigenfunction, and solver diagnostics.
 

@@ -165,7 +165,7 @@ class PolygonEdge:
     p1: float
 
 
-@dataclass
+@dataclass(eq=False)
 class BoundaryPolygon:
     """Counterclockwise simple polygon approximating the domain boundary."""
 

@@ -30,7 +30,7 @@ _GAUSS_XI = np.array([0.5 - 0.5 / math.sqrt(3.0), 0.5 + 0.5 / math.sqrt(3.0)])
 _GAUSS_W = np.array([0.5, 0.5])
 
 
-@dataclass
+@dataclass(eq=False)
 class BoundaryEdges:
     """Per-edge boundary data, all arrays of length E (tags as a list)."""
 
@@ -47,7 +47,7 @@ class BoundaryEdges:
         return len(self.v0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Elements:
     """Per-mesh element layout: everything the element loops read that
     depends on the mesh alone, as contiguous arrays.
@@ -65,7 +65,7 @@ class Elements:
     gram: np.ndarray
 
 
-@dataclass
+@dataclass(eq=False)
 class Mesh:
     vertices: np.ndarray
     triangles: np.ndarray

@@ -12,7 +12,6 @@ from steklov_cusp.cli import main
 DISK_CONFIG = """\
 [domain]
 domain = disk
-disk_radius = 1.0
 n_arc = 64
 target_h = 0.3
 
@@ -51,19 +50,19 @@ SWEEP_CONFIG = """\
 [domain]
 domain = cusp
 alpha = 2.0
+n_lateral = 10
+n_arc = 20
 grading_q = 2.0
+target_h = 0.5
 
 [solver]
 p = 2.0
+refinements = 3
+restarts = 1
 seed = 0
 
 [sweep]
 alphas = 1.5
-refinements = 3
-n_lateral = 10
-n_arc = 20
-target_h = 0.5
-restarts = 1
 with_fp = false
 
 [output]
@@ -155,8 +154,8 @@ OUT_OF_RANGE = [
     ("mesh", CUSP_CONFIG, "n_arc = 24", "n_arc = 8", "[domain] n_arc"),
     ("solve", CUSP_CONFIG, "target_h = 0.4", "target_h = 0", "[domain] target_h"),
     ("solve", DISK_CONFIG, "n_arc = 64", "n_arc = 15", "[domain] n_arc"),
-    ("sweep", SWEEP_CONFIG, "n_lateral = 10", "n_lateral = 4", "[sweep] n_lateral"),
-    ("sweep", SWEEP_CONFIG, "target_h = 0.5", "target_h = -1", "[sweep] target_h"),
+    ("sweep", SWEEP_CONFIG, "n_lateral = 10", "n_lateral = 4", "[domain] n_lateral"),
+    ("sweep", SWEEP_CONFIG, "target_h = 0.5", "target_h = -1", "[domain] target_h"),
     ("sweep", SWEEP_CONFIG, "grading_q = 2.0", "grading_q = 0.5", "[domain] grading_q"),
     ("sweep", SWEEP_CONFIG, "alphas = 1.5", "alphas = 1.5,1.0", "[sweep] alphas"),
     # counts below 1 used to run silently as 1
@@ -164,10 +163,10 @@ OUT_OF_RANGE = [
     ("solve", DISK_CONFIG, "refinements = 1", "refinements = -3", "[solver] refinements"),
     ("solve", DISK_CONFIG, "restarts = 1", "restarts = 0", "[solver] restarts"),
     ("solve", DISK_CONFIG, "restarts = 1", "restarts = -3", "[solver] restarts"),
-    ("sweep", SWEEP_CONFIG, "refinements = 3", "refinements = 0", "[sweep] refinements"),
-    ("sweep", SWEEP_CONFIG, "refinements = 3", "refinements = -3", "[sweep] refinements"),
-    ("sweep", SWEEP_CONFIG, "restarts = 1", "restarts = 0", "[sweep] restarts"),
-    ("sweep", SWEEP_CONFIG, "restarts = 1", "restarts = -3", "[sweep] restarts"),
+    ("sweep", SWEEP_CONFIG, "refinements = 3", "refinements = 0", "[solver] refinements"),
+    ("sweep", SWEEP_CONFIG, "refinements = 3", "refinements = -3", "[solver] refinements"),
+    ("sweep", SWEEP_CONFIG, "restarts = 1", "restarts = 0", "[solver] restarts"),
+    ("sweep", SWEEP_CONFIG, "restarts = 1", "restarts = -3", "[solver] restarts"),
     # a negative seed used to end in numpy's traceback, with no manifest status
     ("solve", DISK_CONFIG, "seed = 0", "seed = -2", "[solver] seed"),
     ("sweep", SWEEP_CONFIG, "seed = 0", "seed = -2", "[solver] seed"),
@@ -190,6 +189,14 @@ INVALID = [
     ("sweep", SWEEP_CONFIG, "alphas = 1.5", "alphas = ,", "[sweep] alphas"),
     ("solve", CUSP_CONFIG, "weighted = true", "weighted = maybe", "[solver] weighted"),
     ("mesh", CUSP_CONFIG, "domain = cusp", "domain = square", "[domain] domain"),
+    # sweep reads its meshes from [domain] and its solves from [solver], and
+    # the disk is the unit disk
+    ("sweep", SWEEP_CONFIG, "with_fp = false", "with_fp = false\nn_lateral = 10",
+     "[sweep] n_lateral"),
+    ("sweep", SWEEP_CONFIG, "with_fp = false", "with_fp = false\nrestarts = 1",
+     "[sweep] restarts"),
+    ("mesh", DISK_CONFIG, "domain = disk", "domain = disk\ndisk_radius = 1.0",
+     "[domain] disk_radius"),
 ]
 
 
@@ -207,6 +214,25 @@ def test_shipped_configs_name_only_known_keys():
     assert paths
     for path in paths:
         cli.check_keys(cli.load_config(path))
+
+
+def test_every_default_key_is_read_by_a_command(tmp_path, monkeypatch):
+    from steklov_cusp import cli
+
+    read = set()
+    real_get = cli._get
+
+    def get(cp, section, key, conv):
+        read.add((section, key))
+        return real_get(cp, section, key, conv)
+
+    monkeypatch.setattr(cli, "_get", get)
+    for command, config in (("mesh", CUSP_CONFIG), ("solve", DISK_CONFIG),
+                            ("sweep", TWO_LEVEL_SWEEP)):
+        out = tmp_path / command
+        assert main([command, "--config", _write(tmp_path, f"{command}.ini", config, out)]) == 0
+    defaults = {(section, key) for section, keys in cli.DEFAULTS.items() for key in keys}
+    assert read == defaults | {("domain", "alpha")}
 
 
 def test_unreadable_config_exits_1_without_a_manifest(tmp_path, capsys):

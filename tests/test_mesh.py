@@ -7,7 +7,7 @@ import pytest
 
 from steklov_cusp import (BoundaryTag, DomainSpec, GeometryError, ProblemConfig,
                           boundary_polygon, cusp_cap_intersection, mesh_area,
-                          polygon_from_points, refine_uniform, triangulate)
+                          polygon_from_points, refine_uniform, solve_p2, triangulate)
 from steklov_cusp import cli, triangulation
 from steklov_cusp import mesh as meshmod
 from steklov_cusp.fem import boundary_weighted_measure
@@ -266,6 +266,21 @@ def test_insert_point_dedupes_exact_repeats_only():
     assert len(cdt.pts) == 3 + 6
 
 
+def test_array_records_compare_by_identity():
+    # records that hold arrays compare by identity, as the per-mesh caches
+    # assume: an array-wise == has no truth value, and arrays do not hash
+    square = [(0, 0), (1, 0), (1, 1), (0, 1)]
+    polygons = [polygon_from_points(square) for _ in range(2)]
+    meshes = [triangulate(poly, 0.5) for poly in polygons]
+    results = [solve_p2(msh, weighted=False) for msh in meshes]
+    for a, b in (polygons, meshes, [m.boundary for m in meshes],
+                 [m.elements() for m in meshes], results):
+        assert type(a) is type(b)
+        assert not a == b and a != b
+        assert a in [a] and a not in [b]
+        assert hash(a) != hash(b)
+
+
 def test_shipped_config_base_meshes_validate():
     # every base polygon the shipped configs mesh has each of its edges in
     # the Delaunay triangulation of its vertices, which triangulate needs
@@ -276,11 +291,8 @@ def test_shipped_config_base_meshes_validate():
         cp = cli.load_config(path)
         cli.build_base_mesh(cp, cli.build_domain(cp))
     cp = cli.load_config(configs / "sweep.ini")
-    grading = cp.getfloat("domain", "grading_q")
     for alpha in cp.get("sweep", "alphas").split(","):
-        poly = boundary_polygon(DomainSpec.cusp(float(alpha)), cp.getint("sweep", "n_lateral"),
-                                cp.getint("sweep", "n_arc"), grading)
-        triangulate(poly, cp.getfloat("sweep", "target_h"), tip_grading=grading)
+        cli.build_base_mesh(cp, DomainSpec.cusp(float(alpha)))
 
 
 def test_refinement_past_the_element_budget_raises(monkeypatch, disk_polygon):
