@@ -158,23 +158,31 @@ def alpha_sweep(cfg_base: ProblemConfig, alphas, refinements: int = 3,
     Individual cell failures never abort the sweep: the row keeps NaN for
     the value that failed, converged = False for a failed solve, and the
     caught exception in its error field (an fp_constant failure on the
-    mesh's weighted row only).
+    mesh's weighted row only).  A level whose mesh fails (a GeometryError
+    from boundary_polygon, triangulate or refine_uniform) gets both rows,
+    all NaN, with the stage and the exception as their error.
     """
     report = SweepReport()
     alphas = sorted(alphas)
     for i_alpha, alpha in enumerate(alphas):
         spec = geometry.DomainSpec.cusp(alpha)
-        base = triangulate(geometry.boundary_polygon(spec, n_lateral, n_arc, grading_q),
-                           target_h, tip_grading=grading_q)
-        meshes = [base]
-        for _ in range(refinements - 1):
-            meshes.append(refine_uniform(meshes[-1]))
+        meshes, mesh_error, stage = [], "", "boundary_polygon"
+        try:
+            polygon = geometry.boundary_polygon(spec, n_lateral, n_arc, grading_q)
+            stage = "triangulate"
+            meshes.append(triangulate(polygon, target_h, tip_grading=grading_q))
+            stage = "refine_uniform"
+            while len(meshes) < refinements:
+                meshes.append(refine_uniform(meshes[-1]))
+        except geometry.GeometryError as exc:
+            mesh_error = f"{stage}: {type(exc).__name__}: {exc}"
+        meshes += [None] * (refinements - len(meshes))
         series: dict[bool, list[float]] = {True: [], False: []}
         rows_here = []
         for level, msh in enumerate(meshes):
             fp_val = float("nan")
             fp_error = ""
-            if with_fp:
+            if with_fp and msh is not None:
                 try:
                     fp_val = fp_constant(msh, replace(cfg_base, weighted=True))
                 except (SolveError, np.linalg.LinAlgError) as exc:
@@ -187,19 +195,23 @@ def alpha_sweep(cfg_base: ProblemConfig, alphas, refinements: int = 3,
                 # the FP constant is the weighted one: its failure is
                 # recorded once per mesh, on the weighted row
                 errors = [fp_error] if fp_error and weighted else []
-                try:
-                    res = solve_p(msh, cfg, restarts=restarts,
-                                  seed=_cell_seed(seed, i_alpha, level, weighted))
-                    lam, iters, converged = res.eigenvalue, res.iterations, res.converged
-                except (SolveError, np.linalg.LinAlgError, geometry.GeometryError) as exc:
-                    kind = "weighted" if weighted else "unweighted"
-                    errors.append(f"solve_p ({kind}): {type(exc).__name__}: {exc}")
+                if msh is None:
+                    errors.append(mesh_error)
+                else:
+                    try:
+                        res = solve_p(msh, cfg, restarts=restarts,
+                                      seed=_cell_seed(seed, i_alpha, level, weighted))
+                        lam, iters, converged = res.eigenvalue, res.iterations, res.converged
+                    except (SolveError, np.linalg.LinAlgError, geometry.GeometryError) as exc:
+                        kind = "weighted" if weighted else "unweighted"
+                        errors.append(f"solve_p ({kind}): {type(exc).__name__}: {exc}")
                 series[weighted].append(lam)
                 rows_here.append(SweepRow(
                     alpha=alpha, p=cfg_base.p, weighted=weighted, level=level,
-                    h_max=msh.h_max, eigenvalue=lam, fp_constant=fp_val,
-                    iterations=iters, converged=converged,
-                    mesh_id=f"a{alpha:g}_L{level}_V{msh.num_vertices}",
+                    h_max=float("nan") if msh is None else msh.h_max, eigenvalue=lam,
+                    fp_constant=fp_val, iterations=iters, converged=converged,
+                    mesh_id=f"a{alpha:g}_L{level}"
+                    + ("" if msh is None else f"_V{msh.num_vertices}"),
                     error="; ".join(errors)))
         trends = {w: classify_trend(series[w]) for w in (True, False)}
         for row in rows_here:

@@ -160,7 +160,7 @@ def _element_blocks(mesh: Mesh, cells: str, loc: np.ndarray) -> SparseSym:
         mesh._cache[key] = Pattern(mesh.num_vertices, np.repeat(idx, k, axis=1).ravel(),
                                    np.tile(idx, (1, k)).ravel())
     pattern = mesh._cache[key]
-    return SparseSym.on(pattern, pattern.assemble(loc.ravel()))
+    return SparseSym(pattern, pattern.assemble(loc.ravel()))
 
 
 def _boundary_mass(mesh: Mesh, xi: np.ndarray, dens: np.ndarray) -> SparseSym:

@@ -1,10 +1,11 @@
 """Sparse symmetric storage, a sparse direct solver, the complement of one
 constraint direction and a dense generalized eigensolver, in numpy alone.
 
-Every sparse matrix is CSR values on a Pattern, and what depends on the
-pattern alone is analysed once: the assembly's sort and grouping, and,
-derived on first use, the RCM ordering and block layout a Factor scatters
-into and the interior/boundary block split.
+Every sparse matrix is CSR values on an analysed Pattern (SparseSym has no
+other constructor, and a sum needs both terms on one pattern), and what
+depends on the pattern alone is analysed once: the assembly's sort and
+grouping, and, derived on first use, the RCM ordering and block layout a
+Factor scatters into and the interior/boundary block split.
 A mesh keeps the patterns of its matrices, so assembling, splitting and
 factoring on it again is numeric work only.
 
@@ -122,31 +123,19 @@ class Pattern:
 
 
 class SparseSym:
-    """Symmetric sparse matrix: CSR values on a Pattern, full pattern stored.
+    """Symmetric sparse matrix: CSR values data on an analysed Pattern, full
+    pattern stored.
 
-    The COO constructor analyses a new pattern; SparseSym.on puts values on
-    an analysed one, so matrices assembled on the same mesh share its
-    patterns and do no sorting of their own.  A matrix-vector product sums
-    each row's entries in CSR order, one column of a matrix operand at a
-    time.  Instances are immutable after construction.
+    This is the one way to make a sparse matrix: assemble values on a
+    pattern (Pattern.assemble) and put them on it, so matrices assembled on
+    the same mesh share its patterns and do no sorting of their own.  A sum
+    needs both terms on one pattern.  A matrix-vector product sums each
+    row's entries in CSR order, one column of a matrix operand at a time.
+    Instances are immutable after construction.
     """
 
-    def __init__(self, n, rows, cols, vals):
-        """Build from COO triplets of the full symmetric matrix.
-
-        Duplicate (i, j) entries are summed; mirrored off-diagonal entries
-        must both be present (as element-loop assembly naturally produces).
-        """
-        self.pattern = Pattern(n, rows, cols)
-        self.n = self.pattern.n
-        self.data = self.pattern.assemble(vals)
-
-    @classmethod
-    def on(cls, pattern: Pattern, data: np.ndarray) -> "SparseSym":
-        """The matrix with CSR values data on pattern."""
-        A = cls.__new__(cls)
-        A.pattern, A.n, A.data = pattern, pattern.n, data
-        return A
+    def __init__(self, pattern: Pattern, data: np.ndarray):
+        self.pattern, self.n, self.data = pattern, pattern.n, data
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -175,16 +164,10 @@ class SparseSym:
         return a
 
     def __add__(self, other: "SparseSym") -> "SparseSym":
-        if self.n != other.n:
-            raise ValueError("dimension mismatch")
-        if other.pattern is self.pattern:
-            # the sorted concatenation below would put each of self's values
-            # just before other's, so reduceat would give the same sums
-            return SparseSym.on(self.pattern, self.data + other.data)
-        r1, c1, v1 = self.coo()
-        r2, c2, v2 = other.coo()
-        return SparseSym(self.n, np.concatenate([r1, r2]),
-                         np.concatenate([c1, c2]), np.concatenate([v1, v2]))
+        if other.pattern is not self.pattern:
+            raise ValueError("sum of matrices on different patterns: "
+                             "assemble both on one Pattern")
+        return SparseSym(self.pattern, self.data + other.data)
 
 
 class BoundarySplit:
@@ -206,7 +189,7 @@ class BoundarySplit:
 
     def interior_block(self, A: SparseSym) -> SparseSym:
         """A[interior, interior] on interior_pattern."""
-        return SparseSym.on(self.interior_pattern, A.data[self._ii])
+        return SparseSym(self.interior_pattern, A.data[self._ii])
 
     def coupling(self, A: SparseSym) -> np.ndarray:
         """A[interior, gamma] as a dense array."""

@@ -1,8 +1,9 @@
 """Independent oracles used by the tests: adaptive quadrature, bisection,
 characteristic-polynomial eigenvalues, exact areas of the cusp domain,
-rational geometric predicates.
+rational geometric predicates; and sparse_sym, which builds the package's
+sparse matrices from triplets.
 
-Everything here is deliberately disjoint from the package's own numerics.
+The oracles are deliberately disjoint from the package's own numerics.
 """
 
 import math
@@ -10,6 +11,17 @@ from fractions import Fraction
 from itertools import permutations
 
 import numpy as np
+
+from steklov_cusp.linalg import Pattern, SparseSym
+
+
+def sparse_sym(n, rows, cols, *vals):
+    """The n x n SparseSym summed from the triplets (rows, cols, v) for each
+    values array v, all on one Pattern(n, rows, cols): one matrix for one
+    array, else a list of matrices that can be summed."""
+    pattern = Pattern(n, rows, cols)
+    mats = [SparseSym(pattern, pattern.assemble(v)) for v in vals]
+    return mats[0] if len(mats) == 1 else mats
 
 
 def adaptive_simpson(f, a, b, tol=1e-12, depth=60):

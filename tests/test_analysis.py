@@ -6,9 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from steklov_cusp import (DomainSpec, ProblemConfig, boundary_polygon, fp_constant,
+from steklov_cusp import (DomainSpec, GeometryError, ProblemConfig, boundary_polygon, fp_constant,
                           polygon_from_points, refine_uniform, trace_spectrum,
                           triangulate)
+from steklov_cusp import analysis
 from steklov_cusp.analysis import _fp_descent, alpha_sweep, classify_trend
 
 
@@ -63,7 +64,7 @@ def test_fp_p2_keeps_the_bits_of_the_full_eigensolve(request, name, weighted):
 
 _FP_PEAK_RUN = """
 import resource
-from steklov_cusp import (DomainSpec, ProblemConfig, boundary_polygon, fp_constant,
+from steklov_cusp import (DomainSpec, GeometryError, ProblemConfig, boundary_polygon, fp_constant,
                           refine_uniform, triangulate)
 
 def sweep_mesh(levels):
@@ -213,6 +214,39 @@ def test_alpha_sweep_rows():
     assert len(report.rows) == 4
     assert [r.level for r in report.rows] == [0, 1, 0, 1]
     assert all(r.converged for r in report.rows)
+
+
+def test_alpha_sweep_keeps_the_rows_of_a_failed_mesh(monkeypatch):
+    # at alpha = 4, 12 lateral samples graded at q = 3 put the two samples
+    # next to the tip within 1e-13 of the polygon's span: that alpha gets
+    # its rows with the reason, and alpha = 1.5 is solved as on its own
+    kw = dict(refinements=1, n_lateral=12, n_arc=24, grading_q=3.0, target_h=0.5,
+              restarts=1, seed=0, with_fp=False)
+    report = alpha_sweep(ProblemConfig(p=2.0), alphas=[1.5, 4.0], **kw)
+    alone = alpha_sweep(ProblemConfig(p=2.0), alphas=[1.5], **kw)
+    assert [(r.alpha, r.weighted, r.level) for r in report.rows] == [
+        (1.5, True, 0), (1.5, False, 0), (4.0, True, 0), (4.0, False, 0)]
+    assert [(r.eigenvalue, r.error) for r in report.rows[:2]] == [
+        (r.eigenvalue, "") for r in alone.rows]
+    for row in report.rows[2:]:
+        assert np.isnan(row.eigenvalue) and np.isnan(row.h_max) and np.isnan(row.fp_constant)
+        assert not row.converged and row.iterations == 0 and row.trend == "undetermined"
+        assert row.mesh_id == "a4_L0"
+        assert row.error.startswith("boundary_polygon: GeometryError: polygon vertices 1 (")
+
+    # a refinement that fails leaves the levels meshed before it solved
+    def refine_uniform(mesh):
+        raise GeometryError("injected refinement failure")
+
+    monkeypatch.setattr(analysis, "refine_uniform", refine_uniform)
+    report = alpha_sweep(ProblemConfig(p=2.0), alphas=[1.5], refinements=3, n_lateral=10,
+                         n_arc=20, target_h=0.5, restarts=1, seed=0, with_fp=False)
+    assert [r.level for r in report.rows] == [0, 1, 2, 0, 1, 2]
+    for row in report.rows:
+        meshed = row.level == 0
+        assert row.converged == meshed and np.isfinite(row.eigenvalue) == meshed
+        assert row.error == ("" if meshed else
+                             "refine_uniform: GeometryError: injected refinement failure")
 
 
 def test_alpha_sweep_deterministic():

@@ -448,6 +448,32 @@ def test_cmd_sweep_failed_cell_reason_in_manifest(tmp_path, monkeypatch):
     assert ",nan," in _sweep_csv_line(bad[0]) and "injected" not in expected
 
 
+def test_cmd_sweep_reports_an_alpha_that_cannot_be_meshed(tmp_path):
+    # alpha = 4 at 12 lateral samples graded at q = 3 is refused by the
+    # resolvability rule; the sweep still writes alpha = 1.5 and exits 0
+    out = tmp_path / "sweep_out"
+    text = (SWEEP_CONFIG.replace("n_lateral = 10", "n_lateral = 12")
+            .replace("n_arc = 20", "n_arc = 24").replace("grading_q = 2.0", "grading_q = 3")
+            .replace("refinements = 3", "refinements = 1")
+            .replace("alphas = 1.5", "alphas = 1.5,4.0"))
+    cfgp = _write(tmp_path, "sweep.ini", text, out)
+    assert main(["sweep", "--config", cfgp]) == 0
+    rows = [line.split(",") for line in (out / "sweep.csv").read_text().splitlines()[1:]]
+    assert [row[:4] for row in rows] == [["1.5", "2", "true", "0"], ["1.5", "2", "false", "0"],
+                                         ["4", "2", "true", "0"], ["4", "2", "false", "0"]]
+    assert all(row[8] == "true" for row in rows[:2])
+    assert all(row[4:] == ["nan", "nan", "nan", "0", "false", "undetermined"]
+               for row in rows[2:])
+    manifest = (out / "manifest.txt").read_text().splitlines()
+    assert "status = ok" in manifest and "sweep.rows = 4" in manifest
+    failed = [line for line in manifest if line.startswith("sweep.failed.")]
+    assert len(failed) == 2
+    for i, line in enumerate(failed):
+        assert line.startswith(f"sweep.failed.{i} = a4_L0: boundary_polygon: GeometryError: "
+                               "polygon vertices 1 (")
+        assert line.endswith("sample the tip more coarsely (lower n_lateral or grading_q)")
+
+
 def test_cmd_sweep_fp_failure_reported_once_per_mesh(tmp_path, monkeypatch):
     from steklov_cusp import analysis
     from steklov_cusp.linalg import SolveError

@@ -333,6 +333,25 @@ def test_solve_p_result_contract(disk_mesh):
     assert all(b <= a * (1.0 + 1e-12) for a, b in zip(hist, hist[1:]))
 
 
+def test_solve_p_prefers_a_converged_restart(disk_mesh, monkeypatch):
+    # the first start is cut after one iteration and ends unconverged; the
+    # restart converges, and a converged result replaces an unconverged best
+    calls = []
+
+    def first_capped(*args, **kw):
+        if not calls:
+            kw["iteration_cap"] = 1
+        calls.append(_descent(*args, **kw))
+        return calls[-1]
+
+    monkeypatch.setattr(eigensolver, "_descent", first_capped)
+    cfg = ProblemConfig(p=1.5, weighted=False)
+    res = solve_p(disk_mesh, cfg, restarts=2, seed=0)
+    assert len(calls) == 2 and calls[0].iterations == 1
+    assert not eigensolver._finalize_run(disk_mesh, cfg, calls[0].u, calls[0]).converged
+    assert res.converged and res.weakform_residual <= WEAKFORM_RTOL
+
+
 def test_descent_constraint_at_every_accepted_step(disk_mesh):
     cfg = ProblemConfig(p=2.5, weighted=False)
     K, M, _ = fem.assemble_p2(disk_mesh, weighted=False)

@@ -9,15 +9,19 @@ from steklov_cusp import (DomainSpec, ProblemConfig, SolveError, SparseSym, asse
 from steklov_cusp import fem
 from steklov_cusp.linalg import Complement, Factor, inverse_block
 
-from helpers import charpoly_eigenvalues
+from helpers import charpoly_eigenvalues, sparse_sym
+
+
+def _random_spd(rng, n, density=0.2):
+    A = rng.standard_normal((n, n))
+    A[rng.random((n, n)) > density] = 0.0
+    return A.T @ A + n * np.eye(n)
 
 
 def _random_sparse_spd(rng, n, density=0.2):
-    A = rng.standard_normal((n, n))
-    A[rng.random((n, n)) > density] = 0.0
-    dense = A.T @ A + n * np.eye(n)
+    dense = _random_spd(rng, n, density)
     rows, cols = np.nonzero(dense)
-    return SparseSym(n, rows, cols, dense[rows, cols]), dense
+    return sparse_sym(n, rows, cols, dense[rows, cols]), dense
 
 
 def test_sparse_roundtrip_and_matvec():
@@ -56,15 +60,29 @@ def test_matvec_matches_slot_formula_exactly(cusp15_mesh):
 
 
 def test_sparse_add_and_scale():
+    # two sparsity structures, both assembled on their union's pattern
     rng = np.random.default_rng(4)
-    A, da = _random_sparse_spd(rng, 20)
-    B, db = _random_sparse_spd(rng, 20)
-    assert np.allclose((A + B).to_dense(), da + db, atol=1e-12)
+    da, db = _random_spd(rng, 20), _random_spd(rng, 20)
+    rows, cols = np.nonzero((da != 0.0) | (db != 0.0))
+    A, B = sparse_sym(20, rows, cols, da[rows, cols], db[rows, cols])
+    S = A + B
+    assert S.pattern is A.pattern
+    assert np.allclose(S.to_dense(), da + db, atol=1e-12)
+
+
+def test_sum_across_patterns_is_refused():
+    # a sum never analyses a pattern: terms on two patterns, even of the
+    # same structure or of different sizes, are refused
+    rng = np.random.default_rng(5)
+    A, _ = _random_sparse_spd(rng, 20)
+    for other in (sparse_sym(A.n, *A.coo()), _random_sparse_spd(rng, 12)[0]):
+        with pytest.raises(ValueError, match="different patterns"):
+            A + other
 
 
 def test_solve_spd_identity():
     n = 12
-    eye = SparseSym(n, np.arange(n), np.arange(n), np.ones(n))
+    eye = sparse_sym(n, np.arange(n), np.arange(n), np.ones(n))
     b = np.linspace(-3, 5, n)
     assert np.allclose(solve_spd(eye, b, tol=1e-14), b, atol=1e-14)
 
@@ -98,12 +116,14 @@ def test_solve_spd_singular_shifted_consistent():
             rows.append(r)
             cols.append(c)
             vals.append(v)
-    K = SparseSym(n, rows, cols, vals)
+    # the shift's diagonal triplets join K's, so both share one pattern
+    rows, cols = rows + list(range(n)), cols + list(range(n))
     rng = np.random.default_rng(13)
     b = rng.standard_normal(n)
     b -= b.mean()  # orthogonal to the kernel
     for shift in (1e-4, 1e-6):
-        eye = SparseSym(n, np.arange(n), np.arange(n), np.full(n, shift))
+        K, eye = sparse_sym(n, rows, cols, vals + [0.0] * n,
+                            [0.0] * len(vals) + [shift] * n)
         x = solve_spd(K + eye, b, tol=1e-12)
         r = K.matvec(x) - b
         # residual is consistent up to the shift times the solution
@@ -117,7 +137,8 @@ def test_indefinite_matrix_error_names_pivot():
     # one negative diagonal entry far beyond its row's off-diagonal mass
     shift = np.zeros(40)
     shift[9] = -2.0 * np.abs(dense[9]).sum()
-    indefinite = A + SparseSym(40, np.arange(40), np.arange(40), shift)
+    diagonal = A.pattern.rows == A.pattern.indices
+    indefinite = A + SparseSym(A.pattern, np.where(diagonal, shift[A.pattern.rows], 0.0))
     b = rng.standard_normal(40)
     with pytest.raises(SolveError, match="pivot 9 "):
         solve_spd(indefinite, b, tol=1e-12)
@@ -176,7 +197,7 @@ def test_factor_lower_gives_the_schur_term(cusp15_mesh):
 
 def test_mesh_patterns_assemble_like_the_coo_constructor(cusp15_mesh, monkeypatch):
     # matrices summed on the mesh's cached patterns are, bit for bit, the
-    # SparseSym the COO constructor builds from the same element triplets
+    # SparseSym a fresh Pattern of the same element triplets assembles
     seen = []
     assemble = fem._element_blocks
 
@@ -197,8 +218,8 @@ def test_mesh_patterns_assemble_like_the_coo_constructor(cusp15_mesh, monkeypatc
     for cells, loc, A in seen:
         idx = cusp15_mesh.triangles if cells == "triangles" else np.stack([b.v0, b.v1], axis=1)
         k = idx.shape[1]
-        ref = SparseSym(A.n, np.repeat(idx, k, axis=1).ravel(), np.tile(idx, (1, k)).ravel(),
-                        loc.ravel())
+        ref = sparse_sym(A.n, np.repeat(idx, k, axis=1).ravel(), np.tile(idx, (1, k)).ravel(),
+                         loc.ravel())
         for name, got, want in zip(("rows", "indices", "data"), A.coo(), ref.coo()):
             assert np.array_equal(got, want), (cells, name)
     # one pattern per kind of cell, shared by every matrix on it
@@ -220,7 +241,7 @@ def test_factor_on_a_shared_pattern_matches_a_coo_copy(cusp15_mesh):
     assert np.array_equal(split.boundary_block(A), dense[np.ix_(gamma, gamma)])
     B = np.random.default_rng(59).standard_normal((A.n, 3))
     for shared in (A, A_ii):
-        copy = SparseSym(shared.n, *shared.coo())
+        copy = sparse_sym(shared.n, *shared.coo())
         assert copy.pattern is not shared.pattern
         f, g = Factor(shared), Factor(copy)
         rhs = B[:shared.n]
@@ -428,7 +449,7 @@ def test_inverse_block_matches_dense_inverse():
     D = np.geomspace(1e-4, 1e2, n)
     dense = D[:, None] * dense * D[None, :]
     rows, cols = np.nonzero(dense)
-    P = SparseSym(n, rows, cols, dense[rows, cols])
+    P = sparse_sym(n, rows, cols, dense[rows, cols])
     idx = np.sort(rng.choice(n, 40, replace=False))
     G = inverse_block(P, idx)
     ref = np.linalg.inv(dense)[np.ix_(idx, idx)]
@@ -437,7 +458,7 @@ def test_inverse_block_matches_dense_inverse():
 
 
 def test_inverse_block_names_a_failed_pivot():
-    P = SparseSym(3, [0, 1, 2], [0, 1, 2], [1.0, -2.0, 1.0])
+    P = sparse_sym(3, [0, 1, 2], [0, 1, 2], [1.0, -2.0, 1.0])
     with pytest.raises(SolveError, match="pivot 1"):
         inverse_block(P, np.array([0, 2]))
 
