@@ -18,9 +18,10 @@ the unit validation disk.
 Exit codes: 0 ok; 1 config error, including an unknown section or key and a
 value out of range (n_lateral >= 8, n_arc >= 16, grading_q >= 1, target_h > 0
 and alpha > 1 in [domain], p > 1, refinements >= 1, restarts >= 1 and seed >= 0
-in [solver] or --seed, every alpha > 1 in [sweep]); 2 geometry error; 3 solver
-error or non-convergence; 4 validation failure.  Any other exception is a bug
-and is raised.
+in [solver] or --seed, every alpha > 1 and none repeated in [sweep]) and an
+output directory that cannot be created; 2 geometry error; 3 solver error or
+non-convergence; 4 validation failure.  Any other exception is a bug and is
+raised.
 """
 
 from __future__ import annotations
@@ -304,6 +305,10 @@ def cmd_sweep(cp, manifest: Manifest, seed: int):
     # float rejects an empty entry (so an empty list), DomainSpec.cusp an alpha <= 1
     alphas = _get(cp, "sweep", "alphas", lambda raw: [
         geometry.DomainSpec.cusp(float(tok)).alpha for tok in raw.split(",")])
+    for i, alpha in enumerate(alphas):
+        if alpha in alphas[:i]:
+            raise ConfigError(f"invalid value for config key [sweep] alphas: alpha {alpha} "
+                              "is repeated")
     n_lateral, n_arc, grading_q, target_h = _mesh_values(cp)
     refinements, restarts = _counts(cp)
     report = analysis.alpha_sweep(
@@ -437,7 +442,10 @@ def main(argv=None) -> int:
             raise ConfigError("--config is required for this command")
         cp = load_config(args.config)
         out = Path(args.out) if args.out else Path(_get(cp, "output", "output_dir", str))
-        out.mkdir(parents=True, exist_ok=True)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create output directory {out}: {exc.strerror}") from None
         manifest = Manifest(out, args.command)
         seed = args.seed if args.seed is not None else _get(cp, "solver", "seed", int)
         if seed < 0:

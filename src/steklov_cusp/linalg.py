@@ -10,16 +10,17 @@ A mesh keeps the patterns of its matrices, so assembling, splitting and
 factoring on it again is numeric work only.
 
 Every sparse linear solve goes through one factorization: reverse
-Cuthill-McKee ordering and a block-tridiagonal Cholesky factor (Factor,
-which lists its blocks once so that a solve is one loop of block products
-per sweep), used as the descent preconditioner, for the Newton step's interior
-elimination (whose Schur complement Z^T Z needs only the forward half,
-Factor.lower) and, refined and residual-checked through solve_spd, for
-solve_p2's.  The spectral paths restrict a pencil to the complement of
-their constraint direction (Complement, a Householder reflector) and reduce
-it to a dense eigensolve (equilibrated Cholesky factor of B, then a
-standard symmetric eigensolve, generalized_eig_sym: every eigenvalue, and
-only the eigenvectors asked for back-transformed, none for k = 0).
+Cuthill-McKee ordering (one breadth-first queue) and a block-tridiagonal
+Cholesky factor (Factor, which lists its blocks once so that a solve is
+one loop of block products per sweep), used as the descent preconditioner,
+for the Newton step's interior elimination (whose Schur complement Z^T Z
+needs only the forward half, Factor.lower) and, refined and
+residual-checked through solve_spd, for solve_p2's.  The spectral paths
+restrict a pencil to the complement of their constraint direction
+(Complement, a Householder reflector) and reduce it to a dense eigensolve
+(equilibrated Cholesky factor of B, then a standard symmetric eigensolve,
+generalized_eig_sym: every eigenvalue, and only the eigenvectors asked for
+back-transformed, none for k = 0).
 
 The trace spectrum's pencil B x = sigma P x has B supported on the boundary
 vertices Gamma, so its non-zero spectrum is that of the |Gamma| x |Gamma|
@@ -207,62 +208,50 @@ class BoundarySplit:
         return out
 
 
-def _bfs_levels(indptr, indices, degree, start):
-    """Cuthill-McKee level sets of the component holding start.
-
-    Each level lists the unvisited neighbours of the previous one, grouped by
-    the position of the node that reached them first and sorted by degree
-    within a group: the order a queue-driven Cuthill-McKee sweep visits them.
-    """
-    seen = np.zeros(len(degree), dtype=bool)
-    seen[start] = True
-    levels = [np.array([start])]
-    while True:
-        front = levels[-1]
-        counts = degree[front]
-        offsets = np.repeat(indptr[front] - np.cumsum(counts) + counts, counts)
-        nbr = indices[offsets + np.arange(len(offsets))]
-        parent = np.repeat(np.arange(len(front)), counts)
-        fresh = ~seen[nbr]
-        nbr, parent = nbr[fresh], parent[fresh]
-        if len(nbr) == 0:
-            return levels
-        nbr = nbr[np.lexsort((nbr, degree[nbr], parent))]
-        _, first = np.unique(nbr, return_index=True)
-        nxt = nbr[np.sort(first)]
-        seen[nxt] = True
-        levels.append(nxt)
-
-
 def _rcm_order(pattern: Pattern) -> np.ndarray:
     """Reverse Cuthill-McKee ordering of the graph of a pattern (Cuthill &
-    McKee 1969).
+    McKee 1969): a breadth-first queue over each node's neighbours, listed
+    once and sorted by (degree, index).
 
-    Each connected component starts from a pseudo-peripheral node found by
-    the George-Liu search: restart from a minimum-degree node of the last
-    level while that lengthens the level structure.
+    Each connected component starts from its first unplaced node of least
+    degree and moves to a pseudo-peripheral node by the George-Liu search:
+    restart from the first least-degree node of the last level while that
+    lengthens the level structure.  No nodes order to the empty permutation.
     """
-    n, rows, cols = pattern.n, pattern.rows, pattern.indices
-    off = rows != cols
-    indices = cols[off]
-    degree = np.bincount(rows[off], minlength=n)
-    indptr = np.concatenate([[0], np.cumsum(degree)])
-    placed = np.zeros(n, dtype=bool)
+    off = pattern.rows != pattern.indices
+    rows, cols = pattern.rows[off], pattern.indices[off]
+    degree = np.bincount(rows, minlength=pattern.n)
+    nbrs = cols[np.lexsort((cols, degree[cols], rows))].tolist()
+    ptr, deg = np.concatenate([[0], np.cumsum(degree)]).tolist(), degree.tolist()
+    mark = [0] * pattern.n  # the number of the last sweep to reach a node, 0 if none
+    sweeps = 0
+
+    def levels_from(start):
+        nonlocal sweeps
+        sweeps += 1
+        mark[start], levels = sweeps, [[start]]
+        while True:
+            nxt = []
+            for u in levels[-1]:
+                for v in nbrs[ptr[u]:ptr[u + 1]]:
+                    if mark[v] != sweeps:
+                        mark[v] = sweeps
+                        nxt.append(v)
+            if not nxt:
+                return levels
+            levels.append(nxt)
+
     order = []
-    while not placed.all():
-        start = int(np.argmin(np.where(placed, np.iinfo(np.int64).max, degree)))
-        levels = _bfs_levels(indptr, indices, degree, start)
-        while len(levels) > 1:
-            last = levels[-1]
-            cand = int(last[np.argmin(degree[last])])
-            trial = _bfs_levels(indptr, indices, degree, cand)
-            if len(trial) <= len(levels):
-                break
-            levels = trial
-        comp = np.concatenate(levels)
-        placed[comp] = True
-        order.append(comp)
-    return np.concatenate(order)[::-1].copy()
+    for start in np.argsort(degree, kind="stable").tolist():
+        if not mark[start]:
+            levels = levels_from(start)
+            while len(levels) > 1:
+                trial = levels_from(min(levels[-1], key=deg.__getitem__))
+                if len(trial) <= len(levels):
+                    break
+                levels = trial
+            order.extend(v for level in levels for v in level)
+    return np.array(order[::-1], dtype=np.int64)
 
 
 class Factor:

@@ -250,6 +250,33 @@ def test_unreadable_config_exits_1_without_a_manifest(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_an_output_directory_that_cannot_be_created_exits_1(tmp_path, capsys):
+    # a file where the directory, or one of its parents, should be; no
+    # manifest can be written there
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    cusp = str(Path(__file__).resolve().parent.parent / "configs" / "cusp_a15.ini")
+    for argv, out, reason in ((["validate"], blocker, "File exists"),
+                              (["mesh", "--config", cusp], blocker / "sub", "Not a directory")):
+        assert main(argv + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"config error: cannot create output directory {out}: {reason}\n"
+    assert blocker.read_text() == ""
+
+
+def test_a_repeated_sweep_alpha_exits_1_naming_it(tmp_path, capsys):
+    out = tmp_path / "out"
+    for alphas in ("1.5,1.5", "1.25,1.5,1.50"):
+        cfgp = _write(tmp_path, "sweep.ini",
+                      SWEEP_CONFIG.replace("alphas = 1.5", f"alphas = {alphas}"), out)
+        assert main(["sweep", "--config", cfgp]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "[sweep] alphas" in err
+        assert err.endswith(": alpha 1.5 is repeated\n")
+        assert _manifest_lines(out)[-2] == "status = failed"
+        assert not (out / "sweep.csv").exists()
+
+
 def test_cli_module_config_error_has_no_traceback(tmp_path):
     import os
     import subprocess

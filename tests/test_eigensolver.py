@@ -10,8 +10,8 @@ import pytest
 
 from steklov_cusp import (DomainSpec, ProblemConfig, SolveError, boundary_pnorm,
                           boundary_polygon, constraint_functional,
-                          orthogonalize_shift, rayleigh, refine_uniform, solve_p,
-                          solve_p2, triangulate, weakform_residual)
+                          orthogonalize_shift, polygon_from_points, rayleigh,
+                          refine_uniform, solve_p, solve_p2, triangulate, weakform_residual)
 from steklov_cusp import eigensolver, fem, linalg
 from steklov_cusp.linalg import Factor, solve_spd
 from steklov_cusp.eigensolver import (CONSTRAINT_TOL_FACTOR, SHIFT_FTOL_FACTOR, WEAKFORM_RTOL,
@@ -278,6 +278,21 @@ def test_solve_p2_above_4000_interior_nodes():
     res = solve_p2(msh, weighted=True)
     assert res.converged
     assert abs(res.eigenvalue - 0.7043326454154812) <= 1e-9 * 0.7043326454154812
+
+
+def test_a_mesh_with_no_interior_vertex_solves():
+    # the unit square as two triangles: all 4 vertices on the boundary, so
+    # the interior block is empty; the dense pencil K x = lambda B x has
+    # eigenvalues 0, 1.5, 1.5, 6
+    msh = triangulate(polygon_from_points([(0, 0), (1, 0), (1, 1), (0, 1)]), 5.0)
+    assert msh.num_vertices == len(msh.boundary_vertex_ids()) == 4
+    K, _, B = fem.assemble_p2(msh, weighted=False)
+    vals, _ = linalg.generalized_eig_sym(K.to_dense(), B.to_dense(), 0)
+    first = vals[vals > 1e-12 * vals[-1]][0]
+    res = solve_p2(msh, weighted=False)
+    assert res.converged
+    assert res.eigenvalue == pytest.approx(first, rel=1e-12)
+    assert solve_p(msh, ProblemConfig(p=3.0, weighted=False), restarts=1).converged
 
 
 def test_solve_p_matches_p2_on_cusp(cusp15_mesh):

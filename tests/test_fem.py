@@ -3,7 +3,7 @@ import pytest
 
 from steklov_cusp import (ProblemConfig, assemble_p2, boundary_pnorm, constraint_functional,
                           energy, energy_gradient, volume_pnorm)
-from steklov_cusp import fem
+from steklov_cusp import eigensolver, fem
 
 
 def test_energy_constant_field(square_mesh):
@@ -225,16 +225,6 @@ def test_problem_config_rejects_p_at_most_one():
         ProblemConfig(p=1.0)
 
 
-def test_field_validation(square_mesh):
-    cfg = ProblemConfig()
-    with pytest.raises(ValueError):
-        energy(square_mesh, cfg, np.ones(3))
-    bad = np.ones(square_mesh.num_vertices)
-    bad[0] = np.nan
-    with pytest.raises(ValueError):
-        energy(square_mesh, cfg, bad)
-
-
 def _einsum_element_terms(mesh, cfg, u, eps):
     # energy, energy gradient and linearized-matrix data from einsums over
     # the (T, 3, 2) hat-function gradients, computed here from the vertices:
@@ -307,3 +297,27 @@ def test_shift_constraint_matches_the_full_field_functionals(cusp15_mesh):
                 assert _same_bits(dF(c), slope), (p, weighted, c)
                 assert _same_bits(F(c), ref), (p, weighted, c)
                 assert _same_bits(dF(c), slope), (p, weighted, c)
+
+
+FIELD_FUNCTIONALS = {f.__name__: f for f in (
+    fem.energy, fem.energy_gradient, fem.boundary_pnorm, fem.boundary_pnorm_gradient,
+    fem.constraint_functional, fem.constraint_gradient_direction, fem.volume_pnorm,
+    fem.volume_pnorm_gradient, fem.linearized_energy_matrix, fem.linearized_boundary_mass,
+    eigensolver.orthogonalize_shift, eigensolver.rayleigh)}
+FIELD_FUNCTIONALS["weakform_residual"] = (
+    lambda mesh, cfg, u: eigensolver.weakform_residual(mesh, cfg, u, 1.0))
+
+
+@pytest.mark.parametrize("functional", FIELD_FUNCTIONALS.values(), ids=FIELD_FUNCTIONALS.keys())
+def test_a_field_is_refused_for_its_length_or_a_non_finite_entry(square_mesh, functional):
+    # every public functional of a nodal field checks it through fem.as_field
+    cfg = ProblemConfig(p=3.0, weighted=False)
+    n = square_mesh.num_vertices
+    u = square_mesh.vertices[:, 0].copy()
+    with pytest.raises(ValueError, match=rf"^field length \({n - 1},\) does not match mesh "
+                                         rf"\({n} vertices\)$"):
+        functional(square_mesh, cfg, u[:-1])
+    for bad in (np.nan, np.inf):
+        u[n // 2] = bad
+        with pytest.raises(ValueError, match="^field contains non-finite entries$"):
+            functional(square_mesh, cfg, u)

@@ -7,7 +7,7 @@ import pytest
 from steklov_cusp import (DomainSpec, ProblemConfig, SolveError, SparseSym, assemble_p2,
                           boundary_polygon, generalized_eig_sym, solve_p2, solve_spd, triangulate)
 from steklov_cusp import fem
-from steklov_cusp.linalg import Complement, Factor, inverse_block
+from steklov_cusp.linalg import Complement, Factor, Pattern, _rcm_order, inverse_block
 
 from helpers import charpoly_eigenvalues, sparse_sym
 
@@ -284,6 +284,47 @@ def test_factor_solves_match_a_blockwise_loop(cusp15_mesh):
             assert lower.shape == z.shape and solved.shape == x.shape
             assert lower.tobytes() == z.tobytes()
             assert solved.tobytes() == x.tobytes()
+
+
+def _graph(n, edges):
+    """The Pattern of an n-node graph: its diagonal and each edge both ways."""
+    i, j = np.array(edges, dtype=np.int64).reshape(-1, 2).T
+    nodes = np.arange(n)
+    return Pattern(n, np.concatenate([nodes, i, j]), np.concatenate([nodes, j, i]))
+
+
+def test_rcm_order_of_a_path_with_shuffled_labels():
+    # the path 3 - 0 - 4 - 1 - 2: the search starts from leaf 2, the first
+    # node of least degree, and the reversed queue runs back from 3
+    assert _rcm_order(_graph(5, [(3, 0), (0, 4), (4, 1), (1, 2)])).tolist() == [3, 0, 4, 1, 2]
+
+
+def test_rcm_order_of_two_components_and_an_isolated_node():
+    # the isolated node 8 is ordered first, so it ends last; the tree on
+    # 0, 1, 2, 3, 4, 6 (centre 0, arms 0-1, 0-4-2, 0-6-3) starts at leaf 1,
+    # whose 4 levels lengthen to 5 from leaf 2, the first node of 1's last
+    # level [2, 3], and do not lengthen from 3; then the edge 5-7
+    pattern = _graph(9, [(0, 1), (0, 4), (4, 2), (0, 6), (6, 3), (5, 7)])
+    assert _rcm_order(pattern).tolist() == [7, 5, 3, 6, 1, 0, 4, 2, 8]
+
+
+def test_rcm_order_of_a_grid():
+    # the 3 x 3 grid, node 3 r + c: Cuthill-McKee from corner 0 visits the
+    # anti-diagonals, each neighbour list by (degree, index), so the
+    # reversed order has the grid's width 3 as its bandwidth
+    edges = [(3 * r + c, 3 * r + c + 1) for r in range(3) for c in range(2)]
+    edges += [(3 * r + c, 3 * r + c + 3) for r in range(2) for c in range(3)]
+    pattern = _graph(9, edges)
+    perm = _rcm_order(pattern)
+    assert perm.tolist() == [8, 7, 5, 6, 4, 2, 3, 1, 0]
+    inv = np.argsort(perm)
+    assert np.max(np.abs(inv[pattern.rows] - inv[pattern.indices])) == 3
+    assert pattern._band[1] == 3
+
+
+def test_rcm_order_of_no_nodes_is_empty():
+    perm = _rcm_order(Pattern(0, [], []))
+    assert perm.dtype == np.int64 and perm.shape == (0,)
 
 
 def test_mesh_patterns_are_freed_with_the_mesh():
